@@ -3,7 +3,7 @@
 // double-buffered) via the DMA chunk size, on the stream-heaviest kernel
 // (SP) and the gather-heavy one (CG).
 //
-// Flags: --tiles=64 --scale=1 --shards=1 (plus the harness flags, see
+// Flags: --tiles=64 --scale=1 (plus the harness flags, see
 // bench/harness.hpp)
 #include <cstdio>
 #include <iostream>
@@ -40,9 +40,7 @@ RAA_BENCHMARK("ablation_spm_size", "§2 SPM-size ablation") {
                        [&](const auto& k) { return k.name == name; });
       const auto cmp = raa::mem::run_comparison(
           cfg, [&] { return it->make(cfg, scale); },
-          raa::mem::ComparisonOptions{
-              .shards = static_cast<unsigned>(cli.get_int("shards", 1)),
-              .pool = ctx.pool});
+          raa::mem::ComparisonOptions{.pool = ctx.pool});
       const raa::mem::Metrics& base = cmp.cache_only;
       const raa::mem::Metrics& hyb = cmp.hybrid;
       ctx.add_accesses(static_cast<double>(base.accesses) +

@@ -5,7 +5,7 @@
 // Paper reference values: average improvements of 14.7% (execution time),
 // 18.5% (energy), 31.2% (NoC traffic); EP shows no degradation.
 //
-// Flags: --tiles=64 --scale=1 --shards=1 --verbose (plus the harness
+// Flags: --tiles=64 --scale=1 --verbose (plus the harness
 // flags, see bench/harness.hpp). `fig1_paper_scale` additionally accepts
 // --paper-scale=N (default 8) for the paper-scale working sets.
 #include <cstdio>
@@ -35,12 +35,9 @@ void run_fig1(raa::bench::Context& ctx, unsigned tiles, unsigned scale) {
   const bool verbose = cli.get_bool("verbose", false);
   ctx.report.set_param("tiles", std::to_string(cfg.tiles));
   ctx.report.set_param("scale", std::to_string(scale));
-  // Host-execution knobs: front-end shards per System::run, plus the
-  // harness pool (when --jobs > 1) running the cache_only/hybrid halves
-  // concurrently. Neither moves any reported metric (ShardEquivalence).
-  const raa::mem::ComparisonOptions copt{
-      .shards = static_cast<unsigned>(cli.get_int("shards", 1)),
-      .pool = ctx.pool};
+  // The harness pool (when --jobs > 1) runs the cache_only/hybrid halves
+  // concurrently; results are assigned by index, so no metric moves.
+  const raa::mem::ComparisonOptions copt{.pool = ctx.pool};
 
   if (ctx.printing())
     std::printf(

@@ -102,7 +102,7 @@ void Pool::help_while(const std::function<bool()>& not_ready,
       seen = epoch_;
     }
     // Predicate runs with no pool lock held: it may take external locks
-    // (the sharded simulator checks per-core channel state here).
+    // (ordered_reduce checks its result slots here).
     if (!not_ready()) return;
     if (run_one(only)) continue;
     std::unique_lock lock{mutex_};
@@ -110,11 +110,6 @@ void Pool::help_while(const std::function<bool()>& not_ready,
     // predicate instead of sleeping through its flip.
     cv_.wait(lock, [&] { return epoch_ != seen; });
   }
-}
-
-bool Pool::failed(const Group& g) const {
-  const std::scoped_lock lock{mutex_};
-  return g.error != nullptr;
 }
 
 std::exception_ptr Pool::take_error(Group& g) {

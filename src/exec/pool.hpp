@@ -1,8 +1,9 @@
 #pragma once
 /// \file pool.hpp
-/// Bounded task-queue executor: the reusable parallel-execution substrate
-/// under the sharded memory simulator (memsim/system.cpp) and the bench
-/// harness's --jobs fan-out.
+/// Bounded task-queue executor: the parallel-execution substrate under the
+/// bench harness's --jobs fan-out, the fleet's job lanes and
+/// run_comparison's concurrent halves. Every client submits coarse,
+/// independent units.
 ///
 /// Design points that the layers above rely on:
 ///  * Work-helping waits. Any thread blocked in wait()/help_while() pops
@@ -17,7 +18,7 @@
 ///    index within its Group; wait() rethrows the exception of the
 ///    *lowest-index* failed task, independent of completion order.
 ///  * Reuse. Groups reset on wait(); a pool is submitted to repeatedly
-///    over its lifetime (every System::run, every bench unit).
+///    over its lifetime (every bench unit, every fleet job).
 
 #include <chrono>
 #include <condition_variable>
@@ -95,9 +96,6 @@ class Pool {
   /// run on a pool with workers >= 1 and pair the expiry with cooperative
   /// cancellation of the task itself.
   bool wait_for(Group& g, std::chrono::nanoseconds timeout);
-
-  /// True once any task of `g` has finished with an exception.
-  bool failed(const Group& g) const;
 
   /// Help-run queued tasks while `not_ready()` returns true. Between
   /// tasks the predicate is re-evaluated with no pool lock held (it may

@@ -56,7 +56,6 @@ FleetResult run_fleet(const FleetOptions& opt) {
         job.limits.or_else(man.defaults).or_else(opt.fallback);
     settings[i].mode = eff.mode.value_or("");
     settings[i].backend = eff.backend.value_or("");
-    settings[i].shards = std::max(1u, eff.shards.value_or(1));
     settings[i].timeout_ms = eff.timeout_ms.value_or(0);
     settings[i].retries = eff.retries.value_or(0);
     settings[i].seed =

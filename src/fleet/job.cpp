@@ -15,10 +15,8 @@ namespace raa::fleet {
 namespace {
 
 /// CoreProgram wrapper that observes the watchdog's cancel flag at every
-/// batch boundary. fill() runs on shard-producer threads when the job is
-/// sharded; the sharded engine rethrows a producer's original exception
-/// with priority, so the JobError reaches run_job_attempt intact for any
-/// shard count.
+/// batch boundary. The JobError it throws unwinds System::run and reaches
+/// run_job_attempt intact.
 class CancellableProgram final : public mem::CoreProgram {
  public:
   CancellableProgram(std::unique_ptr<mem::CoreProgram> inner,
@@ -178,8 +176,7 @@ JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
     mem::Workload w = make_workload();
     wrap_cancellable(w, cancel);
     mem::System sys{cfg, mode};
-    results.push_back(
-        sys.run(w, mem::RunOptions{.shards = settings.shards}));
+    results.push_back(sys.run(w));
     out.sim_accesses += results.back().accesses;
   }
 
@@ -190,7 +187,7 @@ JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
   report::RunReport run{1};
   auto& b = run.benchmark(job.id, "fleet-job");
   b.set_param("tiles", std::to_string(cfg.tiles));
-  b.set_param("shards", std::to_string(settings.shards));
+  b.set_param("shards", "1");  // constant: keeps job documents byte-identical
   b.set_param("backend", mem::to_string(cfg.memory.kind));
   if (!job.trace.empty()) {
     b.set_param("trace", job.trace);

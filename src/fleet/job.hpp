@@ -82,7 +82,6 @@ const char* to_string(JobStatus status) noexcept;
 struct JobSettings {
   std::string mode;     ///< "" = the scenario/trace's own mode
   std::string backend;  ///< "" = the scenario/trace's own backend
-  unsigned shards = 1;
   std::uint64_t seed = 0;        ///< effective seed (scenario jobs)
   std::uint64_t timeout_ms = 0;  ///< 0 = no deadline (engine-enforced)
   unsigned retries = 0;          ///< extra attempts for transient kinds

@@ -102,12 +102,6 @@ bool parse_limits(Ctx& c, const Value& obj, const std::string& path,
                     "unknown backend '" + s + "' (want flat or banked)");
     out.backend = s;
   }
-  if (const Value* v = obj.find("shards")) {
-    unsigned s = 0;
-    if (!to_unsigned(c, *v, path + ".shards", s)) return false;
-    if (s < 1) return c.fail(path + ".shards", "expected shards >= 1");
-    out.shards = s;
-  }
   if (const Value* v = obj.find("timeout_ms")) {
     std::uint64_t t = 0;
     if (!to_u64(c, *v, path + ".timeout_ms", t)) return false;
@@ -127,7 +121,6 @@ JobLimits JobLimits::or_else(const JobLimits& over) const {
   JobLimits merged = *this;
   if (!merged.mode) merged.mode = over.mode;
   if (!merged.backend) merged.backend = over.backend;
-  if (!merged.shards) merged.shards = over.shards;
   if (!merged.timeout_ms) merged.timeout_ms = over.timeout_ms;
   if (!merged.retries) merged.retries = over.retries;
   return merged;
@@ -166,7 +159,7 @@ std::optional<Manifest> Manifest::parse(const json::Value& doc,
       return std::nullopt;
     }
     if (!check_keys(c, *v, "manifest.defaults",
-                    {"mode", "backend", "shards", "timeout_ms", "retries"}) ||
+                    {"mode", "backend", "timeout_ms", "retries"}) ||
         !parse_limits(c, *v, "manifest.defaults", m.defaults))
       return std::nullopt;
   }
@@ -189,7 +182,7 @@ std::optional<Manifest> Manifest::parse(const json::Value& doc,
     }
     if (!check_keys(c, jv, path,
                     {"id", "scenario", "trace", "seed", "mode", "backend",
-                     "shards", "timeout_ms", "retries"}))
+                     "timeout_ms", "retries"}))
       return std::nullopt;
     JobSpec job;
     const Value* idv = jv.find("id");
@@ -304,7 +297,6 @@ json::Value Manifest::to_json() const {
   const auto emit_limits = [](Value& obj, const JobLimits& l) {
     if (l.mode) obj.set("mode", *l.mode);
     if (l.backend) obj.set("backend", *l.backend);
-    if (l.shards) obj.set("shards", *l.shards);
     if (l.timeout_ms)
       obj.set("timeout_ms", static_cast<double>(*l.timeout_ms));
     if (l.retries) obj.set("retries", *l.retries);

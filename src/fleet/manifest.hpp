@@ -29,7 +29,6 @@ namespace raa::fleet {
 struct JobLimits {
   std::optional<std::string> mode;     ///< cache_only | hybrid | compare
   std::optional<std::string> backend;  ///< flat | banked
-  std::optional<unsigned> shards;      ///< front-end lanes per System::run
   std::optional<std::uint64_t> timeout_ms;  ///< per-job deadline; 0 = none
   std::optional<unsigned> retries;     ///< extra attempts for transient errors
 

@@ -100,7 +100,6 @@ FuzzResult run_fuzz(const FuzzOptions& opt) {
   }
 
   OracleOptions oopt;
-  oopt.shards = opt.shards;
   oopt.check_marker = opt.inject_marker;
 
   json::Value divergences{json::Array{}};
@@ -181,7 +180,6 @@ FuzzResult run_fuzz(const FuzzOptions& opt) {
   sum.set("schema_version", report::kFuzzSchemaVersion);
   sum.set("seed", static_cast<double>(opt.seed));
   sum.set("budget_runs", static_cast<double>(opt.budget_runs));
-  sum.set("shards", opt.shards);
   sum.set("inject_marker", opt.inject_marker);
   sum.set("clean", static_cast<double>(opt.budget_runs - res.divergences));
   sum.set("divergence_count", res.divergences);

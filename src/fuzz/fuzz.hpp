@@ -22,7 +22,6 @@ namespace raa::fuzz {
 struct FuzzOptions {
   std::uint64_t seed = 1;
   std::uint64_t budget_runs = 25;
-  unsigned shards = 4;  ///< lane count for the shards oracle
   GenLimits limits;
   /// Directory repro artifacts are written to (created if missing);
   /// empty = current directory. The summary records file names only.

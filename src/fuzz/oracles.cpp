@@ -56,7 +56,6 @@ std::string metrics_diff(const mem::Metrics& a, const mem::Metrics& b) {
 const char* to_string(Oracle o) noexcept {
   switch (o) {
     case Oracle::store: return "store";
-    case Oracle::shards: return "shards";
     case Oracle::replay: return "replay";
     case Oracle::roundtrip: return "roundtrip";
     case Oracle::backend: return "backend";
@@ -87,7 +86,7 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
                       "parse(to_json()) is not field-identical"};
 
   for (const mem::HierarchyMode mode : s.hierarchy_modes()) {
-    // Reference leg: paged store, serial engine, recorded as it runs.
+    // Reference leg: paged store, recorded as it runs.
     auto trace = std::make_shared<scen::TraceData>();
     mem::Workload w = s.instantiate();
     scen::record_workload(w, s.config, mode, *trace);
@@ -100,15 +99,6 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
           mem::run_with_store(s.config, mode, w2, mem::LineStore::hashed);
       if (!(m == ref))
         return Divergence{Oracle::store, mode, metrics_diff(ref, m)};
-    }
-    {
-      mem::Workload w2 = s.instantiate();
-      mem::RunOptions ro;
-      ro.shards = opt.shards;
-      const mem::Metrics m =
-          mem::run_with_store(s.config, mode, w2, mem::LineStore::paged, ro);
-      if (!(m == ref))
-        return Divergence{Oracle::shards, mode, metrics_diff(ref, m)};
     }
     {
       mem::Workload w2 = scen::make_replay_workload(trace);
@@ -127,8 +117,8 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
   }
 
   // Backend oracle: a forced-banked copy must satisfy the same determinism
-  // contracts (serial == sharded, recorded run == trace replay). When the
-  // scenario already selected banked the main battery covered it above.
+  // contract (recorded run == trace replay). When the scenario already
+  // selected banked the main battery covered it above.
   if (s.config.memory.kind != mem::MemBackendKind::banked) {
     scen::Scenario b = s;
     b.config.memory.kind = mem::MemBackendKind::banked;
@@ -138,26 +128,12 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
       scen::record_workload(w, b.config, mode, *trace);
       const mem::Metrics ref =
           mem::run_with_store(b.config, mode, w, mem::LineStore::paged);
-      {
-        mem::Workload w2 = b.instantiate();
-        mem::RunOptions ro;
-        ro.shards = opt.shards;
-        const mem::Metrics m = mem::run_with_store(b.config, mode, w2,
-                                                   mem::LineStore::paged, ro);
-        if (!(m == ref))
-          return Divergence{Oracle::backend, mode,
-                            "banked serial vs sharded: " +
-                                metrics_diff(ref, m)};
-      }
-      {
-        mem::Workload w2 = scen::make_replay_workload(trace);
-        const mem::Metrics m =
-            mem::run_with_store(b.config, mode, w2, mem::LineStore::paged);
-        if (!(m == ref))
-          return Divergence{Oracle::backend, mode,
-                            "banked record vs replay: " +
-                                metrics_diff(ref, m)};
-      }
+      mem::Workload w2 = scen::make_replay_workload(trace);
+      const mem::Metrics m =
+          mem::run_with_store(b.config, mode, w2, mem::LineStore::paged);
+      if (!(m == ref))
+        return Divergence{Oracle::backend, mode,
+                          "banked record vs replay: " + metrics_diff(ref, m)};
     }
   }
   return std::nullopt;

@@ -1,16 +1,15 @@
 #pragma once
 /// \file oracles.hpp
 /// The differential oracle battery: every generated scenario is run through
-/// four independent pairs of executions that the simulator contracts to be
+/// independent pairs of executions that the simulator contracts to be
 /// *exactly* equal (Metrics operator== is bit-for-bit, FP sums included):
 ///
 ///   store     paged line table        vs  hashed line table
-///   shards    serial engine           vs  N-sharded engine
 ///   replay    live generators         vs  recorded-trace replay
 ///   roundtrip the scenario as built   vs  parse(to_json(scenario))
-///   backend   forced-banked copy: serial vs sharded, and recorded run
-///             vs trace replay (the four pairs above already run under
-///             whichever DRAM backend the scenario itself selected)
+///   backend   forced-banked copy: recorded run vs trace replay (the
+///             three pairs above already run under whichever DRAM
+///             backend the scenario itself selected)
 ///
 /// A further, test-only oracle ("marker") fails for exactly the scenarios
 /// containing a __diverge_marker region; the shrinker tests use it as a
@@ -27,7 +26,6 @@ namespace raa::fuzz {
 
 enum class Oracle : std::uint8_t {
   store,
-  shards,
   replay,
   roundtrip,
   backend,
@@ -37,7 +35,6 @@ enum class Oracle : std::uint8_t {
 const char* to_string(Oracle o) noexcept;
 
 struct OracleOptions {
-  unsigned shards = 4;        ///< lane count for the shards oracle
   bool check_marker = false;  ///< enable the synthetic test oracle
 };
 

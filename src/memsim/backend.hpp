@@ -16,9 +16,9 @@
 ///
 /// Determinism contract: a backend instance is only ever driven from the
 /// simulator's serial commit loop (the same thread that owns all protocol
-/// state), so its timing state evolves in the exact commit order for any
-/// `--shards` value — banked runs are field-identical serial vs sharded,
-/// exactly like every other metric (ShardEquivalence + the fuzzer's
+/// state), so its timing state evolves in the exact commit order — banked
+/// runs are field-identical between a recorded run and its trace replay,
+/// exactly like every other metric (BackendEquivalence + the fuzzer's
 /// backend oracle pin this). Backends hold no global/static state.
 ///
 /// Ownership split: the backend owns the DRAM counters and DRAM energy

@@ -175,7 +175,7 @@ struct Metrics {
   }
 
   /// Exact (bit-for-bit, including the FP sums) equality. The simulator's
-  /// determinism contracts — sharded vs serial, trace record vs replay —
+  /// determinism contracts — paged vs hashed store, record vs replay —
   /// are *exact*, so equality here is ==, not a tolerance.
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };

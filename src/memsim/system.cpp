@@ -1,14 +1,10 @@
 #include "memsim/system.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
-#include <mutex>
-#include <optional>
 
 #include "exec/parallel.hpp"
-#include "exec/pool.hpp"
 #include "obs/obs.hpp"
 
 namespace raa::mem {
@@ -813,7 +809,7 @@ void System::step(unsigned core, const Access& acc,
   core_clock_[core] += lat;
 }
 
-Metrics System::run_serial(Workload& workload) {
+Metrics System::run(Workload& workload) {
   begin_run(workload);
 
   // Per-core batched pull state: one virtual fill() per kBatch accesses.
@@ -850,179 +846,13 @@ Metrics System::run_serial(Workload& workload) {
   return finish_run();
 }
 
-namespace {
-
-/// Accesses per producer fill in the sharded engine. Larger than the
-/// serial engine's pull batch: each generation crosses a mutex and the
-/// pool queue once. Batch size never changes the stream content (fill()
-/// only chunks the per-core sequence), so it is invisible in the Metrics.
-constexpr unsigned kShardBatch = 256;
-
-/// One core's double-buffered access channel between its producer lane
-/// (fills generation g into slot g % 2) and the commit loop (consumes
-/// generations in order). All cross-thread fields are guarded by `m`; the
-/// buffer itself is handed off through the ready flag: a slot belongs to
-/// exactly one side at a time.
-struct ShardChannel {
-  std::mutex m;
-  std::array<Access, kShardBatch> buf[2];
-  unsigned count[2] = {0, 0};
-  bool ready[2] = {false, false};
-  unsigned pending_gen = 0;  ///< next generation the producer will fill
-  bool paused = true;        ///< no producer task queued or running
-  bool ended = false;        ///< fill() returned 0 (terminal) or cancelled
-
-  // Commit-loop-only fields (single thread, unguarded).
-  unsigned head = 0;       ///< consume index into the adopted slot
-  unsigned adopted = 0;    ///< count of the adopted slot
-  unsigned gen = 0;        ///< generation currently consumed
-  bool started = false;    ///< first generation adopted yet?
-  std::size_t last_region = 0;
-};
-
-}  // namespace
-
-Metrics System::run_sharded(Workload& workload, unsigned shards,
-                            exec::Pool* pool) {
-  begin_run(workload);
-
-  // A private pool contributes shards - 1 producer threads; the commit
-  // thread is the remaining lane (it helps run fills while it waits).
-  std::optional<exec::Pool> own_pool;
-  if (pool == nullptr) {
-    own_pool.emplace(shards - 1);
-    pool = &*own_pool;
-  }
-
-  std::vector<ShardChannel> channels(cfg_.tiles);
-  exec::Pool::Group group;
-  std::atomic<bool> cancel{false};
-
-  // Producer lane for one generation of one core: fill the slot, publish
-  // it, and chain the next generation if its slot is already free. Each
-  // core has at most one producer task in flight, so its CoreProgram is
-  // only ever touched by one thread at a time.
-  std::function<void(unsigned)> produce = [&](unsigned core) {
-    ShardChannel& ch = channels[core];
-    unsigned gen;
-    {
-      const std::scoped_lock lock{ch.m};
-      gen = ch.pending_gen;
-    }
-    const unsigned slot = gen & 1;
-    const unsigned count =
-        cancel.load(std::memory_order_relaxed)
-            ? 0
-            : static_cast<unsigned>(workload.programs[core]->fill(
-                  {ch.buf[slot].data(), kShardBatch}));
-    bool chain = false;
-    {
-      const std::scoped_lock lock{ch.m};
-      ch.count[slot] = count;
-      ch.ready[slot] = true;
-      ch.pending_gen = gen + 1;
-      if (count == 0) {
-        ch.ended = true;  // fill() stays 0 from here on; stop producing
-        ch.paused = true;
-      } else if (!ch.ready[(gen + 1) & 1]) {
-        chain = true;  // next slot is free: keep this lane hot
-      } else {
-        ch.paused = true;  // both slots full; commit loop resumes us
-      }
-    }
-    if (chain) pool->submit(group, [&produce, core] { produce(core); });
-  };
-
-  for (unsigned core = 0; core < cfg_.tiles; ++core) {
-    channels[core].paused = false;
-    pool->submit(group, [&produce, core] { produce(core); });
-  }
-
-  // The commit loop: identical interleave, adoption and retirement order
-  // as run_serial — it merely swaps the inline fill() for adopting the
-  // producer-filled slot of the next generation.
-  auto commit = [&] {
-    CoreHeap order{core_clock_, cfg_.tiles};
-    while (!order.empty()) {
-      const unsigned core = order.top();
-      ShardChannel& ch = channels[core];
-      if (!ch.started || ch.head == ch.adopted) {
-        // Release the consumed slot and wake its paused producer.
-        if (ch.started) {
-          bool resume = false;
-          {
-            const std::scoped_lock lock{ch.m};
-            ch.ready[ch.gen & 1] = false;
-            if (ch.paused && !ch.ended) {
-              ch.paused = false;
-              resume = true;
-            }
-          }
-          if (resume) pool->submit(group, [&produce, core] { produce(core); });
-          ++ch.gen;
-        }
-        // Adopt the next generation (helping the pool while it is not
-        // ready; a failed producer also ends the wait — see below).
-        const unsigned slot = ch.gen & 1;
-        pool->help_while(
-            [&] {
-              if (pool->failed(group)) return false;
-              const std::scoped_lock lock{ch.m};
-              return !ch.ready[slot];
-            },
-            &group);
-        {
-          const std::scoped_lock lock{ch.m};
-          if (!ch.ready[slot]) {
-            RAA_CHECK_MSG(false, "shard producer failed");  // rethrown below
-          }
-          ch.adopted = ch.count[slot];
-        }
-        ch.started = true;
-        ch.head = 0;
-        if (ch.adopted == 0) {  // core finished
-          order.pop_top();
-          continue;
-        }
-        metrics_.accesses += ch.adopted;
-      }
-      step(core, ch.buf[ch.gen & 1][ch.head++], ch.last_region);
-      order.sift_top();
-    }
-  };
-
-  try {
-    commit();
-  } catch (...) {
-    // Unwind without dangling references: stop the producer chains and
-    // drain the pool. A producer failure surfaces with priority (its
-    // exception index precedes the commit loop's reaction to it).
-    cancel.store(true, std::memory_order_relaxed);
-    if (std::exception_ptr err = pool->wait_collect(group))
-      std::rethrow_exception(err);
-    throw;
-  }
-  pool->wait(group);
-
-  return finish_run();
-}
-
-Metrics System::run(Workload& workload) { return run_serial(workload); }
-
-Metrics System::run(Workload& workload, const RunOptions& options) {
-  const unsigned shards =
-      std::clamp(options.shards, 1u, std::max(1u, cfg_.tiles));
-  if (shards <= 1 && options.pool == nullptr) return run_serial(workload);
-  return run_sharded(workload, shards, options.pool);
-}
-
 ComparisonResult run_comparison(const SystemConfig& config,
                                 const std::function<Workload()>& make_workload,
                                 const ComparisonOptions& options) {
   const auto half = [&](HierarchyMode mode) {
     Workload w = make_workload();
     System sys{config, mode, options.store};
-    return sys.run(w, RunOptions{options.shards, options.pool});
+    return sys.run(w);
   };
   ComparisonResult result;
   if (options.pool == nullptr) {
@@ -1045,10 +875,9 @@ ComparisonResult run_comparison(const SystemConfig& config,
 }
 
 Metrics run_with_store(const SystemConfig& config, HierarchyMode mode,
-                       Workload& workload, LineStore store,
-                       const RunOptions& options) {
+                       Workload& workload, LineStore store) {
   System sys{config, mode, store};
-  return sys.run(workload, options);
+  return sys.run(workload);
 }
 
 }  // namespace raa::mem

@@ -31,11 +31,9 @@
 /// batches through CoreProgram::fill. The `LineStore::hashed` backend
 /// preserves the old per-access-hash shape for equivalence testing.
 ///
-/// Host parallelism: run(workload, RunOptions{.shards = N}) decouples the
-/// access-stream front end onto N concurrent producer lanes (src/exec/)
-/// while the protocol commit stays in serial interleave order, keeping
-/// the Metrics field-identical to the serial engine for every N (pinned
-/// by the ShardEquivalence suite; design note in docs/ARCHITECTURE.md).
+/// Host parallelism stays outside a run: run_comparison may simulate its
+/// two halves concurrently, but one run is single-threaded end to end (see
+/// "Why the front end is serial" in docs/ARCHITECTURE.md).
 
 #include <algorithm>
 #include <array>
@@ -58,25 +56,6 @@ class Pool;
 
 namespace raa::mem {
 
-/// Execution options for System::run. The simulated outcome is a pure
-/// function of the workload: *any* shards/pool combination produces
-/// Metrics field-identical to the serial interleave (the ShardEquivalence
-/// suite pins this). Sharding decouples the access-stream front end —
-/// CoreProgram::fill batch generation into per-core double-buffered
-/// channels — onto concurrent producer lanes, while the protocol commit
-/// loop consumes the channels in the exact serial interleave order, so
-/// every shared-state transition (L2 banks, directory, line values,
-/// version/tag counters, metrics) happens in the identical sequence.
-struct RunOptions {
-  /// Concurrent front-end lanes. 1 = the fully serial engine.
-  unsigned shards = 1;
-  /// Pool to run the shard producers on. Null with shards > 1 spawns a
-  /// private pool of shards - 1 workers (the committing thread is the
-  /// remaining lane). An external pool may have any worker count — even
-  /// zero: fills then run inline inside the commit loop's helping wait.
-  exec::Pool* pool = nullptr;
-};
-
 /// See file comment.
 class System {
  public:
@@ -86,9 +65,6 @@ class System {
   /// Run a workload to completion and return the metrics. The workload's
   /// programs are consumed. Requires programs.size() == config.tiles.
   Metrics run(Workload& workload);
-
-  /// As above, with sharded front-end execution (see RunOptions).
-  Metrics run(Workload& workload, const RunOptions& options);
 
   HierarchyMode mode() const noexcept { return mode_; }
   const SystemConfig& config() const noexcept { return cfg_; }
@@ -192,8 +168,6 @@ class System {
   /// Simulate one access of `core` end to end (clock advance + protocol).
   /// `last_region` memoises the core's region lookup across accesses.
   void step(unsigned core, const Access& acc, std::size_t& last_region);
-  Metrics run_serial(Workload& workload);
-  Metrics run_sharded(Workload& workload, unsigned shards, exec::Pool* pool);
 
   SystemConfig cfg_;
   HierarchyMode mode_;
@@ -229,8 +203,7 @@ class System {
   std::uint32_t chunk_tag_counter_ = 0;
   Metrics metrics_;
 
-  /// DRAM timing model (memsim/backend.hpp). Only ever driven from the
-  /// commit thread, so its state evolves identically for any shard count.
+  /// DRAM timing model (memsim/backend.hpp), driven from the commit loop.
   std::unique_ptr<MemBackend> backend_;
   double now_ = 0.0;  ///< commit-loop clock handed to the backend
   bool read_done_ = false;
@@ -271,8 +244,6 @@ struct ComparisonResult {
 
 /// Options for run_comparison.
 struct ComparisonOptions {
-  /// Forwarded to each half's System::run (front-end sharding).
-  unsigned shards = 1;
   /// When set, the two halves — independent System instances over
   /// independently built workloads — run concurrently on this pool, with
   /// results assigned by submission index (cache_only first), never by
@@ -297,7 +268,6 @@ ComparisonResult run_comparison(const SystemConfig& config,
 /// contract), so any mismatch here is a simulator bug, not a workload
 /// property.
 Metrics run_with_store(const SystemConfig& config, HierarchyMode mode,
-                       Workload& workload, LineStore store,
-                       const RunOptions& options = {});
+                       Workload& workload, LineStore store);
 
 }  // namespace raa::mem

@@ -15,8 +15,8 @@
 ///    off simply never emits.
 ///  - Determinism: every simulated-clock event is emitted by the serial
 ///    protocol commit loop (ROADMAP "parallelism contract"), so the
-///    commit thread's ring holds them in an identical sequence for any
-///    --shards/worker count. The sim-clock exporter (trace_export.hpp)
+///    commit thread's ring holds them in an identical sequence on every
+///    run of a scenario. The sim-clock exporter (trace_export.hpp)
 ///    filters to sim-stamped events and preserves ring order, which makes
 ///    the exported bytes reproducible (TraceDeterminism suite).
 ///  - Ring overflow overwrites the oldest records and bumps a drop count;

@@ -7,8 +7,8 @@
 ///  - sim:  only events carrying a simulated timestamp, ts = cycles
 ///          (rendered in the viewer as microseconds). These events are
 ///          all emitted by the serial commit loop, so for a fixed
-///          scenario the exported bytes are identical for any --shards /
-///          worker count — the TraceDeterminism contract. Host
+///          scenario the exported bytes are identical on every run —
+///          the TraceDeterminism contract. Host
 ///          timestamps and thread identities are deliberately omitted.
 ///  - host: every event on the host steady clock (ts = ns / 1000), one
 ///          trace tid per emitting thread. Not deterministic, by nature.

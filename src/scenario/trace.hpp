@@ -10,9 +10,7 @@
 /// next), so the per-core program-order streams are the complete, minimal
 /// description of a run — replaying them through the same System
 /// reproduces every interleave decision, hence Metrics field-identical to
-/// the recorded run (pinned by tests/test_scenario.cpp). Recording works
-/// under any shard count: each core's program is only ever pulled by one
-/// lane at a time, and the bytes captured are identical for every N.
+/// the recorded run (pinned by tests/test_scenario.cpp).
 ///
 /// Encoding (little-endian, unsigned LEB128 varints): one flags byte per
 /// access — store bit, 2-bit ref class, has-gap bit, repeat-delta bit —

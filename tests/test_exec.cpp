@@ -1,8 +1,8 @@
 // Tests of the parallel-execution substrate (src/exec/): worker lifecycle,
 // the task pool's work-helping waits and deterministic failure reporting,
-// parallel_for, and — most load-bearing — ordered_reduce's submission-order
-// merge under adversarial completion order (the property every parallel
-// consumer in the repo leans on for determinism).
+// and — most load-bearing — ordered_reduce's submission-order merge under
+// adversarial completion order (the property every parallel consumer in
+// the repo leans on for determinism).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,8 +79,8 @@ TEST(PoolTest, NestedSubmissionDoesNotStarve) {
 }
 
 TEST(PoolTest, ReuseAcrossRuns) {
-  // One pool serves many submit/wait rounds (every System::run and bench
-  // unit reuses the pool it is handed).
+  // One pool serves many submit/wait rounds (every bench unit and fleet
+  // job reuses the pool it is handed).
   Pool pool{2};
   long total = 0;
   for (int round = 0; round < 20; ++round) {
@@ -93,53 +93,43 @@ TEST(PoolTest, ReuseAcrossRuns) {
   EXPECT_EQ(total, 20 * 32);
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  Pool pool{3};
-  std::vector<std::atomic<int>> hits(1000);
-  raa::exec::parallel_for(pool, 0, 1000, 7, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsANoOp) {
-  Pool pool{1};
-  raa::exec::parallel_for(pool, 5, 5, 4,
-                          [](std::size_t, std::size_t) { FAIL(); });
-}
-
-TEST(ParallelFor, ExceptionPropagatesAndPoolStaysUsable) {
+TEST(PoolTest, FailedGroupRunsEveryTaskAndPoolStaysUsable) {
   Pool pool{2};
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      raa::exec::parallel_for(pool, 0, 100, 10,
-                              [&](std::size_t lo, std::size_t) {
-                                ran.fetch_add(1);
-                                if (lo == 50) throw std::runtime_error("boom");
-                              }),
-      std::runtime_error);
-  // Every chunk still ran (failures do not cancel siblings)...
+  Pool::Group g;
+  for (int i = 0; i < 10; ++i)
+    pool.submit(g, [&ran, i] {
+      ran.fetch_add(1);
+      if (i == 5) throw std::runtime_error("boom");
+    });
+  EXPECT_THROW(pool.wait(g), std::runtime_error);
+  // Every task still ran (a failure does not cancel its siblings)...
   EXPECT_EQ(ran.load(), 10);
-  // ...and the pool is reusable afterwards.
+  // ...waiting the reset group is a no-op, and both the group and the
+  // pool are reusable afterwards.
+  pool.wait(g);
   std::atomic<int> after{0};
-  raa::exec::parallel_for(pool, 0, 10, 1,
-                          [&](std::size_t, std::size_t) { after.fetch_add(1); });
+  for (int i = 0; i < 10; ++i) pool.submit(g, [&after] { after.fetch_add(1); });
+  pool.wait(g);
   EXPECT_EQ(after.load(), 10);
 }
 
-TEST(ParallelFor, LowestIndexExceptionWins) {
-  // Two chunks fail; the lower submission index is reported regardless of
+TEST(PoolTest, WaitRethrowsLowestIndexErrorUnderAdversarialTiming) {
+  // Two tasks fail; the lower submission index is reported regardless of
   // which failure was *observed* first.
   Pool pool{4};
   for (int attempt = 0; attempt < 10; ++attempt) {
-    try {
-      raa::exec::parallel_for(pool, 0, 8, 1, [&](std::size_t lo, std::size_t) {
-        if (lo == 2) {
+    Pool::Group g;
+    for (int i = 0; i < 8; ++i)
+      pool.submit(g, [i] {
+        if (i == 2) {
           std::this_thread::sleep_for(std::chrono::milliseconds(3));
           throw std::runtime_error("early-index, late-finishing");
         }
-        if (lo == 6) throw std::runtime_error("late-index, fast-failing");
+        if (i == 6) throw std::runtime_error("late-index, fast-failing");
       });
+    try {
+      pool.wait(g);
       FAIL() << "expected a throw";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "early-index, late-finishing");
@@ -285,8 +275,7 @@ TEST(PoolShutdown, JoinsWorkersWithJobsStillQueued) {
 
 TEST(PoolTest, HelpWhileRunsTasksUntilConditionFlips) {
   // help_while on a zero-worker pool must run the queued task that flips
-  // the condition (this is exactly how the sharded memsim commit loop
-  // adopts producer batches).
+  // the condition (this is how ordered_reduce waits for each result).
   Pool pool{0};
   bool ready = false;
   Pool::Group g;

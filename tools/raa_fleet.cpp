@@ -15,7 +15,6 @@
 //   --mode=M         fallback mode for jobs that set none
 //                    (cache_only | hybrid | compare)
 //   --backend=B      fallback DRAM backend (flat | banked)
-//   --shards=N       fallback front-end lanes per System::run
 //   --timeout-ms=N   fallback per-job deadline (0 = none); timed-out jobs
 //                    are cancelled cooperatively and their lane reclaimed
 //   --retries=N      fallback retry budget for transient failures
@@ -57,7 +56,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --manifest=FILE | --scenarios=DIR [--out=DIR] [--jobs=N]\n"
       "       [--mode=cache_only|hybrid|compare] [--backend=flat|banked]\n"
-      "       [--shards=N] [--timeout-ms=N] [--retries=N] [--backoff-ms=N]\n"
+      "       [--timeout-ms=N] [--retries=N] [--backoff-ms=N]\n"
       "       [--backoff-cap-ms=N] [--seed=N] [--fail-fast] [--quiet]\n"
       "       [--trace-out=PATH]\n"
       "       [--inject-fail=GLOB] [--inject-flaky=GLOB] "
@@ -97,8 +96,6 @@ int main(int argc, char** argv) {
   opt.jobs = static_cast<unsigned>(cli.get_int("jobs", 1));
   if (cli.has("mode")) opt.fallback.mode = cli.get_string("mode", "");
   if (cli.has("backend")) opt.fallback.backend = cli.get_string("backend", "");
-  if (cli.has("shards"))
-    opt.fallback.shards = static_cast<unsigned>(cli.get_int("shards", 1));
   if (cli.has("timeout-ms"))
     opt.fallback.timeout_ms =
         static_cast<std::uint64_t>(cli.get_int("timeout-ms", 0));

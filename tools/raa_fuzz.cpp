@@ -1,11 +1,11 @@
 // raa_fuzz — the differential scenario fuzzer: generate random valid
 // scenarios from a seed, run every determinism oracle pair over each
-// (paged vs hashed line store, serial vs sharded engine, record vs
-// replay, serialize vs re-parse), and on any divergence shrink to a
-// minimal repro written as a scenario JSON file raa_sim accepts
-// unchanged, plus a recorded RAAT trace of the failing run.
+// (paged vs hashed line store, record vs replay, serialize vs re-parse),
+// and on any divergence shrink to a minimal repro written as a scenario
+// JSON file raa_sim accepts unchanged, plus a recorded RAAT trace of the
+// failing run.
 //
-//   raa_fuzz --seed=S --budget-runs=N [--shards=N] [--out=DIR]
+//   raa_fuzz --seed=S --budget-runs=N [--out=DIR]
 //            [--json=PATH] [--max-accesses=N] [--inject-divergence]
 //            [--quiet]
 //
@@ -13,7 +13,6 @@
 //                     (seed, i), so any case regenerates from the summary
 //   --budget-runs     how many scenarios to generate and check (the CI
 //                     budget knob)
-//   --shards          lane count for the sharded-engine oracle
 //   --out             directory for repro artifacts (created if missing)
 //   --json            write the raa-fuzz-summary document here; two runs
 //                     with the same options emit byte-identical summaries
@@ -41,7 +40,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --seed=S --budget-runs=N [--shards=N] [--out=DIR] "
+               "usage: %s --seed=S --budget-runs=N [--out=DIR] "
                "[--json=PATH] [--max-accesses=N] [--inject-divergence] "
                "[--emit-manifest] [--quiet]\n",
                argv0);
@@ -60,19 +59,17 @@ int main(int argc, char** argv) try {
   raa::fuzz::FuzzOptions opt;
   const std::int64_t seed = cli.get_int("seed", 1);
   const std::int64_t budget = cli.get_int("budget-runs", 25);
-  const std::int64_t shards = cli.get_int("shards", 4);
   const std::int64_t max_accesses =
       cli.get_int("max-accesses",
                   static_cast<std::int64_t>(opt.limits.max_accesses));
-  if (seed < 0 || budget < 1 || shards < 2 || max_accesses < 1) {
+  if (seed < 0 || budget < 1 || max_accesses < 1) {
     std::fprintf(stderr,
-                 "error: need --seed >= 0, --budget-runs >= 1, --shards >= 2 "
-                 "and --max-accesses >= 1\n");
+                 "error: need --seed >= 0, --budget-runs >= 1 and "
+                 "--max-accesses >= 1\n");
     return usage(argv[0]);
   }
   opt.seed = static_cast<std::uint64_t>(seed);
   opt.budget_runs = static_cast<std::uint64_t>(budget);
-  opt.shards = static_cast<unsigned>(shards);
   opt.limits.max_accesses = static_cast<std::uint64_t>(max_accesses);
   opt.out_dir = cli.get_string("out", "");
   opt.inject_marker = cli.get_bool("inject-divergence", false);

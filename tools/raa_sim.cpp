@@ -2,10 +2,9 @@
 // recorded binary trace), runs it through the memory-hierarchy simulator,
 // and emits a BENCH_results-schema JSON report.
 //
-//   raa_sim --scenario=FILE [--mode=M] [--seed=N] [--shards=N]
-//           [--record=TRACE] [--json=PATH] [--selfcheck] [--quiet]
-//   raa_sim --replay=TRACE  [--mode=M] [--shards=N] [--json=PATH]
-//           [--selfcheck] [--quiet]
+//   raa_sim --scenario=FILE [--mode=M] [--seed=N] [--record=TRACE]
+//           [--json=PATH] [--selfcheck] [--quiet]
+//   raa_sim --replay=TRACE  [--mode=M] [--json=PATH] [--quiet]
 //
 //   --mode       cache_only | hybrid | compare (compare runs both and
 //                reports the hybrid speedups; replay defaults to the
@@ -17,14 +16,12 @@
 //                address mapping (scenario key memory.banked.mapping)
 //   --seed       override the scenario's seed (deterministic re-runs
 //                under a different random stream)
-//   --shards     front-end lanes per System::run (metrics are identical
-//                for every N — see docs/ARCHITECTURE.md)
 //   --record     write the run's access streams as a self-contained
 //                trace file (requires a single concrete mode)
-//   --selfcheck  prove the determinism contracts for this input: metrics
-//                field-identical for shards=1 vs shards=4, and for an
-//                in-memory record -> replay round trip; exit 1 on any
-//                mismatch
+//   --selfcheck  prove the record/replay contract for this scenario:
+//                metrics field-identical for an in-memory record -> replay
+//                round trip; exit 1 on any mismatch (scenario input only:
+//                with --replay there is nothing to check, exit 2)
 //
 //   --fail-on-marker  test hook for the fuzz suite: exit 1 when the
 //                scenario declares a __diverge_marker region (the
@@ -37,7 +34,6 @@
 // simulating it silently skews the address-space layout for no workload
 // effect).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -75,10 +71,9 @@ const char* mode_name(HierarchyMode m) {
   return m == HierarchyMode::hybrid ? "hybrid" : "cache_only";
 }
 
-Metrics run_once(const SystemConfig& cfg, HierarchyMode mode, Workload& w,
-                 unsigned shards) {
+Metrics run_once(const SystemConfig& cfg, HierarchyMode mode, Workload& w) {
   System sys{cfg, mode};
-  return sys.run(w, raa::mem::RunOptions{.shards = shards});
+  return sys.run(w);
 }
 
 int usage(const char* argv0) {
@@ -86,49 +81,34 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --scenario=FILE [--mode=cache_only|hybrid|compare] "
       "[--backend=flat|banked] [--mapping=block|xor] [--seed=N] "
-      "[--shards=N] [--record=TRACE] "
+      "[--record=TRACE] "
       "[--json=PATH] [--trace-out=PATH] [--trace-clock=sim|host|dual] "
       "[--selfcheck] [--fail-on-marker] [--quiet]\n"
       "       %s --replay=TRACE [--mode=cache_only|hybrid] "
-      "[--backend=flat|banked] [--mapping=block|xor] [--shards=N] "
+      "[--backend=flat|banked] [--mapping=block|xor] "
       "[--json=PATH] [--trace-out=PATH] [--trace-clock=sim|host|dual] "
-      "[--selfcheck] "
       "[--quiet]\n",
       argv0, argv0);
   return raa::kExitUsage;
 }
 
-/// Verify the shards=1 vs shards=4 and record->replay contracts for one
-/// (make_workload, mode) pair. Returns false (with a stderr diagnostic) on
-/// any metrics mismatch.
+/// Verify the record->replay contract for one (make_workload, mode) pair.
+/// Returns false (with a stderr diagnostic) on any metrics mismatch.
 template <typename MakeWorkload>
 bool selfcheck_mode(const SystemConfig& cfg, HierarchyMode mode,
-                    const MakeWorkload& make, bool check_replay) {
-  auto w1 = make();
+                    const MakeWorkload& make) {
+  auto w = make();
   TraceData trace;
-  if (check_replay) raa::scen::record_workload(w1, cfg, mode, trace);
-  const Metrics m1 = run_once(cfg, mode, w1, 1);
-
-  auto w4 = make();
-  const Metrics m4 = run_once(cfg, mode, w4, 4);
-  if (!(m1 == m4)) {
+  raa::scen::record_workload(w, cfg, mode, trace);
+  const Metrics recorded = run_once(cfg, mode, w);
+  auto replay = raa::scen::make_replay_workload(
+      std::make_shared<const TraceData>(std::move(trace)));
+  if (!(recorded == run_once(cfg, mode, replay))) {
     std::fprintf(stderr,
-                 "selfcheck FAILED (%s): shards=4 metrics differ from "
-                 "shards=1\n",
+                 "selfcheck FAILED (%s): trace replay metrics differ "
+                 "from the recorded run\n",
                  mode_name(mode));
     return false;
-  }
-  if (check_replay) {
-    auto replay = raa::scen::make_replay_workload(
-        std::make_shared<const TraceData>(std::move(trace)));
-    const Metrics mr = run_once(cfg, mode, replay, 1);
-    if (!(m1 == mr)) {
-      std::fprintf(stderr,
-                   "selfcheck FAILED (%s): trace replay metrics differ "
-                   "from the recorded run\n",
-                   mode_name(mode));
-      return false;
-    }
   }
   return true;
 }
@@ -187,8 +167,6 @@ int main(int argc, char** argv) try {
                  "error: --trace-clock must be sim, host or dual\n");
     return usage(argv[0]);
   }
-  const auto shards = static_cast<unsigned>(
-      std::max<std::int64_t>(1, cli.get_int("shards", 1)));
 
   if ((scenario_path.empty()) == (replay_path.empty())) {
     std::fprintf(stderr,
@@ -198,6 +176,11 @@ int main(int argc, char** argv) try {
   if (!record_path.empty() && !replay_path.empty()) {
     std::fprintf(stderr, "error: --record cannot be combined with "
                          "--replay (the trace already exists)\n");
+    return usage(argv[0]);
+  }
+  if (selfcheck && !replay_path.empty()) {
+    std::fprintf(stderr, "error: --selfcheck checks a scenario's record -> "
+                         "replay round trip; a --replay run has none\n");
     return usage(argv[0]);
   }
 
@@ -317,7 +300,7 @@ int main(int argc, char** argv) try {
   // --- main run(s) --------------------------------------------------------
   // The tracing session brackets exactly the main runs (not the
   // selfcheck re-runs), so a sim-clock trace is a function of the
-  // scenario alone — byte-identical for any --shards (TraceDeterminism).
+  // scenario alone — byte-identical across runs (TraceDeterminism).
   if (!trace_out.empty()) raa::obs::start();
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
@@ -327,7 +310,7 @@ int main(int argc, char** argv) try {
     Workload w = make_workload();
     if (!record_path.empty() && i == 0)
       raa::scen::record_workload(w, cfg, modes[i], recorded);
-    results.push_back(run_once(cfg, modes[i], w, shards));
+    results.push_back(run_once(cfg, modes[i], w));
   }
   const double wall =
       std::chrono::duration<double>(clock::now() - t0).count();
@@ -361,12 +344,11 @@ int main(int argc, char** argv) try {
   // --- summary ------------------------------------------------------------
   if (!quiet) {
     if (replay_path.empty())
-      std::printf("scenario %s: tiles=%u seed=%llu shards=%u\n",
-                  name.c_str(), cfg.tiles,
-                  static_cast<unsigned long long>(scenario.seed), shards);
+      std::printf("scenario %s: tiles=%u seed=%llu\n", name.c_str(),
+                  cfg.tiles, static_cast<unsigned long long>(scenario.seed));
     else
-      std::printf("replaying %s (%s): tiles=%u shards=%u\n",
-                  replay_path.c_str(), name.c_str(), cfg.tiles, shards);
+      std::printf("replaying %s (%s): tiles=%u\n", replay_path.c_str(),
+                  name.c_str(), cfg.tiles);
     raa::Table t{{"mode", "cycles", "energy pJ", "noc flit-hops",
                   "accesses"}};
     for (std::size_t i = 0; i < modes.size(); ++i)
@@ -388,13 +370,10 @@ int main(int argc, char** argv) try {
   if (selfcheck) {
     bool ok = true;
     for (const HierarchyMode mode : modes)
-      ok = selfcheck_mode(cfg, mode, make_workload,
-                          /*check_replay=*/replay_path.empty()) &&
-           ok;
+      ok = selfcheck_mode(cfg, mode, make_workload) && ok;
     if (!ok) return raa::kExitFailure;
-    std::printf("selfcheck OK: shards=1 == shards=4%s for %zu mode%s\n",
-                replay_path.empty() ? " == trace replay" : "", modes.size(),
-                modes.size() == 1 ? "" : "s");
+    std::printf("selfcheck OK: recorded run == trace replay for %zu mode%s\n",
+                modes.size(), modes.size() == 1 ? "" : "s");
   }
 
   // --- machine-readable report -------------------------------------------
@@ -403,7 +382,6 @@ int main(int argc, char** argv) try {
     run.set_wall_seconds(wall);
     auto& b = run.benchmark(name, "scenario");
     b.set_param("tiles", std::to_string(cfg.tiles));
-    b.set_param("shards", std::to_string(shards));
     b.set_param("backend", raa::mem::to_string(cfg.memory.kind));
     if (cfg.memory.kind == raa::mem::MemBackendKind::banked)
       b.set_param("mapping", raa::mem::to_string(cfg.memory.banked.mapping));
