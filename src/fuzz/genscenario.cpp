@@ -121,7 +121,7 @@ ProgramSpec draw_scripted(Rng& rng, const std::vector<RegionSpec>& regions,
       // Effective-strided streams go through the SPM software cache. A
       // pure-store stream there write-allocates chunks (DMA-in skipped),
       // and a later load of a line the stores never reached trips the
-      // System's spm_valid assertion. Loads (and rmw, whose load leg maps
+      // System's SPM-validity assertion. Loads (and rmw, whose load leg maps
       // the chunk with a full DMA fill first) are always safe — so SPM
       // streams never get the store flag.
       const bool spm_tiled = regions[s.region].ref == mem::RefClass::strided &&
@@ -161,7 +161,7 @@ ProgramSpec draw_zipf(Rng& rng, const std::vector<RegionSpec>& regions,
   p.hot_weight = rng.uniform(0.5, 0.99);
   // SPM-tiled accesses must stay load-only: a random store write-allocates
   // its chunk and a later load of an unwritten line in it would trip the
-  // System's spm_valid assertion (see draw_scripted).
+  // System's SPM-validity assertion (see draw_scripted).
   const bool zipf_spm = regions[p.region].ref == mem::RefClass::strided &&
                         p.per_core_slice && !p.ref.has_value();
   p.store_fraction =
@@ -189,13 +189,13 @@ ProgramSpec draw_pointer_chase(Rng& rng, const std::vector<RegionSpec>& regions,
 /// strided (SPM-tiled) output must not let chunk mappings collide:
 ///  * out != in: core c writes output bytes [c*in_bpc, (c+1)*in_bpc), so
 ///    the span must be a whole number of DMA chunks or two cores end up
-///    SPM-mapping the same chunk (the System's spm_mapped conflict check
+///    SPM-mapping the same chunk (the System's SPM map conflict check
 ///    aborts the run);
 ///  * out == in: the tap loads and the element writes interleave on the
 ///    same per-region chunk stream. At an interior chunk boundary the
 ///    taps pull the next chunk in, and the write behind them re-maps the
 ///    previous chunk by store write-allocate (no DMA fetch) — the next
-///    tap load of an unwritten line in it trips the System's spm_valid
+///    tap load of an unwritten line in it trips the System's SPM-validity
 ///    check. Only a single-chunk slice (taps can never cross a chunk
 ///    boundary inside the slice; cross-slice taps are guarded) is safe.
 bool stencil_out_ok(const RegionSpec& out, std::uint64_t in_bpc, bool self,

@@ -1,28 +1,144 @@
 #pragma once
 /// \file spm.hpp
-/// Scratchpad tiling software-cache state (§2): the compiler transforms
+/// The SPM side of the hybrid hierarchy (§2): the compiler transforms
 /// strided references to run through per-core, per-region DMA-managed
-/// chunks with double buffering. This header holds the chunk bookkeeping;
-/// the timing/energy of DMA transfers is charged by the system model.
+/// chunks with double buffering. This header holds the software-cache
+/// state — which chunk each stream has resident and that chunk's SPM
+/// contents — plus the mapped-chunk directory the guarded-access filter
+/// consults, and the per-tile capacity accounting. The timing/energy of
+/// DMA transfers is charged by the system model.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 
 namespace raa::mem {
 
-/// One (core, strided-region) software cache: which chunk is resident,
-/// whether it was written, and when its prefetch completes (double-buffer
-/// overlap model: the DMA for the next chunk is issued when the current one
-/// is entered; switching earlier than its completion stalls the core).
+/// One (core, strided-region) software cache: which chunk is resident, the
+/// SPM copy of its lines, whether it was written, and when its prefetch
+/// completes (double-buffer overlap model: the DMA for the next chunk is
+/// issued when the current one is entered; switching earlier than its
+/// completion stalls the core).
 struct SoftwareCacheState {
   static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
+  /// Slot flag: the SPM holds a valid copy of the line. Values are
+  /// versions, which stay below 2^63, so the flag never collides.
+  static constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
 
   std::uint64_t current_chunk = kNoChunk;  ///< chunk index within region
+  /// Line index of the resident chunk's first line.
+  std::uint64_t first_line = 0;
+  /// SPM copy of each line the resident chunk maps, indexed from
+  /// `first_line`: value | kValid, or 0 while the SPM has no valid copy
+  /// (write-allocated lines become valid as they are written). Empty when
+  /// no chunk is resident.
+  std::vector<std::uint64_t> lines;
   bool dirty = false;
   bool open = false;  ///< stream touched at least once (slot reserved)
   double prefetch_done_cycle = 0.0;
-  std::uint32_t chunk_tag = 0;  ///< unique id of the resident chunk
+};
+
+/// The mapped-chunk directory: the line-index ranges of the chunks
+/// currently mapped into some SPM, each naming the stream (index into the
+/// System's flat (core, region) stream table) that holds it. It answers
+/// the guarded-access filter, the no-alias check, the prefetcher's hybrid
+/// skip and the map-conflict check. Ranges are disjoint and kept sorted by
+/// first line; there are at most tiles x strided-regions of them, so a
+/// flat vector with binary search is the whole data structure.
+///
+/// A lookup memoises the range, or the gap between ranges, that holds its
+/// line, and repeats the answer while later lines stay inside it — the
+/// usual case for no-alias and prefetch queries, whose regions hold no
+/// mapped chunk. Any map or unmap drops the memo.
+class ChunkDirectory {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// Stream whose resident chunk maps line index `line`, or kNone.
+  std::uint32_t find(std::uint64_t line) const {
+    if (line - memo_lo_ < memo_len_) return memo_stream_;
+    return search(line);
+  }
+
+  /// Map lines [first, end) to `stream`. Returns false, inserting nothing,
+  /// when the range overlaps a mapped one.
+  bool insert(std::uint64_t first, std::uint64_t end, std::uint32_t stream) {
+    RAA_CHECK(first < end);
+    const auto it = std::lower_bound(first_.begin(), first_.end(), first);
+    const auto i = it - first_.begin();
+    if (it != first_.end() && *it < end) return false;
+    if (i > 0 && entries_[static_cast<std::size_t>(i) - 1].end > first)
+      return false;
+    first_.insert(it, first);
+    entries_.insert(entries_.begin() + i, Entry{end, stream});
+    memo_len_ = 0;
+    return true;
+  }
+
+  /// Unmap the range starting at line index `first` (must be mapped).
+  void erase(std::uint64_t first) {
+    const auto it = std::lower_bound(first_.begin(), first_.end(), first);
+    RAA_CHECK(it != first_.end() && *it == first);
+    entries_.erase(entries_.begin() + (it - first_.begin()));
+    first_.erase(it);
+    memo_len_ = 0;
+  }
+
+  void clear() {
+    first_.clear();
+    entries_.clear();
+    memo_len_ = 0;
+  }
+  std::size_t size() const noexcept { return first_.size(); }
+
+ private:
+  struct Entry {
+    std::uint64_t end;  ///< one past the range's last line index
+    std::uint32_t stream;
+  };
+
+  /// Binary search for `line`; memoises the range or gap holding it.
+  std::uint32_t search(std::uint64_t line) const {
+    // Branchless (random guarded lines would mispredict every step):
+    // `base` ends on the last range starting at or before `line`, or on
+    // the first range when none does.
+    const std::uint64_t* base = first_.data();
+    std::size_t n = first_.size();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half] <= line ? base + half : base;
+      n -= half;
+    }
+    const auto i = static_cast<std::size_t>(base - first_.data());
+    std::uint64_t lo = 0;
+    std::uint64_t hi = ~std::uint64_t{0};
+    memo_stream_ = kNone;
+    if (first_.empty()) {
+      // One gap: every line.
+    } else if (line < first_[i]) {
+      hi = first_[i];  // before the first range
+    } else if (line < entries_[i].end) {
+      lo = first_[i];
+      hi = entries_[i].end;
+      memo_stream_ = entries_[i].stream;
+    } else {
+      lo = entries_[i].end;  // gap after range i
+      if (i + 1 < first_.size()) hi = first_[i + 1];
+    }
+    memo_lo_ = lo;
+    memo_len_ = hi - lo;
+    return memo_stream_;
+  }
+
+  std::vector<std::uint64_t> first_;  ///< sorted range starts (search keys)
+  std::vector<Entry> entries_;        ///< parallel to first_
+  // Lookup memo: lines [memo_lo_, memo_lo_ + memo_len_) answer
+  // memo_stream_; memo_len_ == 0 means no memo.
+  mutable std::uint64_t memo_lo_ = 0;
+  mutable std::uint64_t memo_len_ = 0;
+  mutable std::uint32_t memo_stream_ = kNone;
 };
 
 /// Per-tile SPM capacity accounting. Chunks are allocated double-buffered

@@ -188,7 +188,7 @@ unsigned System::send(unsigned from, unsigned to, unsigned flits) {
 
 void System::check_load_value(const LineInfo& li,
                               std::uint64_t served) const {
-  RAA_CHECK_MSG(served == li.oracle,
+  RAA_CHECK_MSG(served == li.oracle(),
                 "coherence violation: load served stale data");
 }
 
@@ -229,13 +229,13 @@ void System::l1_install(unsigned core, std::uint64_t line, LineState st,
     send(core, home_of(victim->line_addr), flits_line_);
     l2_install(victim->line_addr, victim->value, /*dirty=*/true);
     LineInfo& e = lines_.at(victim->line_addr);
-    if (e.owner == static_cast<int>(core)) e.owner = -1;
+    if (e.owner() == static_cast<int>(core)) e.clear_owner();
   } else if (victim->state == LineState::exclusive) {
     // Clean-exclusive eviction: the directory thinks we own the line, so a
     // small eviction notice keeps it sound (no data payload).
     send(core, home_of(victim->line_addr), 1);
     LineInfo& e = lines_.at(victim->line_addr);
-    if (e.owner == static_cast<int>(core)) e.owner = -1;
+    if (e.owner() == static_cast<int>(core)) e.clear_owner();
   }
   // Shared victims are dropped silently (no directory message, no line
   // record touched), leaving a stale sharer bit behind — as in real
@@ -274,11 +274,12 @@ unsigned System::fetch_line(unsigned core, std::uint64_t line, LineInfo& li,
   const unsigned home = home_of(line);
   unsigned lat = send(core, home, 1) + cfg_.lat_dir;
   metrics_.e_dir += cfg_.e_dir;
-  RAA_CHECK(li.owner != static_cast<int>(core));
+  const int owner_tile = li.owner();
+  RAA_CHECK(owner_tile != static_cast<int>(core));
 
-  if (li.owner >= 0) {
+  if (owner_tile >= 0) {
     // Another L1 holds the line Modified or Exclusive: forward.
-    const auto owner = static_cast<unsigned>(li.owner);
+    const auto owner = static_cast<unsigned>(owner_tile);
     Cache& oc = l1_[owner];
     const std::size_t ow = oc.probe(line);
     RAA_CHECK(ow != Cache::kMiss);
@@ -293,8 +294,7 @@ unsigned System::fetch_line(unsigned core, std::uint64_t line, LineInfo& li,
     if (for_store) {
       oc.invalidate_way(ow);
       ++metrics_.invalidations;
-      li.owner = static_cast<std::int8_t>(core);
-      li.sharers = bit(core);
+      li.grant_owner(core);
     } else {
       // Owner downgrades to Shared; dirty data is reflected to the home.
       oc.set_state_of(ow, LineState::shared);
@@ -302,7 +302,7 @@ unsigned System::fetch_line(unsigned core, std::uint64_t line, LineInfo& li,
         send(owner, home, flits_line_);
         l2_install(line, value, /*dirty=*/true);
       }
-      li.owner = -1;
+      li.clear_owner();
       li.sharers |= bit(owner) | bit(core);
     }
     return lat;
@@ -330,12 +330,10 @@ unsigned System::fetch_line(unsigned core, std::uint64_t line, LineInfo& li,
 
   if (for_store) {
     lat += invalidate_sharers(line, li, static_cast<int>(core));
-    li.owner = static_cast<std::int8_t>(core);
-    li.sharers = bit(core);
+    li.grant_owner(core);
   } else if (li.sharers == 0) {
     // No other copy anywhere: grant clean-exclusive (MESI E).
-    li.owner = static_cast<std::int8_t>(core);
-    li.sharers = bit(core);
+    li.grant_owner(core);
     exclusive_grant_ = true;
   } else {
     li.sharers |= bit(core);
@@ -350,8 +348,7 @@ unsigned System::upgrade_to_modified(unsigned core, std::uint64_t line,
   metrics_.e_dir += cfg_.e_dir;
   lat += invalidate_sharers(line, li, static_cast<int>(core));
   lat += send(home, core, 1);  // upgrade ack
-  li.owner = static_cast<std::int8_t>(core);
-  li.sharers = bit(core);
+  li.grant_owner(core);
   return lat;
 }
 
@@ -373,7 +370,7 @@ unsigned System::cache_access(unsigned core, std::uint64_t line, LineInfo& li,
       }
       const std::uint64_t v = fresh_version();
       l1.set_value_of(w, v);
-      li.oracle = v;
+      li.set_oracle(v);
       if (li.prefetch_mask & bit(core)) {
         li.prefetch_mask &= ~bit(core);
         prefetch(core, line + cfg_.line_bytes);
@@ -397,7 +394,7 @@ unsigned System::cache_access(unsigned core, std::uint64_t line, LineInfo& li,
   if (store) {
     const std::uint64_t v = fresh_version();
     l1_install(core, line, LineState::modified, v);
-    li.oracle = v;
+    li.set_oracle(v);
   } else {
     l1_install(core, line,
                exclusive_grant_ ? LineState::exclusive : LineState::shared,
@@ -428,9 +425,10 @@ unsigned System::cache_access(unsigned core, std::uint64_t line, LineInfo& li,
 
 void System::prefetch(unsigned core, std::uint64_t line) {
   if (l1_[core].contains(line)) return;
-  LineInfo& li = lines_.at(line);
-  if (mode_ == HierarchyMode::hybrid && li.spm_mapped)
+  if (mode_ == HierarchyMode::hybrid &&
+      spm_holder(line) != ChunkDirectory::kNone)
     return;  // mapped data is served by the SPM side
+  LineInfo& li = lines_.at(line);
   std::uint64_t value = 0;
   exclusive_grant_ = false;
   (void)fetch_line(core, line, li, value, /*for_store=*/false);  // hidden
@@ -441,16 +439,28 @@ void System::prefetch(unsigned core, std::uint64_t line) {
   ++metrics_.prefetch_fills;
 }
 
-double System::dma_map_chunk(unsigned core, const Region& region,
-                             std::uint64_t chunk_index,
-                             std::uint32_t chunk_tag, bool fetch) {
+double System::dma_map_chunk(unsigned core, std::size_t region_idx,
+                             std::uint64_t chunk_index, bool fetch) {
+  const Region& region = run_regions_[region_idx];
   const std::uint64_t chunk_base =
       region.base + chunk_index * cfg_.dma_chunk_bytes;
   const std::uint64_t chunk_end =
       std::min(region.base + region.bytes, chunk_base + cfg_.dma_chunk_bytes);
   const unsigned mc = noc_.nearest_mc(core);
   const unsigned home = home_of(chunk_base);  // one home per chunk
-  unsigned lines = 0;
+  const auto stream =
+      static_cast<std::uint32_t>(core * region_count_ + region_idx);
+  SoftwareCacheState& st = streams_[stream];
+  // The chunk maps the lines of the addresses chunk_base + k * line_bytes
+  // below chunk_end (so an unaligned region base maps the line holding
+  // each chunk's first byte, not the one holding its last).
+  const std::uint64_t lines =
+      (chunk_end - chunk_base + cfg_.line_bytes - 1) / cfg_.line_bytes;
+  st.first_line = lines_.index_of(chunk_base);
+  RAA_CHECK_MSG(chunks_.insert(st.first_line, st.first_line + lines, stream),
+                "SPM map conflict: strided chunks of different cores "
+                "overlap (kernel classification bug)");
+  st.lines.assign(lines, 0);
   unsigned dram_lines = 0;
   unsigned l2_lines = 0;
 
@@ -459,13 +469,9 @@ double System::dma_map_chunk(unsigned core, const Region& region,
   send(core, home, 1);
   backend_->begin_burst();
 
-  for (std::uint64_t line = chunk_base; line < chunk_end;
-       line += cfg_.line_bytes) {
-    ++lines;
+  for (std::uint64_t k = 0; k < lines; ++k) {
+    const std::uint64_t line = chunk_base + k * cfg_.line_bytes;
     LineInfo& li = lines_.at(line);
-    RAA_CHECK_MSG(!li.spm_mapped,
-                  "SPM map conflict: strided chunks of different cores "
-                  "overlap (kernel classification bug)");
     std::uint64_t value = 0;
     bool from_cache_side = false;
 
@@ -482,10 +488,10 @@ double System::dma_map_chunk(unsigned core, const Region& region,
         metrics_.e_l2 += cfg_.e_l2;
       }
     }
-    if (li.owner >= 0) {
+    if (const int owner_tile = li.owner(); owner_tile >= 0) {
       // A Modified/Exclusive L1 copy supersedes everything; collect it,
       // reflect it to the home bank, and invalidate the owner.
-      const auto owner = static_cast<unsigned>(li.owner);
+      const auto owner = static_cast<unsigned>(owner_tile);
       value = l1_[owner].value(line);
       from_cache_side = true;
       l1_[owner].invalidate(line);
@@ -493,7 +499,7 @@ double System::dma_map_chunk(unsigned core, const Region& region,
       send(home, owner, 1);
       if (fetch) send(owner, core, flits_line_);
       l2_install(line, value, /*dirty=*/true);
-      li.owner = -1;
+      li.clear_owner();
       li.sharers = 0;
     } else if (li.sharers != 0) {
       // Shared L1 copies would go stale behind SPM writes: invalidate now.
@@ -513,15 +519,11 @@ double System::dma_map_chunk(unsigned core, const Region& region,
         l2_insert_absent(home, line, value, /*dirty=*/false);
         metrics_.e_l2 += cfg_.e_l2;
       }
-      li.spm_value = value;
-      li.spm_valid = true;
+      st.lines[k] = value | SoftwareCacheState::kValid;
       metrics_.e_spm += cfg_.e_spm;  // SPM fill write
     }
     // Write-allocated chunks: lines become valid in the SPM as they are
-    // written (spm_valid is the per-line validity mask).
-    li.spm_mapped = true;
-    li.spm_tile = static_cast<std::uint8_t>(core);
-    li.spm_chunk_tag = chunk_tag;
+    // written (the slot's kValid flag is the per-line validity mask).
   }
 
   // Bulk data legs: DMA moves whole bursts (one header per burst), which is
@@ -543,7 +545,8 @@ double System::dma_map_chunk(unsigned core, const Region& region,
     // source + per-line cadence + data head flight. The backend times the
     // DRAM half of the burst; L2-sourced lines cost lat_l2_hit at the head.
     while (!backend_->idle()) backend_->tick();
-    const BurstTiming bt = backend_->finish_burst(lines, dram_lines);
+    const BurstTiming bt = backend_->finish_burst(
+        static_cast<unsigned>(lines), dram_lines);
     const double src_lat =
         dram_lines > 0 ? bt.service : static_cast<double>(cfg_.lat_l2_hit);
     lat = noc_.latency(noc_.hops(core, mc), 1) + src_lat + bt.cadence +
@@ -553,51 +556,47 @@ double System::dma_map_chunk(unsigned core, const Region& region,
   // the duration); the chunk's DMA occupies [now_, now_ + lat).
   RAA_OBS_SIM_EVENT(memsim, dma_chunk, complete, now_ + lat,
                     std::bit_cast<std::uint64_t>(lat),
-                    static_cast<std::uint64_t>(lines) |
-                        (static_cast<std::uint64_t>(dram_lines) << 16) |
+                    lines | (static_cast<std::uint64_t>(dram_lines) << 16) |
                         (static_cast<std::uint64_t>(core) << 32));
   return lat;
 }
 
-void System::dma_unmap_chunk(unsigned core, const Region& region,
-                             SoftwareCacheState& st) {
+void System::dma_unmap_chunk(unsigned core, std::size_t region_idx) {
+  SoftwareCacheState& st = streams_[core * region_count_ + region_idx];
   if (st.current_chunk == SoftwareCacheState::kNoChunk) return;
   const std::uint64_t chunk_base =
-      region.base + st.current_chunk * cfg_.dma_chunk_bytes;
-  const std::uint64_t chunk_end =
-      std::min(region.base + region.bytes, chunk_base + cfg_.dma_chunk_bytes);
-  const bool dirty = st.dirty || dirty_tag(st.chunk_tag);
+      run_regions_[region_idx].base + st.current_chunk * cfg_.dma_chunk_bytes;
   const unsigned home = home_of(chunk_base);
 
   unsigned dirty_lines = 0;
-  for (std::uint64_t line = chunk_base; line < chunk_end;
-       line += cfg_.line_bytes) {
-    LineInfo& li = lines_.at(line);
-    if (dirty && li.spm_valid) {
-      // Write back the valid lines to the home L2 bank (L2-backed DMA);
-      // DRAM is updated lazily on L2 eviction like any other dirty line.
-      // Write-allocated chunks write back only the lines actually written.
+  if (st.dirty) {
+    // Write back the valid lines to the home L2 bank (L2-backed DMA);
+    // DRAM is updated lazily on L2 eviction like any other dirty line.
+    // Write-allocated chunks write back only the lines actually written.
+    for (std::size_t k = 0; k < st.lines.size(); ++k) {
+      const std::uint64_t slot = st.lines[k];
+      if ((slot & SoftwareCacheState::kValid) == 0) continue;
       metrics_.e_spm += cfg_.e_spm;  // SPM read for the writeback
-      l2_install(line, li.spm_value, /*dirty=*/true);
+      l2_install(chunk_base + k * cfg_.line_bytes,
+                 slot & ~SoftwareCacheState::kValid, /*dirty=*/true);
       ++dirty_lines;
     }
-    li.spm_valid = false;
-    li.spm_mapped = false;
   }
   if (dirty_lines > 0)
     send(core, home, dirty_lines * (cfg_.line_bytes / 8) + 1);  // one burst
   // SPM-directory update for the chunk.
   metrics_.e_dir += cfg_.e_dir;
   send(core, home, 1);
-  if (dirty) ++metrics_.writebacks;
-  if (st.chunk_tag < dirty_tags_.size()) dirty_tags_[st.chunk_tag] = 0;
+  if (st.dirty) ++metrics_.writebacks;
+  chunks_.erase(st.first_line);
+  st.lines.clear();
   st.current_chunk = SoftwareCacheState::kNoChunk;
   st.dirty = false;
 }
 
 unsigned System::spm_access(unsigned core, std::size_t region_idx,
-                            const Region& region, std::uint64_t addr,
-                            std::uint64_t line, bool store) {
+                            std::uint64_t addr, std::uint64_t line,
+                            bool store) {
   SoftwareCacheState& st = streams_[core * region_count_ + region_idx];
   if (!st.open) {
     st.open = true;
@@ -605,17 +604,16 @@ unsigned System::spm_access(unsigned core, std::size_t region_idx,
     st.prefetch_done_cycle = -1.0;  // first touch: full DMA latency
   }
 
-  const std::uint64_t chunk = chunk_pow2_
-                                  ? (addr - region.base) >> chunk_shift_
-                                  : (addr - region.base) / cfg_.dma_chunk_bytes;
+  const std::uint64_t offset = addr - run_regions_[region_idx].base;
+  const std::uint64_t chunk = chunk_pow2_ ? offset >> chunk_shift_
+                                          : offset / cfg_.dma_chunk_bytes;
   unsigned lat = 0;
   if (chunk != st.current_chunk) {
-    dma_unmap_chunk(core, region, st);
+    dma_unmap_chunk(core, region_idx);
     const double now = core_clock_[core];
     // A store-triggered switch marks an output chunk: write-allocate, no
     // DMA-in (the tiling software cache knows out() tiles are overwritten).
-    const double dma_lat = dma_map_chunk(core, region, chunk,
-                                         ++chunk_tag_counter_, !store);
+    const double dma_lat = dma_map_chunk(core, region_idx, chunk, !store);
     double stall = 0.0;
     if (st.prefetch_done_cycle < 0.0) {
       stall = dma_lat;  // nothing prefetched yet
@@ -626,24 +624,28 @@ unsigned System::spm_access(unsigned core, std::size_t region_idx,
     // overlaps with the compute on this chunk.
     st.prefetch_done_cycle = now + stall + dma_lat;
     st.current_chunk = chunk;
-    st.chunk_tag = chunk_tag_counter_;
     st.dirty = false;
     lat += static_cast<unsigned>(stall);
   }
 
+  // With an unaligned region base, the last bytes of a chunk share a line
+  // with the next chunk, and that line is not mapped with this one.
+  const std::uint64_t k = lines_.index_of(line) - st.first_line;
+  RAA_CHECK_MSG(k < st.lines.size(),
+                "strided access to a line its chunk does not map "
+                "(region base not line-aligned)");
   LineInfo& li = lines_.at(line);
   lat += cfg_.lat_spm_hit;
   metrics_.e_spm += cfg_.e_spm;
   ++metrics_.spm_hits;
   if (store) {
     const std::uint64_t v = fresh_version();
-    li.spm_value = v;
-    li.spm_valid = true;
-    li.oracle = v;
+    st.lines[k] = v | SoftwareCacheState::kValid;
+    li.set_oracle(v);
     st.dirty = true;
   } else {
-    RAA_CHECK(li.spm_valid);
-    check_load_value(li, li.spm_value);
+    RAA_CHECK(st.lines[k] & SoftwareCacheState::kValid);
+    check_load_value(li, st.lines[k] & ~SoftwareCacheState::kValid);
   }
   return lat;
 }
@@ -654,36 +656,40 @@ unsigned System::guarded_access(unsigned core, std::uint64_t line,
   metrics_.e_dir += cfg_.e_filter;
   ++metrics_.guarded_lookups;
 
+  const std::uint64_t idx = lines_.index_of(line);
+  const std::uint32_t stream = chunks_.find(idx);
   LineInfo& li = lines_.at(line);
-  if (!li.spm_mapped) return lat + cache_access(core, line, li, store);
+  if (stream == ChunkDirectory::kNone)
+    return lat + cache_access(core, line, li, store);
 
   ++metrics_.guarded_to_spm;
+  SoftwareCacheState& st = streams_[stream];
+  std::uint64_t& slot = st.lines[idx - st.first_line];
+  const auto tile = static_cast<unsigned>(stream / region_count_);
   if (store) {
-    if (li.spm_tile != core) {
+    if (tile != core) {
       ++metrics_.remote_spm_accesses;
-      lat += send(core, li.spm_tile, 1) + send(li.spm_tile, core, 1);
+      lat += send(core, tile, 1) + send(tile, core, 1);
     }
     lat += cfg_.lat_spm_hit;
     metrics_.e_spm += cfg_.e_spm;
     ++metrics_.spm_hits;
     const std::uint64_t v = fresh_version();
-    li.spm_value = v;
-    li.spm_valid = true;
-    li.oracle = v;
-    mark_dirty_tag(li.spm_chunk_tag);
+    slot = v | SoftwareCacheState::kValid;
+    li.set_oracle(v);
+    st.dirty = true;  // written back when its stream unmaps the chunk
     return lat;
   }
 
-  if (li.spm_valid) {
-    if (li.spm_tile != core) {
+  if (slot & SoftwareCacheState::kValid) {
+    if (tile != core) {
       ++metrics_.remote_spm_accesses;
-      lat += send(core, li.spm_tile, 1) +
-             send(li.spm_tile, core, flits_line_);
+      lat += send(core, tile, 1) + send(tile, core, flits_line_);
     }
     lat += cfg_.lat_spm_hit;
     metrics_.e_spm += cfg_.e_spm;
     ++metrics_.spm_hits;
-    check_load_value(li, li.spm_value);
+    check_load_value(li, slot & ~SoftwareCacheState::kValid);
     return lat;
   }
 
@@ -718,9 +724,8 @@ void System::flush_all_software_caches() {
   // was arbitrary; flush-time L2 evictions are now reproducible.
   for (unsigned core = 0; core < cfg_.tiles; ++core) {
     for (std::size_t r = 0; r < region_count_; ++r) {
-      SoftwareCacheState& st = streams_[core * region_count_ + r];
-      if (!st.open) continue;
-      dma_unmap_chunk(core, run_regions_[r], st);
+      if (!streams_[core * region_count_ + r].open) continue;
+      dma_unmap_chunk(core, r);
     }
   }
 }
@@ -739,6 +744,7 @@ void System::begin_run(Workload& workload) {
                     static_cast<std::uint64_t>(mode_));
   region_count_ = workload.regions.size();
   streams_.assign(cfg_.tiles * std::max<std::size_t>(region_count_, 1), {});
+  chunks_.clear();
   // Flatten the region deque: the per-access region checks index it hard.
   run_regions_.assign(workload.regions.begin(), workload.regions.end());
 }
@@ -786,16 +792,14 @@ void System::step(unsigned core, const Access& acc,
                         "strided access outside any declared region");
           last_region = r;
         }
-        lat = spm_access(core, r, run_regions_[r], acc.addr, line,
-                         acc.is_store);
+        lat = spm_access(core, r, acc.addr, line, acc.is_store);
         break;
       }
       case RefClass::random_noalias: {
         // Compiler contract: no-alias references never touch SPM-mapped
         // data. A violation would be a kernel classification bug.
-        LineInfo& li = lines_.at(line);
-        RAA_CHECK(!li.spm_mapped);
-        lat = cache_access(core, line, li, acc.is_store);
+        RAA_CHECK(spm_holder(line) == ChunkDirectory::kNone);
+        lat = cache_access(core, line, lines_.at(line), acc.is_store);
         break;
       }
       case RefClass::random_unknown:

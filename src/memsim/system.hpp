@@ -5,8 +5,8 @@
 /// Trace-driven, functional + timing + energy. Each core consumes its
 /// access stream in program order, blocking on memory; cores interleave
 /// deterministically (the core with the smallest local clock advances
-/// next). Shared state — L2 banks, directory, SPM mappings — is updated
-/// atomically per access.
+/// next). Shared state — L2 banks, directory, mapped-chunk directory — is
+/// updated atomically per access.
 ///
 /// Two configurations:
 ///  * cache_only: every access goes through L1 -> home L2 bank (+directory)
@@ -24,18 +24,21 @@
 /// and it stays enabled in benches (it would fail loudly on a protocol
 /// bug).
 ///
-/// Hot-path engineering: all per-line bookkeeping (DRAM/oracle/SPM values,
-/// directory, SPM mappings, prefetch tags) lives in one flat line table
-/// (linetable.hpp) fetched once per access; cores interleave through a
-/// flat index-min heap sifted in place; access streams are pulled in
-/// batches through CoreProgram::fill. The `LineStore::hashed` backend
-/// preserves the old per-access-hash shape for equivalence testing.
+/// Hot-path engineering: the cache side's per-line bookkeeping (DRAM and
+/// oracle values, directory sharers and owner, prefetch tags) lives in one
+/// 32-byte record per line in a flat line table (linetable.hpp), fetched
+/// once per access. The SPM side keeps its own state (spm.hpp): each
+/// stream holds the values and valid bits of its resident chunk, and a
+/// small sorted directory of mapped chunk ranges answers the guarded
+/// filter. Cores interleave through a flat index-min heap sifted in place;
+/// access streams are pulled in batches through CoreProgram::fill. The
+/// `LineStore::hashed` backend preserves the old per-access-hash shape for
+/// equivalence testing.
 ///
 /// Host parallelism stays outside a run: run_comparison may simulate its
 /// two halves concurrently, but one run is single-threaded end to end (see
 /// "Why the front end is serial" in docs/ARCHITECTURE.md).
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -99,7 +102,12 @@ class System {
   unsigned dram_read(std::uint64_t line, unsigned mc);
 
   // --- value plumbing (functional coherence model) ---
-  std::uint64_t fresh_version() { return ++version_counter_; }
+  /// Next store version. Versions stay below 2^63: the top bit of a value
+  /// word is the line record's owned flag and the SPM slot's valid flag.
+  std::uint64_t fresh_version() {
+    RAA_CHECK(++version_counter_ < LineInfo::kOwned);
+    return version_counter_;
+  }
   void check_load_value(const LineInfo& li, std::uint64_t served) const;
 
   // --- cache-path protocol actions (return latency in cycles) ---
@@ -127,35 +135,23 @@ class System {
 
   // --- SPM path ---
   unsigned spm_access(unsigned core, std::size_t region_idx,
-                      const Region& region, std::uint64_t addr,
-                      std::uint64_t line, bool store);
-  /// Map a chunk into `core`'s SPM slice. With `fetch`, DMA-in the valid
-  /// copies (invalidating cached ones); without (write-allocated output
-  /// chunk) only the coherence actions run and lines become valid in the
-  /// SPM as they are written. Returns the DMA latency (before overlap).
-  double dma_map_chunk(unsigned core, const Region& region,
-                       std::uint64_t chunk_index, std::uint32_t chunk_tag,
-                       bool fetch);
-  void dma_unmap_chunk(unsigned core, const Region& region,
-                       SoftwareCacheState& st);
+                      std::uint64_t addr, std::uint64_t line, bool store);
+  /// Map chunk `chunk_index` of region `region_idx` into `core`'s SPM
+  /// slice and record its line range in the chunk directory. With `fetch`,
+  /// DMA-in the valid copies (invalidating cached ones); without
+  /// (write-allocated output chunk) only the coherence actions run and
+  /// lines become valid in the SPM as they are written. Returns the DMA
+  /// latency (before overlap).
+  double dma_map_chunk(unsigned core, std::size_t region_idx,
+                       std::uint64_t chunk_index, bool fetch);
+  /// Write back (when dirty) and unmap the stream's resident chunk.
+  void dma_unmap_chunk(unsigned core, std::size_t region_idx);
   /// `line` is the (already line-aligned) address of the access.
   unsigned guarded_access(unsigned core, std::uint64_t line, bool store);
-
-  // --- chunk-tag dirty bits (guarded remote stores) ---
-  void mark_dirty_tag(std::uint32_t tag) {
-    if (tag >= dirty_tags_.size()) {
-      // Geometric growth, seeded from the tag counter: tags are handed
-      // out sequentially, so one-element resize(tag + 1) steps would copy
-      // the bitmap quadratically over a run.
-      std::size_t n = std::max<std::size_t>(2 * dirty_tags_.size(), 64);
-      n = std::max(n, std::size_t{tag} + 1);
-      n = std::max(n, std::size_t{chunk_tag_counter_} + 1);
-      dirty_tags_.resize(n, 0);
-    }
-    dirty_tags_[tag] = 1;
-  }
-  bool dirty_tag(std::uint32_t tag) const {
-    return tag < dirty_tags_.size() && dirty_tags_[tag] != 0;
+  /// Stream whose resident chunk maps the line at `line_addr`, or
+  /// ChunkDirectory::kNone.
+  std::uint32_t spm_holder(std::uint64_t line_addr) const {
+    return chunks_.find(lines_.index_of(line_addr));
   }
 
   void flush_all_software_caches();
@@ -182,8 +178,8 @@ class System {
   /// One bank per tile. L2 line state encodes cleanliness: shared = clean,
   /// modified = dirty w.r.t. DRAM.
   std::vector<Cache> l2_;
-  /// All per-line state: DRAM/oracle/SPM values, directory entry, SPM
-  /// mapping, prefetch tags. One record per line, one lookup per access.
+  /// Cache-side per-line state: DRAM/oracle values, directory entry,
+  /// prefetch tags. One record per line, one lookup per access.
   LineTable lines_;
 
   /// (core, region) software-cache states, flat: core * region_count + r.
@@ -192,15 +188,13 @@ class System {
   std::size_t region_count_ = 0;
   /// Flat copy of the workload's region deque for the run (hot lookups).
   std::vector<Region> run_regions_;
-  /// Chunks dirtied by *remote* guarded stores, indexed by chunk tag
-  /// (tags are handed out sequentially, so a flat bitmap replaces a set).
-  std::vector<std::uint8_t> dirty_tags_;
+  /// Line ranges of the resident chunks, naming their streams.
+  ChunkDirectory chunks_;
   std::vector<SpmAllocator> spm_alloc_;
   const Workload* workload_ = nullptr;
 
   std::vector<double> core_clock_;
   std::uint64_t version_counter_ = 0;
-  std::uint32_t chunk_tag_counter_ = 0;
   Metrics metrics_;
 
   /// DRAM timing model (memsim/backend.hpp), driven from the commit loop.
