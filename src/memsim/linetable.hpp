@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -133,9 +132,7 @@ class LineTable {
         return (*pages_[page])[idx & (kPageLines - 1)];
       return (*slow_page(page))[idx & (kPageLines - 1)];
     }
-    auto& slot = map_[idx];
-    if (!slot) slot = std::make_unique<LineInfo>();
-    return *slot;
+    return hashed_at(idx);
   }
 
   /// Read-only lookup that never allocates. Returns nullptr when the line
@@ -178,29 +175,13 @@ class LineTable {
   // Pages live in raw byte blocks and are never destroyed explicitly.
   static_assert(std::is_trivially_destructible_v<Page>);
 
+  // The cold paths live in linetable.cpp, so that at() stays small
+  // enough to inline into every protocol path.
   /// Get-or-allocate page `page` off the dense fast path: an absent dense
   /// slot, or any page in the sparse map.
-  Page* slow_page(std::uint64_t page) {
-    Page** slot = nullptr;
-    if (page < kDensePages) {
-      if (page >= pages_.size())
-        pages_.resize(static_cast<std::size_t>(page) + 1, nullptr);
-      slot = &pages_[static_cast<std::size_t>(page)];
-    } else {
-      slot = &high_pages_[page];
-    }
-    if (*slot == nullptr) {
-      // A plain new[] block, aligned by hand: aligned operator new goes
-      // through memalign, whose split-off fragments raised the peak RSS
-      // of many short runs in one process (the fleet) by ~0.7 MiB.
-      constexpr std::size_t kBytes = sizeof(Page) + alignof(Page);
-      void* p = blocks_.emplace_back(new std::byte[kBytes]).get();
-      std::size_t space = kBytes;
-      p = std::align(alignof(Page), sizeof(Page), p, space);
-      *slot = ::new (p) Page{};  // all-zero records; trivially destructible
-    }
-    return *slot;
-  }
+  Page* slow_page(std::uint64_t page);
+  /// Get-or-create the record of line index `idx` (hashed backend).
+  LineInfo& hashed_at(std::uint64_t idx);
 
   unsigned line_bytes_;
   unsigned line_shift_ = 0;

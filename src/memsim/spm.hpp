@@ -47,19 +47,18 @@ struct SoftwareCacheState {
 /// skip and the map-conflict check. Ranges are disjoint and kept sorted by
 /// first line; there are at most tiles x strided-regions of them, so a
 /// flat vector with binary search is the whole data structure.
-///
-/// A lookup memoises the range, or the gap between ranges, that holds its
-/// line, and repeats the answer while later lines stay inside it — the
-/// usual case for no-alias and prefetch queries, whose regions hold no
-/// mapped chunk. Any map or unmap drops the memo.
 class ChunkDirectory {
  public:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
   /// Stream whose resident chunk maps line index `line`, or kNone.
   std::uint32_t find(std::uint64_t line) const {
-    if (line - memo_lo_ < memo_len_) return memo_stream_;
-    return search(line);
+    // The last range starting at or before `line` is the only candidate.
+    const auto it = std::upper_bound(first_.begin(), first_.end(), line);
+    if (it == first_.begin()) return kNone;
+    const Entry& e =
+        entries_[static_cast<std::size_t>(it - first_.begin()) - 1];
+    return line < e.end ? e.stream : kNone;
   }
 
   /// Map lines [first, end) to `stream`. Returns false, inserting nothing,
@@ -73,7 +72,6 @@ class ChunkDirectory {
       return false;
     first_.insert(it, first);
     entries_.insert(entries_.begin() + i, Entry{end, stream});
-    memo_len_ = 0;
     return true;
   }
 
@@ -83,13 +81,11 @@ class ChunkDirectory {
     RAA_CHECK(it != first_.end() && *it == first);
     entries_.erase(entries_.begin() + (it - first_.begin()));
     first_.erase(it);
-    memo_len_ = 0;
   }
 
   void clear() {
     first_.clear();
     entries_.clear();
-    memo_len_ = 0;
   }
   std::size_t size() const noexcept { return first_.size(); }
 
@@ -99,46 +95,8 @@ class ChunkDirectory {
     std::uint32_t stream;
   };
 
-  /// Binary search for `line`; memoises the range or gap holding it.
-  std::uint32_t search(std::uint64_t line) const {
-    // Branchless (random guarded lines would mispredict every step):
-    // `base` ends on the last range starting at or before `line`, or on
-    // the first range when none does.
-    const std::uint64_t* base = first_.data();
-    std::size_t n = first_.size();
-    while (n > 1) {
-      const std::size_t half = n / 2;
-      base = base[half] <= line ? base + half : base;
-      n -= half;
-    }
-    const auto i = static_cast<std::size_t>(base - first_.data());
-    std::uint64_t lo = 0;
-    std::uint64_t hi = ~std::uint64_t{0};
-    memo_stream_ = kNone;
-    if (first_.empty()) {
-      // One gap: every line.
-    } else if (line < first_[i]) {
-      hi = first_[i];  // before the first range
-    } else if (line < entries_[i].end) {
-      lo = first_[i];
-      hi = entries_[i].end;
-      memo_stream_ = entries_[i].stream;
-    } else {
-      lo = entries_[i].end;  // gap after range i
-      if (i + 1 < first_.size()) hi = first_[i + 1];
-    }
-    memo_lo_ = lo;
-    memo_len_ = hi - lo;
-    return memo_stream_;
-  }
-
   std::vector<std::uint64_t> first_;  ///< sorted range starts (search keys)
   std::vector<Entry> entries_;        ///< parallel to first_
-  // Lookup memo: lines [memo_lo_, memo_lo_ + memo_len_) answer
-  // memo_stream_; memo_len_ == 0 means no memo.
-  mutable std::uint64_t memo_lo_ = 0;
-  mutable std::uint64_t memo_len_ = 0;
-  mutable std::uint32_t memo_stream_ = kNone;
 };
 
 /// Per-tile SPM capacity accounting. Chunks are allocated double-buffered

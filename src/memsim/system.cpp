@@ -461,6 +461,15 @@ double System::dma_map_chunk(unsigned core, std::size_t region_idx,
                 "SPM map conflict: strided chunks of different cores "
                 "overlap (kernel classification bug)");
   st.lines.assign(lines, 0);
+  if (!unmapped_spm_.empty()) {
+    // Take over SPM copies that strided stores left past their own chunk.
+    for (std::uint64_t k = 0; k < lines; ++k) {
+      const auto it = unmapped_spm_.find(st.first_line + k);
+      if (it == unmapped_spm_.end()) continue;
+      st.lines[k] = it->second;
+      unmapped_spm_.erase(it);
+    }
+  }
   unsigned dram_lines = 0;
   unsigned l2_lines = 0;
 
@@ -628,26 +637,33 @@ unsigned System::spm_access(unsigned core, std::size_t region_idx,
     lat += static_cast<unsigned>(stall);
   }
 
-  // With an unaligned region base, the last bytes of a chunk share a line
-  // with the next chunk, and that line is not mapped with this one.
-  const std::uint64_t k = lines_.index_of(line) - st.first_line;
-  RAA_CHECK_MSG(k < st.lines.size(),
-                "strided access to a line its chunk does not map "
-                "(region base not line-aligned)");
+  const std::uint64_t idx = lines_.index_of(line);
+  std::uint64_t& slot = idx - st.first_line < st.lines.size()
+                            ? st.lines[idx - st.first_line]
+                            : spm_slot_past_chunk(idx);
   LineInfo& li = lines_.at(line);
   lat += cfg_.lat_spm_hit;
   metrics_.e_spm += cfg_.e_spm;
   ++metrics_.spm_hits;
   if (store) {
     const std::uint64_t v = fresh_version();
-    st.lines[k] = v | SoftwareCacheState::kValid;
+    slot = v | SoftwareCacheState::kValid;
     li.set_oracle(v);
     st.dirty = true;
   } else {
-    RAA_CHECK(st.lines[k] & SoftwareCacheState::kValid);
-    check_load_value(li, st.lines[k] & ~SoftwareCacheState::kValid);
+    RAA_CHECK(slot & SoftwareCacheState::kValid);
+    check_load_value(li, slot & ~SoftwareCacheState::kValid);
   }
   return lat;
+}
+
+std::uint64_t& System::spm_slot_past_chunk(std::uint64_t line_index) {
+  if (const std::uint32_t holder = chunks_.find(line_index);
+      holder != ChunkDirectory::kNone) {
+    SoftwareCacheState& other = streams_[holder];
+    return other.lines[line_index - other.first_line];
+  }
+  return unmapped_spm_[line_index];
 }
 
 unsigned System::guarded_access(unsigned core, std::uint64_t line,

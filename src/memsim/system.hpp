@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "memsim/access.hpp"
@@ -146,6 +147,12 @@ class System {
                        std::uint64_t chunk_index, bool fetch);
   /// Write back (when dirty) and unmap the stream's resident chunk.
   void dma_unmap_chunk(unsigned core, std::size_t region_idx);
+  /// SPM slot of a line a strided access reaches outside its stream's
+  /// resident chunk: with a chunk base that is not line-aligned, the
+  /// chunk's last bytes share a line with the next chunk, which maps it.
+  /// The slot is that of the stream mapping the line now, or else the
+  /// line's entry in unmapped_spm_.
+  std::uint64_t& spm_slot_past_chunk(std::uint64_t line_index);
   /// `line` is the (already line-aligned) address of the access.
   unsigned guarded_access(unsigned core, std::uint64_t line, bool store);
   /// Stream whose resident chunk maps the line at `line_addr`, or
@@ -190,6 +197,11 @@ class System {
   std::vector<Region> run_regions_;
   /// Line ranges of the resident chunks, naming their streams.
   ChunkDirectory chunks_;
+  /// SPM slots (value | kValid, by line index) that strided stores wrote
+  /// past their own chunk into lines no chunk maps. The next chunk to map
+  /// such a line takes its slot over; until then it is written back by no
+  /// one and read only by strided loads that reach the same line.
+  std::unordered_map<std::uint64_t, std::uint64_t> unmapped_spm_;
   std::vector<SpmAllocator> spm_alloc_;
   const Workload* workload_ = nullptr;
 

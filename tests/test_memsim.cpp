@@ -36,7 +36,6 @@ using raa::mem::Metrics;
 using raa::mem::Noc;
 using raa::mem::RefClass;
 using raa::mem::Region;
-using raa::mem::SoftwareCacheState;
 using raa::mem::System;
 using raa::mem::SystemConfig;
 using raa::mem::Workload;
@@ -513,29 +512,59 @@ TEST(LineTable, FarAddressesAllocateOnlyTheirPages) {
 }
 
 TEST(LineTable, UnmapSemanticsViaFlags) {
-  // SPM mapping lives on the SPM side: the chunk directory maps line
-  // ranges to streams and the stream's slots carry the valid flags. The
-  // line record holds no SPM state, so mapping and unmapping leave it be.
-  LineTable t{64};
-  t.at(64 * 70).set_oracle(7);
-  ChunkDirectory dir;
-  ASSERT_TRUE(dir.insert(64, 128, 3));
-  EXPECT_EQ(dir.find(63), ChunkDirectory::kNone);
-  EXPECT_EQ(dir.find(64), 3u);
-  EXPECT_EQ(dir.find(127), 3u);
-  EXPECT_EQ(dir.find(128), ChunkDirectory::kNone);
-  SoftwareCacheState st;
-  st.first_line = 64;
-  st.lines.assign(64, 0);  // write-allocated: nothing valid yet
-  st.lines[70 - 64] = 7 | SoftwareCacheState::kValid;
-  EXPECT_EQ(st.lines[70 - 64] & ~SoftwareCacheState::kValid, 7u);
-  // Unmap = erase the range and drop the slots.
-  dir.erase(64);
-  st.lines.clear();
-  EXPECT_EQ(dir.find(70), ChunkDirectory::kNone);
-  EXPECT_EQ(dir.size(), 0u);
-  EXPECT_EQ(t.at(64 * 70).oracle(), 7u);
-  EXPECT_EQ(t.at(64 * 70).owner(), -1);
+  // Unmapping a chunk drops its directory range and writes its valid SPM
+  // slots back to the home bank; the line records never held SPM state.
+  // Each core store-sweeps its two chunks: the chunk switch unmaps chunk
+  // 0, the end-of-run flush chunk 1. Once every core is past its sweep,
+  // each core reads its neighbour's chunk 0 through no-alias references:
+  // the no-alias check throws if that range were still mapped, and the
+  // stale-data check throws if a written line had not been written back.
+  // A second run on the same System reads the chunk-1 lines the flush
+  // unmapped.
+  const SystemConfig cfg = small_cfg();
+  const std::uint64_t chunk = cfg.dma_chunk_bytes;
+  const std::uint64_t part = 2 * chunk;
+  const Region data{"data", std::uint64_t{1} << 20, cfg.tiles * part,
+                    RefClass::strided};
+  const auto neighbour_reads = [&](Workload& w, std::uint64_t offset,
+                                   bool after_sweep) {
+    const Region& r = w.regions.front();
+    for (unsigned c = 0; c < cfg.tiles; ++c) {
+      std::vector<Phase> ph;
+      if (after_sweep) {
+        ph.push_back(Phase{
+            .streams = {Stream{.region = &r, .store = true,
+                               .start = c * part, .stride = 8}},
+            .iterations = part / 8,
+            .gap_cycles = 2});
+      }
+      ph.push_back(Phase{
+          .streams = {Stream{.region = &r,
+                             .ref = RefClass::random_noalias,
+                             .start = (c + 1) % cfg.tiles * part + offset,
+                             .stride = cfg.line_bytes}},
+          .iterations = chunk / cfg.line_bytes,
+          .gap_cycles = after_sweep ? 100000u : 2u});
+      w.programs.push_back(
+          std::make_unique<ScriptedProgram>(std::move(ph), c));
+    }
+  };
+  System sys{cfg, HierarchyMode::hybrid};
+  Workload sweep;
+  sweep.regions.push_back(data);
+  neighbour_reads(sweep, 0, true);
+  Metrics m;
+  ASSERT_NO_THROW(m = sys.run(sweep));
+  EXPECT_EQ(m.writebacks, cfg.tiles * 2u);
+  EXPECT_GT(m.l2_hits, 0u);  // served by the written-back copies
+
+  Workload reads;
+  reads.regions.push_back(data);
+  neighbour_reads(reads, chunk, false);
+  ASSERT_NO_THROW(m = sys.run(reads));
+  EXPECT_EQ(m.spm_hits, 0u);
+  EXPECT_EQ(m.dma_transfers, 0u);
+  EXPECT_GT(m.l2_hits, 0u);
 }
 
 TEST(ChunkDirectory, RejectsOverlapAndKeepsRangesSorted) {
@@ -555,8 +584,7 @@ TEST(ChunkDirectory, RejectsOverlapAndKeepsRangesSorted) {
   EXPECT_EQ(dir.find(163), 0u);
   EXPECT_EQ(dir.find(164), 2u);
   EXPECT_EQ(dir.find(200), ChunkDirectory::kNone);
-  // A lookup's memo (here: the gap [64, 100)) must not outlive a map or
-  // an unmap.
+  // Lookups follow maps and unmaps inside a gap and across a re-map.
   EXPECT_EQ(dir.find(80), ChunkDirectory::kNone);
   EXPECT_TRUE(dir.insert(70, 90, 5));
   EXPECT_EQ(dir.find(80), 5u);
@@ -845,6 +873,94 @@ TEST(System, UnalignedStridedRegionMatchesPinnedMetrics) {
     const Metrics m = sys.run(w);
     expect_metrics_equal(m, want[i]);
     EXPECT_TRUE(m == want[i]);  // bit-exact, not within 4 ulps
+  }
+}
+
+/// Strided stores into the last 8 bytes of a chunk of a region whose base
+/// is 8 bytes past a line boundary. Those bytes share a line with the next
+/// chunk, which maps it; the stores keep working:
+///  0. a store-only stride-8 sweep over each core's two chunks;
+///  1. per core: store chunk 0's tail, store chunk 1 except its first line
+///     (the tail store carries into chunk 1's write-allocated map and is
+///     written back with it), load both chunks at stride 16 (the load of
+///     chunk 1's first line checks the carried value), then store chunk
+///     1's tail, which lies in the next core's first line;
+///  2. core 0 only: region a is one chunk whose tail line is region b's
+///     first line; load b, store a's tail (into b's SPM copy), then load
+///     b's first line and a's tail.
+Workload chunk_tail_workload(const SystemConfig& cfg, int variant) {
+  Workload w;
+  w.name = "chunk_tail";
+  const std::uint64_t chunk = cfg.dma_chunk_bytes;
+  const std::uint64_t base = (std::uint64_t{1} << 20) + 8;
+  const auto sweep = [](const Region& r, std::uint64_t start,
+                        std::uint64_t stride, std::uint64_t n, bool store) {
+    return Phase{.streams = {Stream{.region = &r, .store = store,
+                                    .start = start, .stride = stride}},
+                 .iterations = n,
+                 .gap_cycles = 1};
+  };
+  std::vector<std::vector<Phase>> ph(cfg.tiles);
+  if (variant == 2) {
+    w.regions.push_back(Region{"a", base, chunk, RefClass::strided});
+    w.regions.push_back(Region{"b", base + chunk, chunk, RefClass::strided});
+    const Region& a = w.regions[0];
+    const Region& b = w.regions[1];
+    ph[0].push_back(sweep(b, 0, 8, 1, false));
+    ph[0].push_back(sweep(a, chunk - 8, 8, 1, true));
+    ph[0].push_back(sweep(b, 0, 8, 1, false));
+    ph[0].push_back(sweep(a, chunk - 8, 8, 1, false));
+  } else {
+    const std::uint64_t part = 2 * chunk;
+    w.regions.push_back(
+        Region{"out", base, cfg.tiles * part, RefClass::strided});
+    const Region& out = w.regions[0];
+    for (unsigned c = 0; c < cfg.tiles; ++c) {
+      const std::uint64_t s = c * part;
+      if (variant == 0) {
+        ph[c].push_back(sweep(out, s, 8, part / 8, true));
+        continue;
+      }
+      ph[c].push_back(sweep(out, s + chunk - 8, 8, 1, true));
+      ph[c].push_back(sweep(out, s + chunk + 56, 16, (chunk - 64) / 16, true));
+      ph[c].push_back(sweep(out, s, 16, part / 16, false));
+      ph[c].push_back(sweep(out, s + part - 8, 8, 1, true));
+    }
+  }
+  for (unsigned c = 0; c < cfg.tiles; ++c)
+    w.programs.push_back(
+        std::make_unique<ScriptedProgram>(std::move(ph[c]), 7 + c));
+  return w;
+}
+
+TEST(System, ChunkTailStoresMatchPinnedMetrics) {
+  // Hybrid metrics pinned (hexfloat => bit-exact doubles) from the
+  // simulator that kept SPM state in the line records.
+  const SystemConfig cfg = small_cfg();
+  const Metrics want[] = {
+      Metrics{.cycles = 0x1.034p+11, .noc_flit_hops = 0x1.018p+15,
+              .e_spm = 0x1.bp+16, .e_noc = 0x1.824p+16, .e_dir = 0x1p+9,
+              .e_static = 0x1.034p+16, .accesses = 16384u,
+              .spm_hits = 16384u, .writebacks = 32u, .dma_transfers = 32u},
+      Metrics{.cycles = 0x1.8b8p+10, .noc_flit_hops = 0x1.61bp+16,
+              .e_l2 = 0x1.ep+16, .e_spm = 0x1.7f4p+16, .e_dram = 0x1.2cp+20,
+              .e_noc = 0x1.0944p+18, .e_dir = 0x1p+10,
+              .e_static = 0x1.8b8p+15, .accesses = 12256u,
+              .spm_hits = 12256u, .dram_line_reads = 1024u,
+              .writebacks = 48u, .dma_transfers = 64u},
+      Metrics{.cycles = 0x1.82p+8, .noc_flit_hops = 0x1.01p+10,
+              .e_l2 = 0x1.ep+11, .e_spm = 0x1.98p+8, .e_dram = 0x1.2cp+16,
+              .e_noc = 0x1.818p+11, .e_dir = 0x1p+5, .e_static = 0x1.82p+13,
+              .accesses = 4u, .spm_hits = 4u, .dram_line_reads = 64u,
+              .writebacks = 1u, .dma_transfers = 2u},
+  };
+  for (int v = 0; v < 3; ++v) {
+    SCOPED_TRACE(v);
+    Workload w = chunk_tail_workload(cfg, v);
+    System sys{cfg, HierarchyMode::hybrid};
+    const Metrics m = sys.run(w);
+    expect_metrics_equal(m, want[v]);
+    EXPECT_TRUE(m == want[v]);  // bit-exact, not within 4 ulps
   }
 }
 
