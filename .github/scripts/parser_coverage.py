@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Line coverage of the JSON binding and the two parsers built on it.
+
+Usage: parser_coverage.py BUILD_DIR OUT_DIR
+
+BUILD_DIR is a `-DCMAKE_CXX_FLAGS=--coverage` build whose tests have run.
+For the scenario object and the manifest object this runs gcov in a
+directory of its own under OUT_DIR (the .gcov files CI uploads), then
+prints the line coverage of src/scenario/scenario.cpp,
+src/fleet/manifest.cpp and src/report/json_bind.hpp. The binding is a
+header compiled into both objects, so one of its lines counts as run when
+either object ran it. The numbers are informational, not a gate.
+"""
+import pathlib
+import subprocess
+import sys
+
+OBJECTS = {
+    "scenario": "src/CMakeFiles/raa_scenario.dir/scenario/scenario.cpp.gcda",
+    "manifest": "src/CMakeFiles/raa_fleet.dir/fleet/manifest.cpp.gcda",
+}
+FILES = ["src/scenario/scenario.cpp", "src/fleet/manifest.cpp",
+         "src/report/json_bind.hpp"]
+
+
+def line_hits(gcov_file):
+    """{line: executed} over the executable lines of one .gcov file.
+
+    Template instantiations repeat their lines in sections of their own;
+    OR-ing every occurrence gives the same answer as the summary line.
+    """
+    hits = {}
+    for text in gcov_file.read_text(errors="replace").splitlines():
+        count, _, rest = text.partition(":")
+        number = rest.partition(":")[0].strip()
+        count = count.strip().rstrip("*")
+        if count == "-" or not number.isdigit() or number == "0":
+            continue
+        if not (count in ("#####", "=====") or count.isdigit()):
+            continue
+        line = int(number)
+        hits[line] = hits.get(line, False) or count.isdigit()
+    return hits
+
+
+def main():
+    build = pathlib.Path(sys.argv[1]).resolve()
+    out = pathlib.Path(sys.argv[2]).resolve()
+    merged = {f: {} for f in FILES}
+    for name, gcda in OBJECTS.items():
+        obj = build / gcda
+        where = out / name
+        where.mkdir(parents=True, exist_ok=True)
+        subprocess.run(["gcov", "-p", "-o", str(obj.parent), str(obj)],
+                       cwd=where, check=True, stdout=subprocess.DEVNULL)
+        for gcov_file in where.glob("*.gcov"):
+            for f in FILES:
+                if gcov_file.name.endswith(f.replace("/", "#") + ".gcov"):
+                    for line, hit in line_hits(gcov_file).items():
+                        merged[f][line] = merged[f].get(line, False) or hit
+    for f in FILES:
+        lines = merged[f]
+        if not lines:
+            print(f"{f}: no coverage data")
+            continue
+        run = sum(lines.values())
+        print(f"{f}: {100.0 * run / len(lines):.1f}% of {len(lines)} lines "
+              f"({run} run)")
+
+
+if __name__ == "__main__":
+    main()

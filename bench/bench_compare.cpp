@@ -17,9 +17,7 @@
 //                      (wall_seconds, accesses_per_second, tasks_per_second)
 //                      found in the results file; these are never gated
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/cli.hpp"
@@ -29,28 +27,11 @@
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out,
-               std::string& error) {
-  std::ifstream in{path};
-  if (!in) {
-    error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 bool load_json(const std::string& path, raa::json::Value& out) {
-  std::string text, error;
-  if (!read_file(path, text, error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return false;
-  }
-  auto parsed = raa::json::Value::parse(text, &error);
+  std::string error;
+  auto parsed = raa::json::Value::parse_file(path, &error);
   if (!parsed) {
-    std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
   out = std::move(*parsed);

@@ -22,14 +22,6 @@
 #include "kernels/nas.hpp"
 #include "memsim/system.hpp"
 
-namespace {
-
-const char* mode_name(raa::mem::HierarchyMode m) {
-  return m == raa::mem::HierarchyMode::hybrid ? "hybrid" : "cache_only";
-}
-
-}  // namespace
-
 RAA_BENCHMARK("fig1_banked", "§2 Figure 1 (banked-DRAM row locality)") {
   const raa::Cli& cli = ctx.cli;
   raa::mem::SystemConfig cfg;
@@ -79,14 +71,14 @@ RAA_BENCHMARK("fig1_banked", "§2 Figure 1 (banked-DRAM row locality)") {
         conflict.push_back(total > 0 ? m.dram_row_conflicts / total : 0.0);
         time_x.push_back(flat_cycles[ki++] / m.cycles);
       }
-      const std::string tag =
-          std::string{mode_name(mode)} + "/rb" + std::to_string(rb);
+      const std::string tag = std::string{raa::mem::to_string(mode)} +
+                              "/rb" + std::to_string(rb);
       ctx.report.record("row_hit_rate/" + tag, raa::mean(hit), "frac");
       ctx.report.record("row_conflict_rate/" + tag, raa::mean(conflict),
                         "frac");
       ctx.report.record("time_x_flat/" + tag, raa::mean(time_x), "x");
-      table.row(mode_name(mode), static_cast<unsigned long>(rb / 1024),
-                raa::mean(hit),
+      table.row(raa::mem::to_string(mode),
+                static_cast<unsigned long>(rb / 1024), raa::mean(hit),
                 raa::mean(conflict), raa::mean(time_x));
     }
   }

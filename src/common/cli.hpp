@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace raa {
@@ -25,6 +26,19 @@ class Cli {
 
   /// True when the flag appeared on the command line.
   bool has(const std::string& name) const;
+
+  /// An enum flag parsed through its name table (common/enum_names.hpp):
+  /// nullopt when absent, or when the value is no name, which also sets
+  /// `error` to "--name: unknown X 'v' (want a or b)".
+  template <class E>
+  std::optional<E> get_enum(const std::string& name,
+                            std::string& error) const {
+    const std::string v = get_string(name, "");
+    const auto names = enum_names(E{});
+    const std::optional<E> e = names.parse(v);
+    if (has(name) && !e) error = "--" + name + ": " + names.unknown(v);
+    return e;
+  }
 
  private:
   std::map<std::string, std::string> flags_;

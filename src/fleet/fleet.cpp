@@ -54,8 +54,8 @@ FleetResult run_fleet(const FleetOptions& opt) {
     const JobSpec& job = man.jobs[i];
     const JobLimits eff =
         job.limits.or_else(man.defaults).or_else(opt.fallback);
-    settings[i].mode = eff.mode.value_or("");
-    settings[i].backend = eff.backend.value_or("");
+    settings[i].mode = eff.mode;
+    settings[i].backend = eff.backend;
     settings[i].timeout_ms = eff.timeout_ms.value_or(0);
     settings[i].retries = eff.retries.value_or(0);
     settings[i].seed =
@@ -90,7 +90,9 @@ FleetResult run_fleet(const FleetOptions& opt) {
     res.records[i].seed = settings[i].seed;
   }
 
-  const unsigned lanes = std::max(1u, opt.jobs);
+  // More lanes than jobs would only park idle threads.
+  const auto lanes =
+      static_cast<unsigned>(std::clamp<std::size_t>(opt.jobs, 1, n));
   exec::Pool pool{lanes};
   exec::Pool::Group group;
 
@@ -296,8 +298,14 @@ FleetResult run_fleet(const FleetOptions& opt) {
       const std::uint64_t timeout_ms = settings[att->job].timeout_ms;
       if (timeout_ms == 0) continue;
       if (att->started.load(std::memory_order_acquire)) {
+        // Saturate rather than overflow the steady clock: a deadline
+        // centuries away is no deadline.
+        const auto budget =
+            std::chrono::milliseconds(std::min(timeout_ms, kMaxTimeoutMs));
         const auto deadline =
-            att->start + std::chrono::milliseconds(timeout_ms);
+            att->start.time_since_epoch() > clock_type::duration::max() - budget
+                ? clock_type::time_point::max()
+                : att->start + budget;
         if (now >= deadline) {
           // exchange: emit the timeout event once, not per watchdog pass.
           if (!att->cancel.exchange(true, std::memory_order_relaxed))

@@ -1,14 +1,11 @@
 #include "fleet/job.hpp"
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "memsim/system.hpp"
-#include "scenario/scenario.hpp"
-#include "scenario/trace.hpp"
 
 namespace raa::fleet {
 
@@ -51,10 +48,6 @@ void wrap_cancellable(mem::Workload& w, const std::atomic<bool>& cancel) {
                                                    &cancel);
 }
 
-const char* mode_name(mem::HierarchyMode m) {
-  return m == mem::HierarchyMode::hybrid ? "hybrid" : "cache_only";
-}
-
 }  // namespace
 
 const char* to_string(ErrorKind kind) noexcept {
@@ -82,33 +75,86 @@ const char* to_string(JobStatus status) noexcept {
   return "unknown";
 }
 
-void record_metrics(report::BenchReport& b, const std::string& prefix,
-                    const mem::Metrics& m) {
-  b.record(prefix + "cycles", m.cycles, "cycles");
-  b.record(prefix + "energy_pj", m.energy_pj(), "pJ");
-  b.record(prefix + "noc_flit_hops", m.noc_flit_hops, "flit-hops");
-  const auto count = [&](const char* name, std::uint64_t v) {
-    b.record(prefix + name, static_cast<double>(v), "count");
-  };
-  count("accesses", m.accesses);
-  count("l1_hits", m.l1_hits);
-  count("l1_misses", m.l1_misses);
-  count("l2_hits", m.l2_hits);
-  count("l2_misses", m.l2_misses);
-  count("spm_hits", m.spm_hits);
-  count("dram_line_reads", m.dram_line_reads);
-  count("dram_line_writes", m.dram_line_writes);
-  count("dram_row_hits", m.dram_row_hits);
-  count("dram_row_misses", m.dram_row_misses);
-  count("dram_row_conflicts", m.dram_row_conflicts);
-  count("dram_refreshes", m.dram_refreshes);
-  count("invalidations", m.invalidations);
-  count("writebacks", m.writebacks);
-  count("prefetch_fills", m.prefetch_fills);
-  count("dma_transfers", m.dma_transfers);
-  count("guarded_lookups", m.guarded_lookups);
-  count("guarded_to_spm", m.guarded_to_spm);
-  count("remote_spm_accesses", m.remote_spm_accesses);
+void record_runs(report::BenchReport& b,
+                 const std::vector<mem::HierarchyMode>& modes,
+                 const std::vector<mem::Metrics>& results) {
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    const std::string prefix = std::string{mem::to_string(modes[i])} + "/";
+    const mem::Metrics& m = results[i];
+    b.record(prefix + "cycles", m.cycles, "cycles");
+    b.record(prefix + "energy_pj", m.energy_pj(), "pJ");
+    b.record(prefix + "noc_flit_hops", m.noc_flit_hops, "flit-hops");
+    const auto count = [&](const char* name, std::uint64_t v) {
+      b.record(prefix + name, static_cast<double>(v), "count");
+    };
+    count("accesses", m.accesses);
+    count("l1_hits", m.l1_hits);
+    count("l1_misses", m.l1_misses);
+    count("l2_hits", m.l2_hits);
+    count("l2_misses", m.l2_misses);
+    count("spm_hits", m.spm_hits);
+    count("dram_line_reads", m.dram_line_reads);
+    count("dram_line_writes", m.dram_line_writes);
+    count("dram_row_hits", m.dram_row_hits);
+    count("dram_row_misses", m.dram_row_misses);
+    count("dram_row_conflicts", m.dram_row_conflicts);
+    count("dram_refreshes", m.dram_refreshes);
+    count("invalidations", m.invalidations);
+    count("writebacks", m.writebacks);
+    count("prefetch_fills", m.prefetch_fills);
+    count("dma_transfers", m.dma_transfers);
+    count("guarded_lookups", m.guarded_lookups);
+    count("guarded_to_spm", m.guarded_to_spm);
+    count("remote_spm_accesses", m.remote_spm_accesses);
+  }
+  if (modes.size() == 2) {
+    b.record("time_x", results[0].cycles / results[1].cycles, "x");
+    b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
+             "x");
+    b.record("noc_x", results[0].noc_flit_hops / results[1].noc_flit_hops,
+             "x");
+  }
+}
+
+mem::Workload LoadedInput::make_workload() const {
+  return trace ? scen::make_replay_workload(trace) : scenario.instantiate();
+}
+
+LoadedInput load_input(const JobSpec& job,
+                       std::optional<scen::ScenarioMode> mode,
+                       std::optional<mem::MemBackendKind> backend) {
+  LoadedInput in;
+  std::string error;
+  if (!job.trace.empty()) {
+    auto t = scen::TraceData::read_file(job.trace, &error);
+    if (!t) throw JobError(ErrorKind::parse, error);
+    in.trace = std::make_shared<const scen::TraceData>(std::move(*t));
+    in.config = in.trace->config;
+    in.modes = mode ? scen::hierarchy_modes(*mode)
+                    : std::vector{in.trace->mode};
+    if (in.modes.size() != 1)
+      throw JobError(ErrorKind::parse,
+                     "trace inputs accept mode cache_only or hybrid, got "
+                     "'compare'");
+  } else {
+    auto s = scen::Scenario::load_file(job.scenario, &error);
+    if (!s) throw JobError(ErrorKind::parse, error);
+    in.scenario = std::move(*s);
+    in.scenario.mode = mode.value_or(in.scenario.mode);
+    // A declared region no program references is a degenerate scenario:
+    // parse() accepts it (the struct is well-formed) but running it would
+    // silently skew the address-space layout for no workload effect.
+    if (const auto unref = in.scenario.first_unreferenced_region())
+      throw JobError(ErrorKind::degenerate,
+                     job.scenario + ": scenario.regions[" +
+                         std::to_string(*unref) + "]: region '" +
+                         in.scenario.regions[*unref].name +
+                         "' is declared but referenced by no program");
+    in.config = in.scenario.config;
+    in.modes = in.scenario.hierarchy_modes();
+  }
+  in.config.memory.kind = backend.value_or(in.config.memory.kind);
+  return in;
 }
 
 namespace {
@@ -117,63 +163,14 @@ namespace {
 /// every escape into a classified outcome.
 JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
                             const std::atomic<bool>& cancel) {
-  mem::SystemConfig cfg;
-  std::vector<mem::HierarchyMode> modes;
-  std::function<mem::Workload()> make_workload;
-  scen::Scenario scenario;                       // scenario jobs
-  std::shared_ptr<const scen::TraceData> trace;  // trace jobs
-
-  if (!job.trace.empty()) {
-    std::string error;
-    auto t = scen::TraceData::read_file(job.trace, &error);
-    if (!t) throw JobError(ErrorKind::parse, error);
-    trace = std::make_shared<const scen::TraceData>(std::move(*t));
-    cfg = trace->config;
-    mem::HierarchyMode mode = trace->mode;
-    if (settings.mode == "cache_only") mode = mem::HierarchyMode::cache_only;
-    else if (settings.mode == "hybrid") mode = mem::HierarchyMode::hybrid;
-    else if (!settings.mode.empty())
-      throw JobError(ErrorKind::parse,
-                     "trace jobs accept mode cache_only or hybrid, got '" +
-                         settings.mode + "'");
-    modes = {mode};
-    make_workload = [&] { return scen::make_replay_workload(trace); };
-  } else {
-    std::string error;
-    auto s = scen::Scenario::load_file(job.scenario, &error);
-    if (!s) throw JobError(ErrorKind::parse, error);
-    scenario = std::move(*s);
-    scenario.seed = settings.seed;
-    if (!settings.mode.empty()) {
-      const auto m = scen::scenario_mode_from(settings.mode);
-      if (!m)
-        throw JobError(ErrorKind::parse,
-                       "unknown mode override '" + settings.mode + "'");
-      scenario.mode = *m;
-    }
-    if (const auto unref = scenario.first_unreferenced_region())
-      throw JobError(ErrorKind::degenerate,
-                     job.scenario + ": scenario.regions[" +
-                         std::to_string(*unref) + "]: region '" +
-                         scenario.regions[*unref].name +
-                         "' is declared but referenced by no program");
-    cfg = scenario.config;
-    modes = scenario.hierarchy_modes();
-    make_workload = [&] { return scenario.instantiate(); };
-  }
-  if (settings.backend == "flat") {
-    cfg.memory.kind = mem::MemBackendKind::flat;
-  } else if (settings.backend == "banked") {
-    cfg.memory.kind = mem::MemBackendKind::banked;
-  } else if (!settings.backend.empty()) {
-    throw JobError(ErrorKind::parse,
-                   "unknown backend override '" + settings.backend + "'");
-  }
+  LoadedInput in = load_input(job, settings.mode, settings.backend);
+  auto& [scenario, trace, cfg, modes] = in;
+  scenario.seed = settings.seed;
 
   JobOutcome out;
   std::vector<mem::Metrics> results;
   for (const mem::HierarchyMode mode : modes) {
-    mem::Workload w = make_workload();
+    mem::Workload w = in.make_workload();
     wrap_cancellable(w, cancel);
     mem::System sys{cfg, mode};
     results.push_back(sys.run(w));
@@ -191,21 +188,13 @@ JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
   b.set_param("backend", mem::to_string(cfg.memory.kind));
   if (!job.trace.empty()) {
     b.set_param("trace", job.trace);
-    b.set_param("mode", mode_name(modes[0]));
+    b.set_param("mode", mem::to_string(modes[0]));
   } else {
     b.set_param("scenario", job.scenario);
     b.set_param("mode", scen::to_string(scenario.mode));
     b.set_param("seed", std::to_string(scenario.seed));
   }
-  for (std::size_t i = 0; i < modes.size(); ++i)
-    record_metrics(b, std::string{mode_name(modes[i])} + "/", results[i]);
-  if (modes.size() == 2) {
-    b.record("time_x", results[0].cycles / results[1].cycles, "x");
-    b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
-             "x");
-    b.record("noc_x", results[0].noc_flit_hops / results[1].noc_flit_hops,
-             "x");
-  }
+  record_runs(b, modes, results);
   out.result = run.to_json();
   return out;
 }

@@ -17,13 +17,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "fleet/manifest.hpp"
 #include "memsim/config.hpp"
 #include "report/json.hpp"
 #include "report/report.hpp"
+#include "scenario/scenario.hpp"
+#include "scenario/trace.hpp"
 
 namespace raa::mem {
 struct Metrics;
@@ -80,12 +85,33 @@ const char* to_string(JobStatus status) noexcept;
 /// Effective per-job execution settings after resolving job entry >
 /// manifest defaults > driver fallback (fleet.cpp does the resolving).
 struct JobSettings {
-  std::string mode;     ///< "" = the scenario/trace's own mode
-  std::string backend;  ///< "" = the scenario/trace's own backend
+  std::optional<scen::ScenarioMode> mode;  ///< unset = the input's own
+  std::optional<mem::MemBackendKind> backend;  ///< unset = the input's own
   std::uint64_t seed = 0;        ///< effective seed (scenario jobs)
   std::uint64_t timeout_ms = 0;  ///< 0 = no deadline (engine-enforced)
   unsigned retries = 0;          ///< extra attempts for transient kinds
 };
+
+/// A scenario or trace input, loaded and resolved for simulation: the one
+/// path from an input file to runnable workloads, shared by the fleet's
+/// attempts and raa_sim.
+struct LoadedInput {
+  scen::Scenario scenario;                       ///< scenario inputs
+  std::shared_ptr<const scen::TraceData> trace;  ///< trace inputs
+  mem::SystemConfig config;
+  std::vector<mem::HierarchyMode> modes;
+
+  /// A fresh workload; call once per simulated mode.
+  mem::Workload make_workload() const;
+};
+
+/// Load `job`'s scenario or trace and apply the mode and backend
+/// overrides (unset = the input's own). Throws JobError: `parse` for an
+/// unreadable or invalid input, or a compare mode on a trace;
+/// `degenerate` for a scenario region no program references.
+LoadedInput load_input(const JobSpec& job,
+                       std::optional<scen::ScenarioMode> mode,
+                       std::optional<mem::MemBackendKind> backend);
 
 /// What one attempt produced. `error == none` means success and `result`
 /// holds the deterministic per-job report document (no wall-clock or
@@ -104,10 +130,12 @@ struct JobOutcome {
 JobOutcome run_job_attempt(const JobSpec& job, const JobSettings& settings,
                            const std::atomic<bool>& cancel);
 
-/// Record the full gated metric set of one simulated mode under
-/// `prefix` ("hybrid/", ...). Shared with raa_sim so the per-job result
+/// Record the full gated metric set of each simulated mode under
+/// "<mode>/" and, for a cache_only + hybrid pair, the hybrid speedups
+/// (time_x, energy_x, noc_x). Shared with raa_sim so the per-job result
 /// files and the scenario driver's reports never drift apart.
-void record_metrics(report::BenchReport& b, const std::string& prefix,
-                    const mem::Metrics& m);
+void record_runs(report::BenchReport& b,
+                 const std::vector<mem::HierarchyMode>& modes,
+                 const std::vector<mem::Metrics>& results);
 
 }  // namespace raa::fleet

@@ -1,78 +1,49 @@
 #include "fleet/manifest.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <string_view>
 
 #include "common/rng.hpp"
+#include "report/json_bind.hpp"
 #include "report/report.hpp"
 
 namespace raa::fleet {
 
 namespace {
 
+using namespace json::bind;
 using json::Value;
+namespace bind = json::bind;
 
-constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
-
-/// First-failure-wins error sink with JSON-path context (the scenario
-/// parser's Ctx, re-rolled locally to keep the layers decoupled).
-struct Ctx {
-  std::string* error = nullptr;
-
-  bool fail(const std::string& path, const std::string& msg) {
-    if (error && error->empty()) *error = path + ": " + msg;
-    return false;
-  }
+constexpr Field<JobLimits> kLimitFields[] = {
+    field<&JobLimits::mode>("mode"),
+    field<&JobLimits::backend>("backend"),
+    field<&JobLimits::timeout_ms>("timeout_ms", 0, kMaxTimeoutMs),
+    field<&JobLimits::retries>("retries"),
 };
 
-bool to_u64(Ctx& c, const Value& v, const std::string& path,
-            std::uint64_t& out) {
-  if (!v.is_number()) return c.fail(path, "expected a non-negative integer");
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > kMaxExactInt)
-    return c.fail(path, "expected a non-negative integer");
-  out = static_cast<std::uint64_t>(d);
-  return true;
-}
+/// A job entry: its own keys plus the limit keys, inline.
+constexpr Field<JobSpec> kJobFields[] = {
+    field<&JobSpec::id>("id", required),
+    field<&JobSpec::scenario>("scenario", omit_empty),
+    field<&JobSpec::trace>("trace", omit_empty),
+    field<&JobSpec::seed>("seed"),
+    field<&JobSpec::limits, &JobLimits::mode>("mode"),
+    field<&JobSpec::limits, &JobLimits::backend>("backend"),
+    field<&JobSpec::limits, &JobLimits::timeout_ms>("timeout_ms", 0,
+                                                    kMaxTimeoutMs),
+    field<&JobSpec::limits, &JobLimits::retries>("retries"),
+};
 
-bool to_unsigned(Ctx& c, const Value& v, const std::string& path,
-                 unsigned& out) {
-  std::uint64_t x = 0;
-  if (!to_u64(c, v, path, x)) return false;
-  if (x > std::numeric_limits<unsigned>::max())
-    return c.fail(path, "value does not fit in 32 bits");
-  out = static_cast<unsigned>(x);
-  return true;
-}
-
-bool to_str(Ctx& c, const Value& v, const std::string& path,
-            std::string& out) {
-  if (!v.is_string()) return c.fail(path, "expected a string");
-  out = v.as_string();
-  return true;
-}
-
-bool check_keys(Ctx& c, const Value& obj, const std::string& path,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : obj.as_object()) {
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) return c.fail(path + "." + key, "unknown key");
-  }
-  return true;
-}
-
-bool valid_mode(const std::string& s) {
-  return s == "cache_only" || s == "hybrid" || s == "compare";
-}
-
-bool valid_backend(const std::string& s) {
-  return s == "flat" || s == "banked";
-}
+constexpr Field<Manifest> kManifestFields[] = {
+    key<Manifest>("schema"),
+    key<Manifest>("schema_version"),
+    field<&Manifest::name>("name"),
+    field<&Manifest::seed>("seed"),
+    object<kLimitFields, &Manifest::defaults>("defaults", omit_empty),
+    key<Manifest>("jobs", required),
+};
 
 bool filesystem_safe_id(const std::string& id) {
   if (id.empty() || id.size() > 128) return false;
@@ -82,36 +53,21 @@ bool filesystem_safe_id(const std::string& id) {
   });
 }
 
-/// Parse the limit keys shared by "defaults" and each job entry.
-bool parse_limits(Ctx& c, const Value& obj, const std::string& path,
-                  JobLimits& out) {
-  if (const Value* v = obj.find("mode")) {
-    std::string s;
-    if (!to_str(c, *v, path + ".mode", s)) return false;
-    if (!valid_mode(s))
-      return c.fail(path + ".mode", "unknown mode '" + s +
-                                        "' (want cache_only, hybrid or "
-                                        "compare)");
-    out.mode = s;
-  }
-  if (const Value* v = obj.find("backend")) {
-    std::string s;
-    if (!to_str(c, *v, path + ".backend", s)) return false;
-    if (!valid_backend(s))
-      return c.fail(path + ".backend",
-                    "unknown backend '" + s + "' (want flat or banked)");
-    out.backend = s;
-  }
-  if (const Value* v = obj.find("timeout_ms")) {
-    std::uint64_t t = 0;
-    if (!to_u64(c, *v, path + ".timeout_ms", t)) return false;
-    out.timeout_ms = t;
-  }
-  if (const Value* v = obj.find("retries")) {
-    unsigned r = 0;
-    if (!to_unsigned(c, *v, path + ".retries", r)) return false;
-    out.retries = r;
-  }
+/// "schema" and "schema_version" are optional, but when present they must
+/// name this schema.
+bool check_header(const Ctx& c, const Value& doc) {
+  if (const Value* v = doc.find("schema");
+      v != nullptr && !(*v == Value{report::kFleetManifestSchemaName}))
+    return c.fail("manifest.schema",
+                  "expected \"" +
+                      std::string{report::kFleetManifestSchemaName} +
+                      "\", got " + v->dump());
+  if (const Value* v = doc.find("schema_version");
+      v != nullptr && !(*v == Value{report::kFleetManifestSchemaVersion}))
+    return c.fail("manifest.schema_version",
+                  "expected " +
+                      std::to_string(report::kFleetManifestSchemaVersion) +
+                      ", got " + v->dump());
   return true;
 }
 
@@ -128,121 +84,41 @@ JobLimits JobLimits::or_else(const JobLimits& over) const {
 
 std::optional<Manifest> Manifest::parse(const json::Value& doc,
                                         std::string* error) {
-  Ctx c{error};
-  if (!doc.is_object()) {
-    c.fail("manifest", "expected a JSON object");
-    return std::nullopt;
-  }
-  if (!check_keys(c, doc, "manifest",
-                  {"schema", "schema_version", "name", "seed", "defaults",
-                   "jobs"}))
-    return std::nullopt;
-
+  const Ctx c{error};
   Manifest m;
-  if (const Value* v = doc.find("schema")) {
-    std::string s;
-    if (!to_str(c, *v, "manifest.schema", s)) return std::nullopt;
-    if (s != report::kFleetManifestSchemaName) {
-      c.fail("manifest.schema",
-             "expected \"" + std::string{report::kFleetManifestSchemaName} +
-                 "\", got '" + s + "'");
-      return std::nullopt;
-    }
-  }
-  if (const Value* v = doc.find("name"))
-    if (!to_str(c, *v, "manifest.name", m.name)) return std::nullopt;
-  if (const Value* v = doc.find("seed"))
-    if (!to_u64(c, *v, "manifest.seed", m.seed)) return std::nullopt;
-  if (const Value* v = doc.find("defaults")) {
-    if (!v->is_object()) {
-      c.fail("manifest.defaults", "expected an object");
-      return std::nullopt;
-    }
-    if (!check_keys(c, *v, "manifest.defaults",
-                    {"mode", "backend", "timeout_ms", "retries"}) ||
-        !parse_limits(c, *v, "manifest.defaults", m.defaults))
-      return std::nullopt;
-  }
-
-  const Value* jobs = doc.find("jobs");
-  if (jobs == nullptr || !jobs->is_array()) {
-    c.fail("manifest.jobs", "missing required job array");
-    return std::nullopt;
-  }
-  if (jobs->as_array().empty()) {
-    c.fail("manifest.jobs", "a fleet needs at least one job");
-    return std::nullopt;
-  }
-  for (std::size_t i = 0; i < jobs->as_array().size(); ++i) {
-    const Value& jv = jobs->as_array()[i];
-    const std::string path = "manifest.jobs[" + std::to_string(i) + "]";
-    if (!jv.is_object()) {
-      c.fail(path, "expected an object");
-      return std::nullopt;
-    }
-    if (!check_keys(c, jv, path,
-                    {"id", "scenario", "trace", "seed", "mode", "backend",
-                     "timeout_ms", "retries"}))
-      return std::nullopt;
+  const auto parse_job = [&](const Value& jv, const std::string& path) {
     JobSpec job;
-    const Value* idv = jv.find("id");
-    if (idv == nullptr || !to_str(c, *idv, path + ".id", job.id)) {
-      if (idv == nullptr) c.fail(path, "missing required key \"id\"");
-      return std::nullopt;
-    }
-    if (!filesystem_safe_id(job.id)) {
-      c.fail(path + ".id",
-             "id '" + job.id +
-                 "' must be 1-128 chars of [A-Za-z0-9._-] (it names the "
-                 "per-job result file)");
-      return std::nullopt;
-    }
-    if (const Value* v = jv.find("scenario"))
-      if (!to_str(c, *v, path + ".scenario", job.scenario))
-        return std::nullopt;
-    if (const Value* v = jv.find("trace"))
-      if (!to_str(c, *v, path + ".trace", job.trace)) return std::nullopt;
-    if (job.scenario.empty() == job.trace.empty()) {
-      c.fail(path, "give exactly one of \"scenario\" or \"trace\"");
-      return std::nullopt;
-    }
-    if (const Value* v = jv.find("seed")) {
-      std::uint64_t s = 0;
-      if (!to_u64(c, *v, path + ".seed", s)) return std::nullopt;
-      job.seed = s;
-    }
-    if (!parse_limits(c, jv, path, job.limits)) return std::nullopt;
+    if (!bind::read(c, jv, path, kJobFields, job)) return false;
+    if (!filesystem_safe_id(job.id))
+      return c.fail(path + ".id",
+                    "id '" + job.id +
+                        "' must be 1-128 chars of [A-Za-z0-9._-] (it names "
+                        "the per-job result file)");
+    if (job.scenario.empty() == job.trace.empty())
+      return c.fail(path, "give exactly one of \"scenario\" or \"trace\"");
+    for (const JobSpec& seen : m.jobs)
+      if (seen.id == job.id)
+        return c.fail(path + ".id", "duplicate job id '" + job.id + "'");
     m.jobs.push_back(std::move(job));
-  }
-
-  for (std::size_t i = 0; i < m.jobs.size(); ++i)
-    for (std::size_t j = i + 1; j < m.jobs.size(); ++j)
-      if (m.jobs[i].id == m.jobs[j].id) {
-        c.fail("manifest.jobs[" + std::to_string(j) + "].id",
-               "duplicate job id '" + m.jobs[j].id + "'");
-        return std::nullopt;
-      }
+    return true;
+  };
+  if (!bind::read(c, doc, "manifest", kManifestFields, m) ||
+      !check_header(c, doc) ||
+      !each(c, *doc.find("jobs"), "manifest.jobs",
+            "expected a non-empty job array (a fleet needs at least one job)",
+            parse_job))
+    return std::nullopt;
   return m;
 }
 
 std::optional<Manifest> Manifest::load_file(const std::string& path,
                                             std::string* error) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    if (error) *error = path + ": cannot open manifest file";
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string parse_error;
-  const auto doc = json::Value::parse(ss.str(), &parse_error);
-  if (!doc) {
-    if (error) *error = path + ": " + parse_error;
-    return std::nullopt;
-  }
-  auto m = parse(*doc, error);
+  const auto doc = json::Value::parse_file(path, error);
+  if (!doc) return std::nullopt;
+  std::string why;
+  auto m = parse(*doc, &why);
   if (!m) {
-    if (error && !error->empty()) *error = path + ": " + *error;
+    if (error) *error = path + ": " + why;
     return std::nullopt;
   }
   // Relative job inputs are manifest-relative, so a manifest plus its
@@ -289,35 +165,19 @@ std::optional<Manifest> Manifest::from_directory(const std::string& dir,
 }
 
 json::Value Manifest::to_json() const {
-  Value doc;
-  doc.set("schema", report::kFleetManifestSchemaName);
-  doc.set("schema_version", report::kFleetManifestSchemaVersion);
-  doc.set("name", name);
-  doc.set("seed", static_cast<double>(seed));
-  const auto emit_limits = [](Value& obj, const JobLimits& l) {
-    if (l.mode) obj.set("mode", *l.mode);
-    if (l.backend) obj.set("backend", *l.backend);
-    if (l.timeout_ms)
-      obj.set("timeout_ms", static_cast<double>(*l.timeout_ms));
-    if (l.retries) obj.set("retries", *l.retries);
-  };
-  if (defaults != JobLimits{}) {
-    Value d{json::Object{}};
-    emit_limits(d, defaults);
-    doc.set("defaults", std::move(d));
-  }
-  Value arr{json::Array{}};
-  for (const JobSpec& job : jobs) {
-    Value jv;
-    jv.set("id", job.id);
-    if (!job.scenario.empty()) jv.set("scenario", job.scenario);
-    if (!job.trace.empty()) jv.set("trace", job.trace);
-    if (job.seed) jv.set("seed", static_cast<double>(*job.seed));
-    emit_limits(jv, job.limits);
-    arr.push_back(std::move(jv));
-  }
-  doc.set("jobs", std::move(arr));
-  return doc;
+  return bind::write(kManifestFields, *this, [&](std::string_view key,
+                                                 Value& doc) {
+    if (key == "schema") {
+      doc.set("schema", report::kFleetManifestSchemaName);
+    } else if (key == "schema_version") {
+      doc.set("schema_version", report::kFleetManifestSchemaVersion);
+    } else {
+      Value arr{json::Array{}};
+      for (const JobSpec& job : jobs)
+        arr.push_back(bind::write(kJobFields, job));
+      doc.set("jobs", std::move(arr));
+    }
+  });
 }
 
 std::uint64_t derive_job_seed(std::uint64_t fleet_seed, std::string_view id) {

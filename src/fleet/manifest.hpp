@@ -10,25 +10,34 @@
 /// Determinism contract: per-job seeds derive from (manifest seed, job id)
 /// — not from array position or submission time — so results are
 /// byte-identical for any `--jobs=N`, any completion order, and even a
-/// shuffled manifest. Parsing is strict in the scenario-parser tradition:
-/// unknown keys, duplicate ids, missing inputs and invalid enum strings
-/// all fail with a JSON-path message.
+/// shuffled manifest. Parsing is strict, through the same field-table
+/// binding as scenario files (report/json_bind.hpp): unknown keys,
+/// duplicate ids, missing inputs and invalid enum strings all fail with a
+/// JSON-path message.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "report/json.hpp"
+#include "scenario/scenario.hpp"
 
 namespace raa::fleet {
+
+/// The largest per-job deadline: the largest millisecond count whose
+/// nanosecond form still fits in int64 (the watchdog's clock arithmetic).
+/// The manifest and `raa_fleet --timeout-ms` both reject larger values.
+inline constexpr std::uint64_t kMaxTimeoutMs =
+    std::numeric_limits<std::int64_t>::max() / 1'000'000;
 
 /// Per-job knobs resolvable at three levels: job entry > manifest
 /// "defaults" > the driver's command-line fallback.
 struct JobLimits {
-  std::optional<std::string> mode;     ///< cache_only | hybrid | compare
-  std::optional<std::string> backend;  ///< flat | banked
+  std::optional<scen::ScenarioMode> mode;
+  std::optional<mem::MemBackendKind> backend;
   std::optional<std::uint64_t> timeout_ms;  ///< per-job deadline; 0 = none
   std::optional<unsigned> retries;     ///< extra attempts for transient errors
 

@@ -16,10 +16,6 @@ namespace raa::fuzz {
 
 namespace {
 
-const char* mode_str(mem::HierarchyMode m) {
-  return m == mem::HierarchyMode::cache_only ? "cache_only" : "hybrid";
-}
-
 /// Record a reference run (paged store, serial engine) of `s` under the
 /// divergence's hierarchy mode and persist it as a RAAT trace next to the
 /// JSON repro, so a triager can replay the exact access streams.
@@ -156,7 +152,7 @@ FuzzResult run_fuzz(const FuzzOptions& opt) {
     d.set("index", static_cast<double>(i));
     d.set("scenario", s.name);
     d.set("oracle", to_string(div->oracle));
-    d.set("mode", mode_str(div->mode));
+    d.set("mode", mem::to_string(div->mode));
     d.set("detail", final_div ? final_div->detail : div->detail);
     json::Value sh;
     sh.set("rounds", stats.rounds);

@@ -32,6 +32,14 @@ enum class StreamKind : std::uint8_t {
   random_rmw,  ///< random element, emits load then store (same address)
 };
 
+inline EnumNames<StreamKind> enum_names(StreamKind) {
+  static constexpr EnumName<StreamKind> kNames[] = {
+      {"linear", StreamKind::linear},
+      {"random", StreamKind::random},
+      {"random_rmw", StreamKind::random_rmw}};
+  return {"stream kind", kNames};
+}
+
 /// One reference stream inside a phase.
 struct Stream {
   const mem::Region* region = nullptr;

@@ -19,7 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
+
 namespace raa::mem {
+
+using raa::to_string;
 
 /// Compiler reference class (see file comment).
 enum class RefClass : std::uint8_t {
@@ -28,7 +32,13 @@ enum class RefClass : std::uint8_t {
   random_unknown,
 };
 
-const char* to_string(RefClass c) noexcept;
+inline EnumNames<RefClass> enum_names(RefClass) {
+  static constexpr EnumName<RefClass> kNames[] = {
+      {"strided", RefClass::strided},
+      {"random_noalias", RefClass::random_noalias},
+      {"random_unknown", RefClass::random_unknown}};
+  return {"reference class", kNames};
+}
 
 /// One memory access issued by a core.
 struct Access {

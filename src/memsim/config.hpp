@@ -17,7 +17,11 @@
 
 #include <cstdint>
 
+#include "common/enum_names.hpp"
+
 namespace raa::mem {
+
+using raa::to_string;
 
 /// Which DRAM-timing model serves line fills and writebacks (see
 /// memsim/backend.hpp for the MemBackend interface and both models).
@@ -25,6 +29,12 @@ enum class MemBackendKind : std::uint8_t {
   flat,    ///< fixed-latency DRAM — the original model, baseline-identical
   banked,  ///< per-channel/bank FSMs: open-row policy, FR-FCFS, refresh
 };
+
+inline EnumNames<MemBackendKind> enum_names(MemBackendKind) {
+  static constexpr EnumName<MemBackendKind> kNames[] = {
+      {"flat", MemBackendKind::flat}, {"banked", MemBackendKind::banked}};
+  return {"backend", kNames};
+}
 
 /// Parameters of the flat (fixed-latency) model. These are the former
 /// loose SystemConfig fields `lat_dram`/`dram_cycles_per_line`/
@@ -45,6 +55,12 @@ enum class BankMapping : std::uint8_t {
   xor_hash,  ///< bank index XOR-folded with the row — spreads strided
              ///< streams whose stride aliases the bank count ("xor")
 };
+
+inline EnumNames<BankMapping> enum_names(BankMapping) {
+  static constexpr EnumName<BankMapping> kNames[] = {
+      {"block", BankMapping::block}, {"xor", BankMapping::xor_hash}};
+  return {"mapping", kNames};
+}
 
 /// Parameters of the banked model. Timings are DDR-class in core cycles:
 /// a row hit costs t_cas + line_cycles, an activate-on-closed-bank adds
@@ -143,6 +159,13 @@ enum class HierarchyMode : std::uint8_t {
   cache_only,  ///< baseline: everything through the cache hierarchy
   hybrid,      ///< SPM+cache with the co-designed coherence protocol
 };
+
+inline EnumNames<HierarchyMode> enum_names(HierarchyMode) {
+  static constexpr EnumName<HierarchyMode> kNames[] = {
+      {"cache_only", HierarchyMode::cache_only},
+      {"hybrid", HierarchyMode::hybrid}};
+  return {"mode", kNames};
+}
 
 /// Aggregated simulation results.
 struct Metrics {

@@ -9,15 +9,6 @@
 
 namespace raa::mem {
 
-const char* to_string(RefClass c) noexcept {
-  switch (c) {
-    case RefClass::strided: return "strided";
-    case RefClass::random_noalias: return "random_noalias";
-    case RefClass::random_unknown: return "random_unknown";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Flat index-min tournament (loser) tree over the core ids, keyed by

@@ -168,25 +168,6 @@ void append_host_events(const Trace& trace, int pid, json::Value& events) {
 
 }  // namespace
 
-std::optional<TraceClock> parse_trace_clock(std::string_view s) noexcept {
-  if (s == "sim") return TraceClock::sim;
-  if (s == "host") return TraceClock::host;
-  if (s == "dual") return TraceClock::dual;
-  return std::nullopt;
-}
-
-const char* trace_clock_str(TraceClock clock) noexcept {
-  switch (clock) {
-    case TraceClock::sim:
-      return "sim";
-    case TraceClock::host:
-      return "host";
-    case TraceClock::dual:
-      return "dual";
-  }
-  return "unknown";
-}
-
 std::string chrome_trace_json(const Trace& trace, TraceClock clock) {
   json::Value events{json::Array{}};
   switch (clock) {
@@ -204,7 +185,7 @@ std::string chrome_trace_json(const Trace& trace, TraceClock clock) {
   json::Value other;
   other.set("schema", "raa-trace");
   other.set("schema_version", 1);
-  other.set("clock", trace_clock_str(clock));
+  other.set("clock", to_string(clock));
   other.set("dropped", static_cast<double>(trace.dropped));
   json::Value doc;
   doc.set("traceEvents", std::move(events));

@@ -15,20 +15,22 @@
 ///  - dual: both of the above in one file as two trace "processes"
 ///          (pid 0 = simulated clock, pid 1 = host clock).
 
-#include <optional>
 #include <string>
-#include <string_view>
 
+#include "common/enum_names.hpp"
 #include "obs/obs.hpp"
 
 namespace raa::obs {
 
 enum class TraceClock { sim, host, dual };
 
-/// Parse a --trace-clock= value ("sim" | "host" | "dual").
-std::optional<TraceClock> parse_trace_clock(std::string_view s) noexcept;
-
-const char* trace_clock_str(TraceClock clock) noexcept;
+inline EnumNames<TraceClock> enum_names(TraceClock) {
+  static constexpr EnumName<TraceClock> kNames[] = {
+      {"sim", TraceClock::sim},
+      {"host", TraceClock::host},
+      {"dual", TraceClock::dual}};
+  return {"trace clock", kNames};
+}
 
 /// Render the trace as Chrome trace-event JSON text.
 std::string chrome_trace_json(const Trace& trace, TraceClock clock);

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 namespace raa::json {
 
@@ -357,6 +359,21 @@ std::optional<Value> Value::parse(std::string_view text, std::string* error) {
     if (error) *error = "trailing characters at " + p.position(p.i);
     return std::nullopt;
   }
+  return v;
+}
+
+std::optional<Value> Value::parse_file(const std::string& path,
+                                       std::string* error) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) {
+    if (error) *error = path + ": cannot open for reading";
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  std::string why;
+  auto v = parse(ss.str(), &why);
+  if (!v && error) *error = path + ": " + why;
   return v;
 }
 

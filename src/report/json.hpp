@@ -85,6 +85,11 @@ class Value {
   static std::optional<Value> parse(std::string_view text,
                                     std::string* error = nullptr);
 
+  /// parse() over a file's contents. On failure `error` gets the path and
+  /// then the reason: "cannot open for reading", or the parse error.
+  static std::optional<Value> parse_file(const std::string& path,
+                                         std::string* error = nullptr);
+
   friend bool operator==(const Value& a, const Value& b) { return a.v_ == b.v_; }
 
  private:

@@ -1,0 +1,274 @@
+#pragma once
+/// \file json_bind.hpp
+/// Declarative JSON binding. A struct's schema is one table of field rows
+/// (key, member path, required or optional, bound); that table alone drives
+/// strict unknown-key rejection, reading with checked conversions and
+/// JSON-path diagnostics, and to_json emission in row order. Checks that
+/// span several fields or need outside context (cross-field rules,
+/// references by name) stay as plain code after the table pass; key() rows
+/// reserve their keys for that code.
+///
+/// Conversions by member type:
+///   * unsigned / uint64: exact integers up to 2^53 (unsigned must also fit
+///     32 bits); `positive` rejects 0, a row's `max` caps the value;
+///   * double: non-negative, or with `fraction` inside [0, 1];
+///   * bool; std::string (`positive` rejects "");
+///   * enums, through their name table (common/enum_names.hpp);
+///   * std::optional of any of these: absent stays nullopt, and to_json
+///     emits the key only when set;
+///   * nested structs, through their own table (object()).
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <type_traits>
+
+#include "common/enum_names.hpp"
+#include "report/json.hpp"
+
+namespace raa::json::bind {
+
+/// Largest double that still represents integers exactly.
+inline constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
+
+/// Shared error sink: first failure wins, every message carries the JSON
+/// path of the offending value.
+struct Ctx {
+  std::string* error = nullptr;
+
+  bool fail(const std::string& path, const std::string& msg) const {
+    if (error && error->empty()) *error = path + ": " + msg;
+    return false;
+  }
+};
+
+/// Row flags.
+enum Flag : unsigned {
+  required = 1u << 0,    ///< an absent key is an error
+  positive = 1u << 1,    ///< numbers: reject 0; strings: reject ""
+  fraction = 1u << 2,    ///< doubles: [0, 1] instead of [0, inf)
+  omit_empty = 1u << 3,  ///< to_json skips a value equal to T{}
+  parse_only = 1u << 4,  ///< an accepted alias that to_json never emits
+};
+
+/// One row of a struct's table. Rows built by key() have neither reader
+/// nor writer: the key is allowed (and, when required, must be present),
+/// but the caller reads and emits it.
+template <class S>
+struct Field {
+  const char* key;
+  unsigned flags = 0;
+  std::uint64_t max = 0;  ///< integers: inclusive ceiling; 0 = none
+  bool (*read)(const Ctx&, const Value&, const std::string&, const Field&,
+               S&) = nullptr;
+  void (*write)(const Field&, const S&, Value&) = nullptr;
+};
+
+// --- checked converters -------------------------------------------------
+
+template <class T>
+  requires std::is_same_v<T, unsigned> || std::is_same_v<T, std::uint64_t>
+bool convert(const Ctx& c, const Value& v, const std::string& path,
+             unsigned flags, std::uint64_t max, T& out) {
+  if (!v.is_number()) return c.fail(path, "expected a non-negative integer");
+  const double d = v.as_number();
+  if (!(d >= 0.0) || d != std::floor(d) || d > kMaxExactInt)
+    return c.fail(path, "expected a non-negative integer");
+  const auto x = static_cast<std::uint64_t>(d);
+  if (x > std::numeric_limits<T>::max())
+    return c.fail(path, "value does not fit in 32 bits");
+  if (x == 0 && (flags & positive)) return c.fail(path, "must be positive");
+  if (max != 0 && x > max)
+    return c.fail(path, "must be at most " + std::to_string(max));
+  out = static_cast<T>(x);
+  return true;
+}
+
+inline bool convert(const Ctx& c, const Value& v, const std::string& path,
+                    unsigned flags, std::uint64_t, double& out) {
+  if (flags & fraction) {
+    if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 1.0)
+      return c.fail(path, "expected a number in [0, 1]");
+  } else if (!v.is_number() || v.as_number() < 0.0) {
+    return c.fail(path, "expected a non-negative number");
+  }
+  out = v.as_number();
+  return true;
+}
+
+inline bool convert(const Ctx& c, const Value& v, const std::string& path,
+                    unsigned, std::uint64_t, bool& out) {
+  if (!v.is_bool()) return c.fail(path, "expected true or false");
+  out = v.as_bool();
+  return true;
+}
+
+inline bool convert(const Ctx& c, const Value& v, const std::string& path,
+                    unsigned flags, std::uint64_t, std::string& out) {
+  if (!v.is_string()) return c.fail(path, "expected a string");
+  if ((flags & positive) && v.as_string().empty())
+    return c.fail(path, "must not be empty");
+  out = v.as_string();
+  return true;
+}
+
+template <class E>
+  requires std::is_enum_v<E>
+bool convert(const Ctx& c, const Value& v, const std::string& path, unsigned,
+             std::uint64_t, E& out) {
+  if (!v.is_string()) return c.fail(path, "expected a string");
+  const auto names = enum_names(E{});
+  const std::optional<E> e = names.parse(v.as_string());
+  if (!e) return c.fail(path, names.unknown(v.as_string()));
+  out = *e;
+  return true;
+}
+
+template <class T>
+bool convert(const Ctx& c, const Value& v, const std::string& path,
+             unsigned flags, std::uint64_t max, std::optional<T>& out) {
+  T x{};
+  if (!convert(c, v, path, flags, max, x)) return false;
+  out = x;
+  return true;
+}
+
+// --- tables -------------------------------------------------------------
+
+/// The table pass over one object: reject unknown keys (strict schema),
+/// then read the present rows in row order.
+template <class S>
+bool read(const Ctx& c, const Value& obj, const std::string& path,
+          std::type_identity_t<std::span<const Field<S>>> rows, S& out) {
+  if (!obj.is_object()) return c.fail(path, "expected an object");
+  for (const auto& [key, value] : obj.as_object())
+    if (std::none_of(rows.begin(), rows.end(),
+                     [&](const Field<S>& f) { return key == f.key; }))
+      return c.fail(path + "." + key, "unknown key");
+  for (const Field<S>& f : rows) {
+    const Value* v = obj.find(f.key);
+    if (v == nullptr) {
+      if (f.flags & required)
+        return c.fail(path,
+                      std::string{"missing required key \""} + f.key + "\"");
+      continue;
+    }
+    if (f.read != nullptr && !f.read(c, *v, path + "." + f.key, f, out))
+      return false;
+  }
+  return true;
+}
+
+/// Walk a non-empty array, calling fn(element, path) on each element;
+/// `empty_msg` is the diagnostic for anything else.
+template <class Fn>
+bool each(const Ctx& c, const Value& v, const std::string& path,
+          const char* empty_msg, Fn&& fn) {
+  if (!v.is_array() || v.as_array().empty()) return c.fail(path, empty_msg);
+  for (std::size_t i = 0; i < v.as_array().size(); ++i)
+    if (!fn(v.as_array()[i], path + "[" + std::to_string(i) + "]"))
+      return false;
+  return true;
+}
+
+/// Emit the rows in order; key() rows are handed to `custom(key, obj)`.
+template <class S>
+Value write(std::type_identity_t<std::span<const Field<S>>> rows, const S& s,
+            const std::function<void(std::string_view, Value&)>& custom = {}) {
+  Value obj{Object{}};
+  for (const Field<S>& f : rows) {
+    if (f.flags & parse_only) continue;
+    if (f.write != nullptr)
+      f.write(f, s, obj);
+    else
+      custom(f.key, obj);
+  }
+  return obj;
+}
+
+// --- making rows ---------------------------------------------------------
+
+template <auto First, auto...>
+struct path_owner;
+template <class S, class T, T S::*First, auto... Rest>
+struct path_owner<First, Rest...> {
+  using type = S;
+};
+
+/// The struct a member path starts from.
+template <auto... Path>
+using owner_t = typename path_owner<Path...>::type;
+
+template <class T>
+inline constexpr bool is_optional = false;
+template <class T>
+inline constexpr bool is_optional<std::optional<T>> = true;
+
+template <auto... Path>
+bool read_field(const Ctx& c, const Value& v, const std::string& path,
+                const Field<owner_t<Path...>>& f, owner_t<Path...>& s) {
+  return convert(c, v, path, f.flags, f.max, (s .* ... .* Path));
+}
+
+template <auto... Path>
+void write_field(const Field<owner_t<Path...>>& f, const owner_t<Path...>& s,
+                 Value& obj) {
+  const auto emit = [&](const auto& x) {
+    if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(x)>>)
+      obj.set(f.key, enum_names(x).name(x));
+    else
+      obj.set(f.key, Value{x});
+  };
+  const auto& x = (s .* ... .* Path);
+  using T = std::remove_cvref_t<decltype(x)>;
+  if constexpr (is_optional<T>) {
+    if (x) emit(*x);
+  } else if (!(f.flags & omit_empty) || !(x == T{})) {
+    emit(x);
+  }
+}
+
+template <const auto& Table, auto... Path>
+bool read_object(const Ctx& c, const Value& v, const std::string& path,
+                 const Field<owner_t<Path...>>&, owner_t<Path...>& s) {
+  return read(c, v, path, Table, (s .* ... .* Path));
+}
+
+template <const auto& Table, auto... Path>
+void write_object(const Field<owner_t<Path...>>& f, const owner_t<Path...>& s,
+                  Value& obj) {
+  const auto& x = (s .* ... .* Path);
+  using T = std::remove_cvref_t<decltype(x)>;
+  if (!(f.flags & omit_empty) || !(x == T{}))
+    obj.set(f.key, write(Table, x));
+}
+
+/// A scalar row (see the file comment for the member types it takes).
+/// The member is a path: field<&A::b, &B::c> binds a.b.c.
+template <auto... Path>
+constexpr Field<owner_t<Path...>> field(const char* key, unsigned flags = 0,
+                                        std::uint64_t max = 0) {
+  return {key, flags, max, &read_field<Path...>, &write_field<Path...>};
+}
+
+/// A nested-object row read and written through `Table`.
+template <const auto& Table, auto... Path>
+constexpr Field<owner_t<Path...>> object(const char* key,
+                                         unsigned flags = 0) {
+  return {key, flags, 0, &read_object<Table, Path...>,
+          &write_object<Table, Path...>};
+}
+
+/// A key the caller reads and emits itself.
+template <class S>
+constexpr Field<S> key(const char* name, unsigned flags = 0) {
+  return {name, flags};
+}
+
+}  // namespace raa::json::bind

@@ -1,198 +1,203 @@
 #include "scenario/scenario.hpp"
 
-#include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <span>
+#include <string_view>
 
-#include "common/check.hpp"
-#include "memsim/backend.hpp"
+#include "report/json_bind.hpp"
 #include "scenario/generators.hpp"
 
 namespace raa::scen {
 
 namespace {
 
+using namespace json::bind;
 using json::Value;
+using mem::BankedBackendParams;
+using mem::FlatBackendParams;
+using mem::MemoryConfig;
+using mem::SystemConfig;
+namespace bind = json::bind;
 
-/// Largest double that still represents integers exactly.
-constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
+// --- the schema: one table per struct ------------------------------------
 
-/// Shared error sink: first failure wins, every message carries the JSON
-/// path of the offending value.
-struct Ctx {
-  std::string* error = nullptr;
-
-  bool fail(const std::string& path, const std::string& msg) {
-    if (error && error->empty()) *error = path + ": " + msg;
-    return false;
-  }
+/// "config": every unsigned knob must be positive. lat_dram,
+/// dram_cycles_per_line and e_dram_line moved into the flat backend's
+/// parameters; their config-level keys stay as parse-only aliases so
+/// pre-backend scenario files keep parsing ("memory" is read after
+/// "config", so memory.flat wins when both are given).
+constexpr Field<SystemConfig> kConfigFields[] = {
+    field<&SystemConfig::tiles>("tiles", positive),
+    field<&SystemConfig::mesh_x>("mesh_x", positive),
+    field<&SystemConfig::mesh_y>("mesh_y", positive),
+    field<&SystemConfig::mem_controllers>("mem_controllers", positive),
+    field<&SystemConfig::line_bytes>("line_bytes", positive),
+    field<&SystemConfig::l1_bytes>("l1_bytes", positive),
+    field<&SystemConfig::l1_assoc>("l1_assoc", positive),
+    field<&SystemConfig::l2_bank_bytes>("l2_bank_bytes", positive),
+    field<&SystemConfig::l2_assoc>("l2_assoc", positive),
+    field<&SystemConfig::spm_bytes>("spm_bytes", positive),
+    field<&SystemConfig::dma_chunk_bytes>("dma_chunk_bytes", positive),
+    field<&SystemConfig::lat_l1_hit>("lat_l1_hit", positive),
+    field<&SystemConfig::lat_spm_hit>("lat_spm_hit", positive),
+    field<&SystemConfig::lat_l2_hit>("lat_l2_hit", positive),
+    field<&SystemConfig::lat_dir>("lat_dir", positive),
+    field<&SystemConfig::lat_filter>("lat_filter", positive),
+    field<&SystemConfig::lat_router>("lat_router", positive),
+    field<&SystemConfig::lat_link>("lat_link", positive),
+    field<&SystemConfig::e_l1_hit>("e_l1_hit"),
+    field<&SystemConfig::e_l1_probe>("e_l1_probe"),
+    field<&SystemConfig::e_spm>("e_spm"),
+    field<&SystemConfig::e_l2>("e_l2"),
+    field<&SystemConfig::e_dir>("e_dir"),
+    field<&SystemConfig::e_filter>("e_filter"),
+    field<&SystemConfig::e_flit_hop>("e_flit_hop"),
+    field<&SystemConfig::e_static_per_tile_cycle>("e_static_per_tile_cycle"),
+    field<&SystemConfig::memory, &MemoryConfig::flat,
+          &FlatBackendParams::lat_dram>("lat_dram", positive | parse_only),
+    field<&SystemConfig::memory, &MemoryConfig::flat,
+          &FlatBackendParams::dram_cycles_per_line>(
+        "dram_cycles_per_line", positive | parse_only),
+    field<&SystemConfig::memory, &MemoryConfig::flat,
+          &FlatBackendParams::e_dram_line>("e_dram_line", parse_only),
 };
 
-bool to_u64(Ctx& c, const Value& v, const std::string& path,
-            std::uint64_t& out) {
-  if (!v.is_number()) return c.fail(path, "expected a non-negative integer");
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > kMaxExactInt)
-    return c.fail(path, "expected a non-negative integer");
-  out = static_cast<std::uint64_t>(d);
-  return true;
+constexpr Field<FlatBackendParams> kFlatFields[] = {
+    field<&FlatBackendParams::lat_dram>("lat_dram", positive),
+    field<&FlatBackendParams::dram_cycles_per_line>("dram_cycles_per_line",
+                                                    positive),
+    field<&FlatBackendParams::e_dram_line>("e_dram_line"),
+};
+
+/// Timings and the refresh knobs may be 0 (refresh can be disabled
+/// outright); the other unsigned knobs must be positive.
+constexpr Field<BankedBackendParams> kBankedFields[] = {
+    field<&BankedBackendParams::channels>("channels", positive),
+    field<&BankedBackendParams::banks_per_channel>("banks_per_channel",
+                                                   positive),
+    field<&BankedBackendParams::mapping>("mapping"),
+    field<&BankedBackendParams::row_bytes>("row_bytes", positive),
+    field<&BankedBackendParams::t_rp>("t_rp"),
+    field<&BankedBackendParams::t_rcd>("t_rcd"),
+    field<&BankedBackendParams::t_cas>("t_cas"),
+    field<&BankedBackendParams::line_cycles>("line_cycles", positive),
+    field<&BankedBackendParams::refresh_interval>("refresh_interval"),
+    field<&BankedBackendParams::refresh_cycles>("refresh_cycles"),
+    field<&BankedBackendParams::dma_cycles_per_line>("dma_cycles_per_line",
+                                                     positive),
+    field<&BankedBackendParams::e_line>("e_line"),
+    field<&BankedBackendParams::e_activate>("e_activate"),
+    field<&BankedBackendParams::e_refresh>("e_refresh"),
+};
+
+constexpr Field<MemoryConfig> kMemoryFields[] = {
+    field<&MemoryConfig::kind>("backend"),
+    object<kFlatFields, &MemoryConfig::flat>("flat"),
+    object<kBankedFields, &MemoryConfig::banked>("banked"),
+};
+
+constexpr Field<RegionSpec> kRegionFields[] = {
+    field<&RegionSpec::name>("name", required | positive),
+    field<&RegionSpec::ref>("class", required),
+    field<&RegionSpec::bytes>("bytes", omit_empty),
+    field<&RegionSpec::bytes_per_core>("bytes_per_core", omit_empty),
+};
+
+constexpr Field<StreamSpec> kStreamFields[] = {
+    key<StreamSpec>("region", required),
+    field<&StreamSpec::kind>("kind"),
+    field<&StreamSpec::store>("store"),
+    field<&StreamSpec::ref>("class"),
+    field<&StreamSpec::start>("start"),
+    field<&StreamSpec::stride>("stride"),
+    field<&StreamSpec::elem_bytes>("elem_bytes", positive),
+    key<StreamSpec>("slice"),
+};
+
+constexpr Field<PhaseSpec> kPhaseFields[] = {
+    field<&PhaseSpec::iterations>("iterations", required | positive),
+    field<&PhaseSpec::gap_cycles>("gap_cycles"),
+    key<PhaseSpec>("streams", required),
+};
+
+/// Every key a "programs" entry can carry; the generator's key list picks
+/// the rows that apply (program_rows).
+constexpr Field<ProgramSpec> kProgramFields[] = {
+    field<&ProgramSpec::kind>("generator", required),
+    key<ProgramSpec>("cores"),
+    key<ProgramSpec>("phases", required),
+    key<ProgramSpec>("region", required),
+    key<ProgramSpec>("in", required),
+    key<ProgramSpec>("out", required),
+    key<ProgramSpec>("slice"),
+    field<&ProgramSpec::ref>("class"),
+    field<&ProgramSpec::halo_ref>("halo_class"),
+    field<&ProgramSpec::accesses>("accesses", required | positive),
+    field<&ProgramSpec::iterations>("iterations", required | positive),
+    field<&ProgramSpec::bursts>("bursts", required | positive),
+    field<&ProgramSpec::burst_len>("burst_len", required | positive),
+    field<&ProgramSpec::sweeps>("sweeps", positive),
+    field<&ProgramSpec::halo>("halo"),
+    field<&ProgramSpec::elem_bytes>("elem_bytes", positive),
+    field<&ProgramSpec::gap_cycles>("gap_cycles"),
+    field<&ProgramSpec::gap_on>("gap_on"),
+    field<&ProgramSpec::gap_off>("gap_off"),
+    field<&ProgramSpec::hot_fraction>("hot_fraction", fraction),
+    field<&ProgramSpec::hot_weight>("hot_weight", fraction),
+    field<&ProgramSpec::store_fraction>("store_fraction", fraction),
+};
+
+/// Each generator's allowed keys, in emission order. One list per
+/// generator, not one global order: zipf emits elem_bytes before
+/// store_fraction, bursty the other way round.
+constexpr const char* kScriptedKeys[] = {"generator", "cores", "phases"};
+constexpr const char* kZipfKeys[] = {
+    "generator", "cores", "region", "slice", "class", "accesses",
+    "elem_bytes", "hot_fraction", "hot_weight", "store_fraction",
+    "gap_cycles"};
+constexpr const char* kPointerChaseKeys[] = {
+    "generator", "cores", "region", "slice", "class", "accesses",
+    "elem_bytes", "gap_cycles"};
+constexpr const char* kStencilKeys[] = {
+    "generator", "cores", "in", "out", "sweeps", "halo", "halo_class",
+    "elem_bytes", "gap_cycles"};
+constexpr const char* kProducerConsumerKeys[] = {
+    "generator", "cores", "region", "class", "iterations", "elem_bytes",
+    "gap_cycles"};
+constexpr const char* kBurstyKeys[] = {
+    "generator", "cores", "region", "slice", "class", "bursts",
+    "burst_len", "gap_on", "gap_off", "store_fraction", "elem_bytes"};
+
+/// Indexed by GenKind, in the order of its enumerators.
+constexpr std::span<const char* const> kGeneratorKeys[] = {
+    kScriptedKeys, kZipfKeys, kPointerChaseKeys,
+    kStencilKeys, kProducerConsumerKeys, kBurstyKeys};
+
+/// The rows of a generator's key list, in the list's order.
+std::vector<Field<ProgramSpec>> program_rows(GenKind kind) {
+  std::vector<Field<ProgramSpec>> rows;
+  for (const std::string_view k :
+       kGeneratorKeys[static_cast<std::size_t>(kind)])
+    for (const auto& f : kProgramFields)
+      if (k == f.key) rows.push_back(f);
+  return rows;
 }
 
-bool to_u32(Ctx& c, const Value& v, const std::string& path,
-            std::uint32_t& out) {
-  std::uint64_t x = 0;
-  if (!to_u64(c, v, path, x)) return false;
-  if (x > std::numeric_limits<std::uint32_t>::max())
-    return c.fail(path, "value does not fit in 32 bits");
-  out = static_cast<std::uint32_t>(x);
-  return true;
-}
+constexpr Field<Scenario> kScenarioFields[] = {
+    field<&Scenario::name>("name", required | positive),
+    field<&Scenario::description>("description", omit_empty),
+    field<&Scenario::mode>("mode"),
+    field<&Scenario::seed>("seed"),
+    object<kConfigFields, &Scenario::config>("config"),
+    object<kMemoryFields, &Scenario::config, &SystemConfig::memory>("memory"),
+    key<Scenario>("regions", required),
+    key<Scenario>("programs"),  // required, checked after the regions
+};
 
-bool to_fraction(Ctx& c, const Value& v, const std::string& path,
-                 double& out) {
-  if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 1.0)
-    return c.fail(path, "expected a number in [0, 1]");
-  out = v.as_number();
-  return true;
-}
+// --- plain checks after the table pass ------------------------------------
 
-bool to_str(Ctx& c, const Value& v, const std::string& path,
-            std::string& out) {
-  if (!v.is_string()) return c.fail(path, "expected a string");
-  out = v.as_string();
-  return true;
-}
-
-bool to_bool(Ctx& c, const Value& v, const std::string& path, bool& out) {
-  if (!v.is_bool()) return c.fail(path, "expected true or false");
-  out = v.as_bool();
-  return true;
-}
-
-/// Optional-field helpers: absent leaves the default in place.
-template <typename T, typename Fn>
-bool opt(Ctx& c, const Value& obj, const std::string& path, const char* key,
-         Fn&& to, T& out) {
-  const Value* v = obj.find(key);
-  return v == nullptr || to(c, *v, path + "." + key, out);
-}
-
-template <typename T, typename Fn>
-bool req(Ctx& c, const Value& obj, const std::string& path, const char* key,
-         Fn&& to, T& out) {
-  const Value* v = obj.find(key);
-  if (v == nullptr)
-    return c.fail(path, std::string{"missing required key \""} + key + "\"");
-  return to(c, *v, path + "." + key, out);
-}
-
-/// Strict schema: every key must be in the allowed list.
-bool check_keys(Ctx& c, const Value& obj, const std::string& path,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : obj.as_object()) {
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) return c.fail(path + "." + key, "unknown key");
-  }
-  return true;
-}
-
-bool to_ref_class(Ctx& c, const Value& v, const std::string& path,
-                  mem::RefClass& out) {
-  std::string s;
-  if (!to_str(c, v, path, s)) return false;
-  if (s == "strided")
-    out = mem::RefClass::strided;
-  else if (s == "random_noalias")
-    out = mem::RefClass::random_noalias;
-  else if (s == "random_unknown")
-    out = mem::RefClass::random_unknown;
-  else
-    return c.fail(path, "unknown reference class '" + s +
-                            "' (want strided, random_noalias or "
-                            "random_unknown)");
-  return true;
-}
-
-bool to_opt_ref_class(Ctx& c, const Value& v, const std::string& path,
-                      std::optional<mem::RefClass>& out) {
-  mem::RefClass r = mem::RefClass::strided;
-  if (!to_ref_class(c, v, path, r)) return false;
-  out = r;
-  return true;
-}
-
-bool to_stream_kind(Ctx& c, const Value& v, const std::string& path,
-                    kern::StreamKind& out) {
-  std::string s;
-  if (!to_str(c, v, path, s)) return false;
-  if (s == "linear")
-    out = kern::StreamKind::linear;
-  else if (s == "random")
-    out = kern::StreamKind::random;
-  else if (s == "random_rmw")
-    out = kern::StreamKind::random_rmw;
-  else
-    return c.fail(path, "unknown stream kind '" + s +
-                            "' (want linear, random or random_rmw)");
-  return true;
-}
-
-bool parse_config(Ctx& c, const Value& v, const std::string& path,
-                  mem::SystemConfig& cfg) {
-  if (!v.is_object()) return c.fail(path, "expected an object");
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string p = path + "." + key;
-    unsigned* u = nullptr;
-    double* d = nullptr;
-    if (key == "tiles") u = &cfg.tiles;
-    else if (key == "mesh_x") u = &cfg.mesh_x;
-    else if (key == "mesh_y") u = &cfg.mesh_y;
-    else if (key == "mem_controllers") u = &cfg.mem_controllers;
-    else if (key == "line_bytes") u = &cfg.line_bytes;
-    else if (key == "l1_bytes") u = &cfg.l1_bytes;
-    else if (key == "l1_assoc") u = &cfg.l1_assoc;
-    else if (key == "l2_bank_bytes") u = &cfg.l2_bank_bytes;
-    else if (key == "l2_assoc") u = &cfg.l2_assoc;
-    else if (key == "spm_bytes") u = &cfg.spm_bytes;
-    else if (key == "dma_chunk_bytes") u = &cfg.dma_chunk_bytes;
-    else if (key == "lat_l1_hit") u = &cfg.lat_l1_hit;
-    else if (key == "lat_spm_hit") u = &cfg.lat_spm_hit;
-    else if (key == "lat_l2_hit") u = &cfg.lat_l2_hit;
-    else if (key == "lat_dir") u = &cfg.lat_dir;
-    else if (key == "lat_filter") u = &cfg.lat_filter;
-    // lat_dram / dram_cycles_per_line / e_dram_line moved into the flat
-    // backend's parameter struct; the config-level keys stay as aliases
-    // so pre-backend scenario files keep parsing (memory.flat overrides
-    // them when both are given — it is parsed after config).
-    else if (key == "lat_dram") u = &cfg.memory.flat.lat_dram;
-    else if (key == "lat_router") u = &cfg.lat_router;
-    else if (key == "lat_link") u = &cfg.lat_link;
-    else if (key == "dram_cycles_per_line")
-      u = &cfg.memory.flat.dram_cycles_per_line;
-    else if (key == "e_l1_hit") d = &cfg.e_l1_hit;
-    else if (key == "e_l1_probe") d = &cfg.e_l1_probe;
-    else if (key == "e_spm") d = &cfg.e_spm;
-    else if (key == "e_l2") d = &cfg.e_l2;
-    else if (key == "e_dir") d = &cfg.e_dir;
-    else if (key == "e_filter") d = &cfg.e_filter;
-    else if (key == "e_dram_line") d = &cfg.memory.flat.e_dram_line;
-    else if (key == "e_flit_hop") d = &cfg.e_flit_hop;
-    else if (key == "e_static_per_tile_cycle") d = &cfg.e_static_per_tile_cycle;
-    else return c.fail(p, "unknown config key");
-    if (u != nullptr) {
-      std::uint32_t x = 0;
-      if (!to_u32(c, val, p, x)) return false;
-      if (x == 0) return c.fail(p, "must be positive");
-      *u = x;
-    } else {
-      if (!val.is_number() || val.as_number() < 0.0)
-        return c.fail(p, "expected a non-negative number");
-      *d = val.as_number();
-    }
-  }
+bool check_config(const Ctx& c, const std::string& path,
+                  const SystemConfig& cfg) {
   if (cfg.tiles != cfg.mesh_x * cfg.mesh_y)
     return c.fail(path, "tiles (" + std::to_string(cfg.tiles) +
                             ") must equal mesh_x * mesh_y (" +
@@ -202,123 +207,12 @@ bool parse_config(Ctx& c, const Value& v, const std::string& path,
   return true;
 }
 
-bool to_backend_kind(Ctx& c, const Value& v, const std::string& path,
-                     mem::MemBackendKind& out) {
-  std::string s;
-  if (!to_str(c, v, path, s)) return false;
-  if (s == "flat")
-    out = mem::MemBackendKind::flat;
-  else if (s == "banked")
-    out = mem::MemBackendKind::banked;
-  else
-    return c.fail(path,
-                  "unknown backend '" + s + "' (want flat or banked)");
-  return true;
-}
-
-/// Shared loop for the flat/banked parameter sub-objects: each key maps
-/// to an unsigned, double or bank-mapping destination; unsigned keys must
-/// be positive unless listed in `zero_ok` (refresh can be disabled
-/// outright).
-struct ParamKey {
-  const char* key;
-  unsigned* u = nullptr;
-  double* d = nullptr;
-  bool zero_ok = false;
-  mem::BankMapping* m = nullptr;
-};
-
-bool parse_params(Ctx& c, const Value& v, const std::string& path,
-                  std::initializer_list<ParamKey> keys) {
-  if (!v.is_object()) return c.fail(path, "expected an object");
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string p = path + "." + key;
-    const ParamKey* match = nullptr;
-    for (const ParamKey& k : keys)
-      if (key == k.key) match = &k;
-    if (match == nullptr) return c.fail(p, "unknown key");
-    if (match->u != nullptr) {
-      std::uint32_t x = 0;
-      if (!to_u32(c, val, p, x)) return false;
-      if (x == 0 && !match->zero_ok) return c.fail(p, "must be positive");
-      *match->u = x;
-    } else if (match->m != nullptr) {
-      std::string s;
-      if (!to_str(c, val, p, s)) return false;
-      if (s == "block")
-        *match->m = mem::BankMapping::block;
-      else if (s == "xor")
-        *match->m = mem::BankMapping::xor_hash;
-      else
-        return c.fail(p, "unknown mapping '" + s + "' (want block or xor)");
-    } else {
-      if (!val.is_number() || val.as_number() < 0.0)
-        return c.fail(p, "expected a non-negative number");
-      *match->d = val.as_number();
-    }
-  }
-  return true;
-}
-
-/// The scenario's "memory" object: backend selection + both models'
-/// knobs. Parsed after "config", so memory.flat.* wins over the aliased
-/// config-level keys.
-bool parse_memory(Ctx& c, const Value& v, const std::string& path,
-                  mem::MemoryConfig& m) {
-  if (!v.is_object()) return c.fail(path, "expected an object");
-  if (!check_keys(c, v, path, {"backend", "flat", "banked"})) return false;
-  if (const Value* bv = v.find("backend")) {
-    if (!to_backend_kind(c, *bv, path + ".backend", m.kind)) return false;
-  }
-  if (const Value* fv = v.find("flat")) {
-    if (!parse_params(c, *fv, path + ".flat",
-                      {{"lat_dram", &m.flat.lat_dram},
-                       {"dram_cycles_per_line",
-                        &m.flat.dram_cycles_per_line},
-                       {"e_dram_line", nullptr, &m.flat.e_dram_line}}))
-      return false;
-  }
-  if (const Value* bv = v.find("banked")) {
-    auto& b = m.banked;
-    if (!parse_params(
-            c, *bv, path + ".banked",
-            {{"channels", &b.channels},
-             {"banks_per_channel", &b.banks_per_channel},
-             {"mapping", nullptr, nullptr, false, &b.mapping},
-             {"row_bytes", &b.row_bytes},
-             {"t_rp", &b.t_rp, nullptr, true},
-             {"t_rcd", &b.t_rcd, nullptr, true},
-             {"t_cas", &b.t_cas, nullptr, true},
-             {"line_cycles", &b.line_cycles},
-             {"refresh_interval", &b.refresh_interval, nullptr, true},
-             {"refresh_cycles", &b.refresh_cycles, nullptr, true},
-             {"dma_cycles_per_line", &b.dma_cycles_per_line},
-             {"e_line", nullptr, &b.e_line},
-             {"e_activate", nullptr, &b.e_activate},
-             {"e_refresh", nullptr, &b.e_refresh}}))
-      return false;
-  }
-  return true;
-}
-
-bool parse_regions(Ctx& c, const Value& v, const std::string& path,
+bool parse_regions(const Ctx& c, const Value& v, const std::string& path,
                    std::uint32_t dma_chunk_bytes,
                    std::vector<RegionSpec>& out) {
-  if (!v.is_array() || v.as_array().empty())
-    return c.fail(path, "expected a non-empty array of regions");
-  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const Value& rv = v.as_array()[i];
-    if (!rv.is_object()) return c.fail(p, "expected an object");
-    if (!check_keys(c, rv, p, {"name", "class", "bytes", "bytes_per_core"}))
-      return false;
+  const auto parse_region = [&](const Value& rv, const std::string& p) {
     RegionSpec r;
-    if (!req(c, rv, p, "name", to_str, r.name)) return false;
-    if (r.name.empty()) return c.fail(p + ".name", "must not be empty");
-    if (!req(c, rv, p, "class", to_ref_class, r.ref)) return false;
-    if (!opt(c, rv, p, "bytes", to_u64, r.bytes)) return false;
-    if (!opt(c, rv, p, "bytes_per_core", to_u64, r.bytes_per_core))
-      return false;
+    if (!bind::read(c, rv, p, kRegionFields, r)) return false;
     if ((r.bytes == 0) == (r.bytes_per_core == 0))
       return c.fail(p, "give exactly one of \"bytes\" or \"bytes_per_core\"");
     // Strided per-core slices become SPM software-cache tiles; a slice
@@ -335,40 +229,40 @@ bool parse_regions(Ctx& c, const Value& v, const std::string& path,
       if (seen.name == r.name)
         return c.fail(p + ".name", "duplicate region name '" + r.name + "'");
     out.push_back(std::move(r));
-  }
-  return true;
+    return true;
+  };
+  return each(c, v, path, "expected a non-empty array of regions",
+              parse_region);
 }
 
-/// Resolve a region-name value to its index.
-bool to_region_index(Ctx& c, const Value& v, const std::string& path,
-                     const std::vector<RegionSpec>& regions,
-                     std::size_t& out) {
-  std::string name;
-  if (!to_str(c, v, path, name)) return false;
+/// Resolve the region name at obj[key] (the table pass checked that it
+/// is present) to its index.
+bool region_ref(const Ctx& c, const Value& obj, const std::string& path,
+                const char* key, const std::vector<RegionSpec>& regions,
+                std::size_t& out) {
+  const std::string p = path + "." + key;
+  const Value& v = *obj.find(key);
+  if (!v.is_string()) return c.fail(p, "expected a string");
   for (std::size_t i = 0; i < regions.size(); ++i)
-    if (regions[i].name == name) {
+    if (regions[i].name == v.as_string()) {
       out = i;
       return true;
     }
-  return c.fail(path, "unknown region '" + name + "'");
+  return c.fail(p, "unknown region '" + v.as_string() + "'");
 }
 
 /// Parse a "slice" value ("core" or "all") into the per-core flag;
 /// validates that "core" is only used with bytes_per_core regions.
-bool parse_slice(Ctx& c, const Value& obj, const std::string& path,
+bool parse_slice(const Ctx& c, const Value& obj, const std::string& path,
                  const std::vector<RegionSpec>& regions, std::size_t region,
                  bool& per_core) {
   per_core = regions[region].bytes_per_core != 0;  // the natural default
   const Value* v = obj.find("slice");
   if (v == nullptr) return true;
-  std::string s;
-  if (!to_str(c, *v, path + ".slice", s)) return false;
-  if (s == "core")
-    per_core = true;
-  else if (s == "all")
-    per_core = false;
-  else
+  if (!v->is_string() ||
+      (v->as_string() != "core" && v->as_string() != "all"))
     return c.fail(path + ".slice", "expected \"core\" or \"all\"");
+  per_core = v->as_string() == "core";
   if (per_core && regions[region].bytes_per_core == 0)
     return c.fail(path + ".slice",
                   "\"core\" requires a bytes_per_core region, but '" +
@@ -383,37 +277,15 @@ std::uint64_t window_bytes(const RegionSpec& r, bool per_core,
                   : (r.bytes != 0 ? r.bytes : r.bytes_per_core * tiles);
 }
 
-bool parse_streams(Ctx& c, const Value& v, const std::string& path,
+bool parse_streams(const Ctx& c, const Value& v, const std::string& path,
                    const std::vector<RegionSpec>& regions, unsigned tiles,
                    std::uint64_t iterations, std::vector<StreamSpec>& out) {
-  if (!v.is_array() || v.as_array().empty())
-    return c.fail(path, "expected a non-empty array of streams");
-  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const Value& sv = v.as_array()[i];
-    if (!sv.is_object()) return c.fail(p, "expected an object");
-    if (!check_keys(c, sv, p,
-                    {"region", "kind", "store", "class", "start", "stride",
-                     "elem_bytes", "slice"}))
-      return false;
+  const auto parse_stream = [&](const Value& sv, const std::string& p) {
     StreamSpec s;
-    if (!req(c, sv, p, "region",
-             [&](Ctx& cc, const Value& vv, const std::string& pp,
-                 std::size_t& oo) {
-               return to_region_index(cc, vv, pp, regions, oo);
-             },
-             s.region))
+    if (!bind::read(c, sv, p, kStreamFields, s) ||
+        !region_ref(c, sv, p, "region", regions, s.region) ||
+        !parse_slice(c, sv, p, regions, s.region, s.per_core_slice))
       return false;
-    if (!opt(c, sv, p, "kind", to_stream_kind, s.kind)) return false;
-    if (!opt(c, sv, p, "store", to_bool, s.store)) return false;
-    if (!opt(c, sv, p, "class", to_opt_ref_class, s.ref)) return false;
-    if (!opt(c, sv, p, "start", to_u64, s.start)) return false;
-    if (!opt(c, sv, p, "stride", to_u64, s.stride)) return false;
-    if (!opt(c, sv, p, "elem_bytes", to_u32, s.elem_bytes)) return false;
-    if (s.elem_bytes == 0) return c.fail(p + ".elem_bytes", "must be positive");
-    if (!parse_slice(c, sv, p, regions, s.region, s.per_core_slice))
-      return false;
-
     const std::uint64_t window =
         window_bytes(regions[s.region], s.per_core_slice, tiles);
     if (s.kind == kern::StreamKind::linear) {
@@ -430,41 +302,33 @@ bool parse_streams(Ctx& c, const Value& v, const std::string& path,
                    "-byte window after " + std::to_string(iterations) +
                    " iterations (start " + std::to_string(s.start) +
                    ", stride " + std::to_string(s.stride) + ")");
-    } else {
-      if (s.start + s.elem_bytes > window)
-        return c.fail(p, "random stream window smaller than one element");
+    } else if (s.start + s.elem_bytes > window) {
+      return c.fail(p, "random stream window smaller than one element");
     }
-    out.push_back(std::move(s));
-  }
-  return true;
+    out.push_back(s);
+    return true;
+  };
+  return each(c, v, path, "expected a non-empty array of streams",
+              parse_stream);
 }
 
-bool parse_phases(Ctx& c, const Value& v, const std::string& path,
+bool parse_phases(const Ctx& c, const Value& v, const std::string& path,
                   const std::vector<RegionSpec>& regions, unsigned tiles,
                   std::vector<PhaseSpec>& out) {
-  if (!v.is_array() || v.as_array().empty())
-    return c.fail(path, "expected a non-empty array of phases");
-  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const Value& pv = v.as_array()[i];
-    if (!pv.is_object()) return c.fail(p, "expected an object");
-    if (!check_keys(c, pv, p, {"iterations", "gap_cycles", "streams"}))
-      return false;
+  const auto parse_phase = [&](const Value& pv, const std::string& p) {
     PhaseSpec ph;
-    if (!req(c, pv, p, "iterations", to_u64, ph.iterations)) return false;
-    if (ph.iterations == 0) return c.fail(p + ".iterations", "must be positive");
-    if (!opt(c, pv, p, "gap_cycles", to_u32, ph.gap_cycles)) return false;
-    const Value* sv = pv.find("streams");
-    if (sv == nullptr) return c.fail(p, "missing required key \"streams\"");
-    if (!parse_streams(c, *sv, p + ".streams", regions, tiles, ph.iterations,
-                       ph.streams))
+    if (!bind::read(c, pv, p, kPhaseFields, ph) ||
+        !parse_streams(c, *pv.find("streams"), p + ".streams", regions, tiles,
+                       ph.iterations, ph.streams))
       return false;
     out.push_back(std::move(ph));
-  }
-  return true;
+    return true;
+  };
+  return each(c, v, path, "expected a non-empty array of phases",
+              parse_phase);
 }
 
-bool parse_cores(Ctx& c, const Value& obj, const std::string& path,
+bool parse_cores(const Ctx& c, const Value& obj, const std::string& path,
                  unsigned tiles, std::vector<unsigned>& out) {
   const Value* v = obj.find("cores");
   if (v == nullptr) return true;  // default: all cores
@@ -472,43 +336,31 @@ bool parse_cores(Ctx& c, const Value& obj, const std::string& path,
     if (v->as_string() == "all") return true;
     return c.fail(path + ".cores", "expected \"all\" or an array of cores");
   }
-  if (!v->is_array() || v->as_array().empty())
-    return c.fail(path + ".cores", "expected \"all\" or a non-empty array");
-  for (std::size_t i = 0; i < v->as_array().size(); ++i) {
-    const std::string p = path + ".cores[" + std::to_string(i) + "]";
-    std::uint64_t core = 0;
-    if (!to_u64(c, v->as_array()[i], p, core)) return false;
-    if (core >= tiles)
-      return c.fail(p, "core " + std::to_string(core) +
-                           " out of range (tiles = " + std::to_string(tiles) +
-                           ")");
-    out.push_back(static_cast<unsigned>(core));
-  }
-  return true;
+  return each(c, *v, path + ".cores", "expected \"all\" or a non-empty array",
+              [&](const Value& cv, const std::string& p) {
+                std::uint64_t core = 0;
+                if (!convert(c, cv, p, 0, 0, core)) return false;
+                if (core >= tiles)
+                  return c.fail(p, "core " + std::to_string(core) +
+                                       " out of range (tiles = " +
+                                       std::to_string(tiles) + ")");
+                out.push_back(static_cast<unsigned>(core));
+                return true;
+              });
 }
 
-bool parse_program(Ctx& c, const Value& v, const std::string& path,
+bool parse_program(const Ctx& c, const Value& v, const std::string& path,
                    const std::vector<RegionSpec>& regions, unsigned tiles,
                    ProgramSpec& p) {
   if (!v.is_object()) return c.fail(path, "expected an object");
-  std::string gen;
-  if (!req(c, v, path, "generator", to_str, gen)) return false;
-  if (!parse_cores(c, v, path, tiles, p.cores)) return false;
+  // The generator picks the key list the table pass checks against.
+  const Value* gen = v.find("generator");
+  if (gen == nullptr) return c.fail(path, "missing required key \"generator\"");
+  if (!convert(c, *gen, path + ".generator", 0, 0, p.kind) ||
+      !bind::read(c, v, path, program_rows(p.kind), p) ||
+      !parse_cores(c, v, path, tiles, p.cores))
+    return false;
 
-  const auto region_field = [&](const char* key, std::size_t& out) {
-    return req(c, v, path, key,
-               [&](Ctx& cc, const Value& vv, const std::string& pp,
-                   std::size_t& oo) {
-                 return to_region_index(cc, vv, pp, regions, oo);
-               },
-               out);
-  };
-  const auto elem_and_gap = [&] {
-    if (!opt(c, v, path, "elem_bytes", to_u32, p.elem_bytes)) return false;
-    if (p.elem_bytes == 0)
-      return c.fail(path + ".elem_bytes", "must be positive");
-    return opt(c, v, path, "gap_cycles", to_u32, p.gap_cycles);
-  };
   /// Window must hold >= `min_elems` elements of p.elem_bytes.
   const auto window_check = [&](std::size_t region, bool per_core,
                                 std::uint64_t min_elems) {
@@ -520,466 +372,163 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
                               std::to_string(p.elem_bytes) + " bytes");
     return true;
   };
+  const auto needs_bytes_per_core = [&](std::size_t r, const char* what) {
+    if (regions[r].bytes_per_core != 0) return true;
+    return c.fail(path, std::string{what} + ", but '" + regions[r].name +
+                            "' declares \"bytes\"");
+  };
 
-  if (gen == "scripted") {
-    p.kind = GenKind::scripted;
-    if (!check_keys(c, v, path, {"generator", "cores", "phases"}))
-      return false;
-    const Value* pv = v.find("phases");
-    if (pv == nullptr) return c.fail(path, "missing required key \"phases\"");
-    return parse_phases(c, *pv, path + ".phases", regions, tiles, p.phases);
+  switch (p.kind) {
+    case GenKind::scripted:
+      return parse_phases(c, *v.find("phases"), path + ".phases", regions,
+                          tiles, p.phases);
+    case GenKind::stencil:
+      if (!region_ref(c, v, path, "in", regions, p.region) ||
+          !region_ref(c, v, path, "out", regions, p.out_region))
+        return false;
+      for (const std::size_t r : {p.region, p.out_region})
+        if (!needs_bytes_per_core(
+                r, "stencil grids must be bytes_per_core regions"))
+          return false;
+      if (p.halo_ref && *p.halo_ref == mem::RefClass::strided)
+        return c.fail(path + ".halo_class",
+                      "halo taps cross core slices and cannot be strided "
+                      "(overlapping SPM tiles)");
+      if (regions[p.out_region].bytes_per_core <
+          regions[p.region].bytes_per_core)
+        return c.fail(path, "output grid '" + regions[p.out_region].name +
+                                "' is smaller per core than input grid '" +
+                                regions[p.region].name + "'");
+      return window_check(p.region, /*per_core=*/true, 1);
+    case GenKind::producer_consumer:
+      return region_ref(c, v, path, "region", regions, p.region) &&
+             needs_bytes_per_core(p.region,
+                                  "producer_consumer needs a bytes_per_core "
+                                  "region (the per-core slot)") &&
+             window_check(p.region, /*per_core=*/true, 1);
+    case GenKind::zipf:
+    case GenKind::pointer_chase:
+    case GenKind::bursty:
+      if (!region_ref(c, v, path, "region", regions, p.region) ||
+          !parse_slice(c, v, path, regions, p.region, p.per_core_slice))
+        return false;
+      if (p.kind == GenKind::zipf &&
+          (p.hot_fraction <= 0.0 || p.hot_fraction >= 1.0))
+        return c.fail(path + ".hot_fraction",
+                      "must be strictly inside (0, 1)");
+      return window_check(p.region, p.per_core_slice,
+                          p.kind == GenKind::bursty ? 1 : 2);
   }
-  if (gen == "zipf") {
-    p.kind = GenKind::zipf;
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "slice", "class",
-                     "accesses", "elem_bytes", "hot_fraction", "hot_weight",
-                     "store_fraction", "gap_cycles"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
-      return false;
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
-    if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
-    if (!elem_and_gap()) return false;
-    if (!opt(c, v, path, "hot_fraction", to_fraction, p.hot_fraction))
-      return false;
-    if (p.hot_fraction <= 0.0 || p.hot_fraction >= 1.0)
-      return c.fail(path + ".hot_fraction", "must be strictly inside (0, 1)");
-    if (!opt(c, v, path, "hot_weight", to_fraction, p.hot_weight))
-      return false;
-    if (!opt(c, v, path, "store_fraction", to_fraction, p.store_fraction))
-      return false;
-    return window_check(p.region, p.per_core_slice, 2);
-  }
-  if (gen == "pointer_chase") {
-    p.kind = GenKind::pointer_chase;
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "slice", "class",
-                     "accesses", "elem_bytes", "gap_cycles"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
-      return false;
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
-    if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
-    if (!elem_and_gap()) return false;
-    return window_check(p.region, p.per_core_slice, 2);
-  }
-  if (gen == "stencil") {
-    p.kind = GenKind::stencil;
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "in", "out", "sweeps", "halo",
-                     "halo_class", "elem_bytes", "gap_cycles"}))
-      return false;
-    if (!region_field("in", p.region)) return false;
-    if (!region_field("out", p.out_region)) return false;
-    for (const std::size_t r : {p.region, p.out_region})
-      if (regions[r].bytes_per_core == 0)
-        return c.fail(path, "stencil grids must be bytes_per_core regions, "
-                            "but '" + regions[r].name + "' declares \"bytes\"");
-    if (!opt(c, v, path, "sweeps", to_u32, p.sweeps)) return false;
-    if (p.sweeps == 0) return c.fail(path + ".sweeps", "must be positive");
-    if (!opt(c, v, path, "halo", to_u32, p.halo)) return false;
-    if (!opt(c, v, path, "halo_class", to_opt_ref_class, p.halo_ref))
-      return false;
-    if (p.halo_ref && *p.halo_ref == mem::RefClass::strided)
-      return c.fail(path + ".halo_class",
-                    "halo taps cross core slices and cannot be strided "
-                    "(overlapping SPM tiles)");
-    if (!elem_and_gap()) return false;
-    if (regions[p.out_region].bytes_per_core <
-        regions[p.region].bytes_per_core)
-      return c.fail(path, "output grid '" + regions[p.out_region].name +
-                              "' is smaller per core than input grid '" +
-                              regions[p.region].name + "'");
-    return window_check(p.region, /*per_core=*/true, 1);
-  }
-  if (gen == "producer_consumer") {
-    p.kind = GenKind::producer_consumer;
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "class", "iterations",
-                     "elem_bytes", "gap_cycles"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (regions[p.region].bytes_per_core == 0)
-      return c.fail(path, "producer_consumer needs a bytes_per_core region "
-                          "(the per-core slot), but '" +
-                              regions[p.region].name + "' declares \"bytes\"");
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "iterations", to_u64, p.iterations)) return false;
-    if (p.iterations == 0)
-      return c.fail(path + ".iterations", "must be positive");
-    if (!elem_and_gap()) return false;
-    return window_check(p.region, /*per_core=*/true, 1);
-  }
-  if (gen == "bursty") {
-    p.kind = GenKind::bursty;
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "slice", "class",
-                     "bursts", "burst_len", "gap_on", "gap_off",
-                     "store_fraction", "elem_bytes"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
-      return false;
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "bursts", to_u64, p.bursts)) return false;
-    if (!req(c, v, path, "burst_len", to_u64, p.burst_len)) return false;
-    if (p.bursts == 0 || p.burst_len == 0)
-      return c.fail(path, "bursts and burst_len must be positive");
-    if (!opt(c, v, path, "gap_on", to_u32, p.gap_on)) return false;
-    if (!opt(c, v, path, "gap_off", to_u32, p.gap_off)) return false;
-    if (!opt(c, v, path, "store_fraction", to_fraction, p.store_fraction))
-      return false;
-    if (!opt(c, v, path, "elem_bytes", to_u32, p.elem_bytes)) return false;
-    if (p.elem_bytes == 0)
-      return c.fail(path + ".elem_bytes", "must be positive");
-    return window_check(p.region, p.per_core_slice, 1);
-  }
-  return c.fail(path + ".generator",
-                "unknown generator '" + gen +
-                    "' (want scripted, zipf, pointer_chase, stencil, "
-                    "producer_consumer or bursty)");
+  return false;
 }
 
 }  // namespace
 
-const char* to_string(ScenarioMode m) noexcept {
-  switch (m) {
-    case ScenarioMode::cache_only: return "cache_only";
-    case ScenarioMode::hybrid: return "hybrid";
-    case ScenarioMode::compare: return "compare";
-  }
-  return "?";
-}
-
-std::optional<ScenarioMode> scenario_mode_from(std::string_view s) noexcept {
-  if (s == "cache_only") return ScenarioMode::cache_only;
-  if (s == "hybrid") return ScenarioMode::hybrid;
-  if (s == "compare") return ScenarioMode::compare;
-  return std::nullopt;
-}
-
-std::vector<mem::HierarchyMode> Scenario::hierarchy_modes() const {
-  switch (mode) {
-    case ScenarioMode::cache_only: return {mem::HierarchyMode::cache_only};
-    case ScenarioMode::hybrid: return {mem::HierarchyMode::hybrid};
-    case ScenarioMode::compare:
-      return {mem::HierarchyMode::cache_only, mem::HierarchyMode::hybrid};
-  }
-  return {};
+std::vector<mem::HierarchyMode> hierarchy_modes(ScenarioMode mode) {
+  if (mode == ScenarioMode::compare)
+    return {mem::HierarchyMode::cache_only, mem::HierarchyMode::hybrid};
+  return {mode == ScenarioMode::hybrid ? mem::HierarchyMode::hybrid
+                                       : mem::HierarchyMode::cache_only};
 }
 
 std::optional<Scenario> Scenario::parse(const json::Value& doc,
                                         std::string* error) {
-  Ctx c{error};
+  const Ctx c{error};
   const std::string root = "scenario";
-  if (!doc.is_object()) {
-    c.fail(root, "expected a JSON object");
-    return std::nullopt;
-  }
   Scenario s;
-  if (!check_keys(c, doc, root,
-                  {"name", "description", "mode", "seed", "config", "memory",
-                   "regions", "programs"}))
-    return std::nullopt;
-  if (!req(c, doc, root, "name", to_str, s.name)) return std::nullopt;
-  if (s.name.empty()) {
-    c.fail(root + ".name", "must not be empty");
-    return std::nullopt;
-  }
-  if (!opt(c, doc, root, "description", to_str, s.description))
-    return std::nullopt;
-  if (const Value* mv = doc.find("mode")) {
-    std::string ms;
-    if (!to_str(c, *mv, root + ".mode", ms)) return std::nullopt;
-    const auto m = scenario_mode_from(ms);
-    if (!m) {
-      c.fail(root + ".mode", "unknown mode '" + ms +
-                                 "' (want cache_only, hybrid or compare)");
-      return std::nullopt;
-    }
-    s.mode = *m;
-  }
-  if (!opt(c, doc, root, "seed", to_u64, s.seed)) return std::nullopt;
-  if (const Value* cv = doc.find("config")) {
-    if (!parse_config(c, *cv, root + ".config", s.config)) return std::nullopt;
-  }
-  if (const Value* mv = doc.find("memory")) {
-    if (!parse_memory(c, *mv, root + ".memory", s.config.memory))
-      return std::nullopt;
-  }
-
-  const Value* rv = doc.find("regions");
-  if (rv == nullptr) {
-    c.fail(root, "missing required key \"regions\"");
-    return std::nullopt;
-  }
-  if (!parse_regions(c, *rv, root + ".regions", s.config.dma_chunk_bytes,
-                     s.regions))
-    return std::nullopt;
-
-  const Value* pv = doc.find("programs");
-  if (pv == nullptr) {
-    c.fail(root, "missing required key \"programs\"");
-    return std::nullopt;
-  }
-  if (!pv->is_array() || pv->as_array().empty()) {
-    c.fail(root + ".programs", "expected a non-empty array");
-    return std::nullopt;
-  }
-  for (std::size_t i = 0; i < pv->as_array().size(); ++i) {
-    ProgramSpec p;
-    if (!parse_program(c, pv->as_array()[i],
-                       root + ".programs[" + std::to_string(i) + "]",
-                       s.regions, s.config.tiles, p))
-      return std::nullopt;
-    s.programs.push_back(std::move(p));
-  }
-
-  // Core-coverage check: no core may be claimed twice (cores nobody claims
-  // simply idle).
-  std::vector<int> owner(s.config.tiles, -1);
-  for (std::size_t i = 0; i < s.programs.size(); ++i) {
-    std::vector<unsigned> cores = s.programs[i].cores;
+  std::vector<int> owner;  // per core: the programs[] entry claiming it
+  const auto parse_one = [&](const Value& pv, const std::string& p) {
+    ProgramSpec prog;
+    if (!parse_program(c, pv, p, s.regions, s.config.tiles, prog))
+      return false;
+    // No core may be claimed twice (cores nobody claims simply idle).
+    std::vector<unsigned> cores = prog.cores;
     if (cores.empty())
       for (unsigned t = 0; t < s.config.tiles; ++t) cores.push_back(t);
     for (const unsigned core : cores) {
-      if (owner[core] >= 0) {
-        c.fail(root + ".programs[" + std::to_string(i) + "]",
-               "core " + std::to_string(core) +
-                   " is already claimed by programs[" +
-                   std::to_string(owner[core]) + "]");
-        return std::nullopt;
-      }
-      owner[core] = static_cast<int>(i);
+      if (owner[core] >= 0)
+        return c.fail(p, "core " + std::to_string(core) +
+                             " is already claimed by programs[" +
+                             std::to_string(owner[core]) + "]");
+      owner[core] = static_cast<int>(s.programs.size());
     }
-  }
+    s.programs.push_back(std::move(prog));
+    return true;
+  };
+  const auto parse_programs = [&] {
+    const Value* pv = doc.find("programs");
+    if (pv == nullptr)
+      return c.fail(root, "missing required key \"programs\"");
+    owner.assign(s.config.tiles, -1);
+    return each(c, *pv, root + ".programs",
+                "expected a non-empty array of programs", parse_one);
+  };
+  if (!bind::read(c, doc, root, kScenarioFields, s) ||
+      !check_config(c, root + ".config", s.config) ||
+      !parse_regions(c, *doc.find("regions"), root + ".regions",
+                     s.config.dma_chunk_bytes, s.regions) ||
+      !parse_programs())
+    return std::nullopt;
   return s;
 }
 
 std::optional<Scenario> Scenario::load_file(const std::string& path,
                                             std::string* error) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    if (error) *error = path + ": cannot open for reading";
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string parse_error;
-  const auto doc = json::Value::parse(ss.str(), &parse_error);
-  if (!doc) {
-    if (error) *error = path + ": " + parse_error;
-    return std::nullopt;
-  }
-  std::string semantic_error;
-  auto s = parse(*doc, &semantic_error);
-  if (!s && error) *error = path + ": " + semantic_error;
+  const auto doc = json::Value::parse_file(path, error);
+  if (!doc) return std::nullopt;
+  std::string why;
+  auto s = parse(*doc, &why);
+  if (!s && error) *error = path + ": " + why;
   return s;
 }
 
-namespace {
-
-/// Serialization helpers for Scenario::to_json. Every key parse() can read
-/// is emitted explicitly (defaults included), so the parse(to_json()) round
-/// trip restores every field bit-for-bit instead of relying on the two
-/// sides agreeing about defaults.
-json::Value config_to_json(const mem::SystemConfig& c) {
-  json::Value v;
-  v.set("tiles", c.tiles);
-  v.set("mesh_x", c.mesh_x);
-  v.set("mesh_y", c.mesh_y);
-  v.set("mem_controllers", c.mem_controllers);
-  v.set("line_bytes", c.line_bytes);
-  v.set("l1_bytes", c.l1_bytes);
-  v.set("l1_assoc", c.l1_assoc);
-  v.set("l2_bank_bytes", c.l2_bank_bytes);
-  v.set("l2_assoc", c.l2_assoc);
-  v.set("spm_bytes", c.spm_bytes);
-  v.set("dma_chunk_bytes", c.dma_chunk_bytes);
-  v.set("lat_l1_hit", c.lat_l1_hit);
-  v.set("lat_spm_hit", c.lat_spm_hit);
-  v.set("lat_l2_hit", c.lat_l2_hit);
-  v.set("lat_dir", c.lat_dir);
-  v.set("lat_filter", c.lat_filter);
-  v.set("lat_router", c.lat_router);
-  v.set("lat_link", c.lat_link);
-  v.set("e_l1_hit", c.e_l1_hit);
-  v.set("e_l1_probe", c.e_l1_probe);
-  v.set("e_spm", c.e_spm);
-  v.set("e_l2", c.e_l2);
-  v.set("e_dir", c.e_dir);
-  v.set("e_filter", c.e_filter);
-  v.set("e_flit_hop", c.e_flit_hop);
-  v.set("e_static_per_tile_cycle", c.e_static_per_tile_cycle);
-  return v;
-}
-
-/// The "memory" object mirrors parse_memory key for key, defaults
-/// included, keeping the parse(to_json()) round trip field-identical.
-json::Value memory_to_json(const mem::MemoryConfig& m) {
-  json::Value v;
-  v.set("backend", mem::to_string(m.kind));
-  json::Value f;
-  f.set("lat_dram", m.flat.lat_dram);
-  f.set("dram_cycles_per_line", m.flat.dram_cycles_per_line);
-  f.set("e_dram_line", m.flat.e_dram_line);
-  v.set("flat", std::move(f));
-  json::Value b;
-  b.set("channels", m.banked.channels);
-  b.set("banks_per_channel", m.banked.banks_per_channel);
-  b.set("mapping", mem::to_string(m.banked.mapping));
-  b.set("row_bytes", m.banked.row_bytes);
-  b.set("t_rp", m.banked.t_rp);
-  b.set("t_rcd", m.banked.t_rcd);
-  b.set("t_cas", m.banked.t_cas);
-  b.set("line_cycles", m.banked.line_cycles);
-  b.set("refresh_interval", m.banked.refresh_interval);
-  b.set("refresh_cycles", m.banked.refresh_cycles);
-  b.set("dma_cycles_per_line", m.banked.dma_cycles_per_line);
-  b.set("e_line", m.banked.e_line);
-  b.set("e_activate", m.banked.e_activate);
-  b.set("e_refresh", m.banked.e_refresh);
-  v.set("banked", std::move(b));
-  return v;
-}
-
-json::Value cores_to_json(const std::vector<unsigned>& cores) {
-  json::Value a;
-  for (const unsigned c : cores) a.push_back(c);
-  return a;
-}
-
-const char* slice_str(bool per_core) { return per_core ? "core" : "all"; }
-
-json::Value program_to_json(const ProgramSpec& p,
-                            const std::vector<RegionSpec>& regions) {
-  json::Value v;
-  const auto region_name = [&](std::size_t idx) {
-    return json::Value{regions[idx].name};
-  };
-  switch (p.kind) {
-    case GenKind::scripted: {
-      v.set("generator", "scripted");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-      json::Value phases;
-      for (const auto& ph : p.phases) {
-        json::Value pv;
-        pv.set("iterations", static_cast<double>(ph.iterations));
-        pv.set("gap_cycles", ph.gap_cycles);
-        json::Value streams;
-        for (const auto& st : ph.streams) {
-          json::Value sv;
-          sv.set("region", region_name(st.region));
-          sv.set("kind", st.kind == kern::StreamKind::linear ? "linear"
-                         : st.kind == kern::StreamKind::random
-                             ? "random"
-                             : "random_rmw");
-          sv.set("store", st.store);
-          if (st.ref) sv.set("class", mem::to_string(*st.ref));
-          sv.set("start", static_cast<double>(st.start));
-          sv.set("stride", static_cast<double>(st.stride));
-          sv.set("elem_bytes", st.elem_bytes);
-          sv.set("slice", slice_str(st.per_core_slice));
-          streams.push_back(std::move(sv));
-        }
-        pv.set("streams", std::move(streams));
-        phases.push_back(std::move(pv));
-      }
-      v.set("phases", std::move(phases));
-      break;
-    }
-    case GenKind::zipf:
-      v.set("generator", "zipf");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-      v.set("region", region_name(p.region));
-      v.set("slice", slice_str(p.per_core_slice));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("accesses", static_cast<double>(p.accesses));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("hot_fraction", p.hot_fraction);
-      v.set("hot_weight", p.hot_weight);
-      v.set("store_fraction", p.store_fraction);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::pointer_chase:
-      v.set("generator", "pointer_chase");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-      v.set("region", region_name(p.region));
-      v.set("slice", slice_str(p.per_core_slice));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("accesses", static_cast<double>(p.accesses));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::stencil:
-      v.set("generator", "stencil");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-      v.set("in", region_name(p.region));
-      v.set("out", region_name(p.out_region));
-      v.set("sweeps", p.sweeps);
-      v.set("halo", p.halo);
-      if (p.halo_ref) v.set("halo_class", mem::to_string(*p.halo_ref));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::producer_consumer:
-      v.set("generator", "producer_consumer");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-      v.set("region", region_name(p.region));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("iterations", static_cast<double>(p.iterations));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::bursty:
-      // Note: bursty has no gap_cycles key (gap_on/gap_off cover it).
-      v.set("generator", "bursty");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-      v.set("region", region_name(p.region));
-      v.set("slice", slice_str(p.per_core_slice));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("bursts", static_cast<double>(p.bursts));
-      v.set("burst_len", static_cast<double>(p.burst_len));
-      v.set("gap_on", p.gap_on);
-      v.set("gap_off", p.gap_off);
-      v.set("store_fraction", p.store_fraction);
-      v.set("elem_bytes", p.elem_bytes);
-      break;
-  }
-  return v;
-}
-
-}  // namespace
-
+/// Every key parse() reads is emitted explicitly (defaults included), so
+/// the parse(to_json()) round trip restores every field bit-for-bit
+/// instead of relying on the two sides agreeing about defaults.
 json::Value Scenario::to_json() const {
-  json::Value doc;
-  doc.set("name", name);
-  if (!description.empty()) doc.set("description", description);
-  doc.set("mode", to_string(mode));
-  doc.set("seed", static_cast<double>(seed));
-  doc.set("config", config_to_json(config));
-  doc.set("memory", memory_to_json(config.memory));
-  json::Value regions_v;
-  for (const auto& r : regions) {
-    json::Value rv;
-    rv.set("name", r.name);
-    rv.set("class", mem::to_string(r.ref));
-    if (r.bytes != 0) rv.set("bytes", static_cast<double>(r.bytes));
-    if (r.bytes_per_core != 0)
-      rv.set("bytes_per_core", static_cast<double>(r.bytes_per_core));
-    regions_v.push_back(std::move(rv));
-  }
-  doc.set("regions", std::move(regions_v));
-  json::Value programs_v;
-  for (const auto& p : programs)
-    programs_v.push_back(program_to_json(p, regions));
-  doc.set("programs", std::move(programs_v));
-  return doc;
+  const auto program_json = [&](const ProgramSpec& p) {
+    return bind::write(program_rows(p.kind), p, [&](std::string_view key,
+                                                    Value& obj) {
+      if (key == "cores") {
+        if (p.cores.empty()) return;
+        Value cores;
+        for (const unsigned core : p.cores) cores.push_back(core);
+        obj.set("cores", std::move(cores));
+      } else if (key == "phases") {
+        Value phases;
+        for (const PhaseSpec& ph : p.phases)
+          phases.push_back(bind::write(kPhaseFields, ph, [&](std::string_view,
+                                                             Value& pv) {
+            Value streams;
+            for (const StreamSpec& st : ph.streams)
+              streams.push_back(bind::write(
+                  kStreamFields, st, [&](std::string_view k, Value& sv) {
+                    if (k == "region")
+                      sv.set("region", regions[st.region].name);
+                    else
+                      sv.set("slice", st.per_core_slice ? "core" : "all");
+                  }));
+            pv.set("streams", std::move(streams));
+          }));
+        obj.set("phases", std::move(phases));
+      } else if (key == "slice") {
+        obj.set("slice", p.per_core_slice ? "core" : "all");
+      } else {  // "region", "in" or "out"
+        obj.set(std::string{key},
+                regions[key == "out" ? p.out_region : p.region].name);
+      }
+    });
+  };
+  return bind::write(kScenarioFields, *this, [&](std::string_view key,
+                                                 Value& doc) {
+    Value list;
+    if (key == "regions")
+      for (const RegionSpec& r : regions)
+        list.push_back(bind::write(kRegionFields, r));
+    else
+      for (const ProgramSpec& p : programs) list.push_back(program_json(p));
+    doc.set(std::string{key}, std::move(list));
+  });
 }
 
 std::optional<std::size_t> Scenario::first_unreferenced_region() const {

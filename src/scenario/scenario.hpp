@@ -9,11 +9,13 @@
 /// can describe runs through the unmodified `System::run` — no C++, no
 /// recompilation.
 ///
-/// The schema is documented in docs/BENCHMARKS.md; the checked-in corpus
-/// lives in `scenarios/`. Parsing is strict: unknown keys, dangling region
-/// references, out-of-range cores and ill-sized streams are all errors
-/// with a JSON-path context (the json layer supplies line/column for
-/// syntax errors), because scenario files are edited by hand.
+/// The schema is documented in docs/BENCHMARKS.md and written down once, as
+/// the field tables in scenario.cpp (report/json_bind.hpp reads and emits
+/// through them); the checked-in corpus lives in `scenarios/`. Parsing is
+/// strict: unknown keys, dangling region references, out-of-range cores
+/// and ill-sized streams are all errors with a JSON-path context (the json
+/// layer supplies line/column for syntax errors), because scenario files
+/// are edited by hand.
 
 #include <cstdint>
 #include <optional>
@@ -27,13 +29,23 @@
 
 namespace raa::scen {
 
+using raa::to_string;
+
 /// Which hierarchy configuration(s) a scenario runs under. `compare` runs
 /// both and reports the hybrid-vs-cache-only speedups (the Figure 1
 /// shape, generalised to arbitrary workloads).
 enum class ScenarioMode : std::uint8_t { cache_only, hybrid, compare };
 
-const char* to_string(ScenarioMode m) noexcept;
-std::optional<ScenarioMode> scenario_mode_from(std::string_view s) noexcept;
+inline EnumNames<ScenarioMode> enum_names(ScenarioMode) {
+  static constexpr EnumName<ScenarioMode> kNames[] = {
+      {"cache_only", ScenarioMode::cache_only},
+      {"hybrid", ScenarioMode::hybrid},
+      {"compare", ScenarioMode::compare}};
+  return {"mode", kNames};
+}
+
+/// The concrete hierarchy modes a mode simulates (compare = both).
+std::vector<mem::HierarchyMode> hierarchy_modes(ScenarioMode m);
 
 /// A declared data region. Exactly one of `bytes` (one shared extent) or
 /// `bytes_per_core` (tiles consecutive per-core slices) is non-zero;
@@ -80,6 +92,17 @@ enum class GenKind : std::uint8_t {
   producer_consumer,
   bursty,
 };
+
+inline EnumNames<GenKind> enum_names(GenKind) {
+  static constexpr EnumName<GenKind> kNames[] = {
+      {"scripted", GenKind::scripted},
+      {"zipf", GenKind::zipf},
+      {"pointer_chase", GenKind::pointer_chase},
+      {"stencil", GenKind::stencil},
+      {"producer_consumer", GenKind::producer_consumer},
+      {"bursty", GenKind::bursty}};
+  return {"generator", kNames};
+}
 
 /// One "programs" entry: which cores it covers and either a scripted
 /// phase list or the parameters of a generator. A flat struct (unused
@@ -128,7 +151,9 @@ struct Scenario {
   std::vector<ProgramSpec> programs;
 
   /// The concrete hierarchy modes to simulate (compare = both).
-  std::vector<mem::HierarchyMode> hierarchy_modes() const;
+  std::vector<mem::HierarchyMode> hierarchy_modes() const {
+    return scen::hierarchy_modes(mode);
+  }
 
   /// Parse + validate a JSON document / file. On failure returns nullopt
   /// and stores an actionable message (JSON-path or line/column context)

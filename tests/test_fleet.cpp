@@ -31,6 +31,8 @@ using raa::fleet::JobStatus;
 using raa::fleet::Manifest;
 using raa::fleet::run_fleet;
 using raa::json::Value;
+using raa::mem::MemBackendKind;
+using raa::scen::ScenarioMode;
 
 // --- fixtures -----------------------------------------------------------
 
@@ -108,14 +110,14 @@ TEST(Manifest, ParsesAndRoundTrips) {
   ASSERT_TRUE(m) << error;
   EXPECT_EQ(m->name, "demo");
   EXPECT_EQ(m->seed, 9u);
-  EXPECT_EQ(m->defaults.mode, "hybrid");
+  EXPECT_EQ(m->defaults.mode, ScenarioMode::hybrid);
   EXPECT_EQ(m->defaults.retries, 2u);
   EXPECT_EQ(m->defaults.timeout_ms, 500u);
   ASSERT_EQ(m->jobs.size(), 3u);
   EXPECT_EQ(m->jobs[1].trace, "b.raat");
   EXPECT_EQ(m->jobs[1].limits.retries, 4u);
   EXPECT_EQ(m->jobs[1].seed, 3u);
-  EXPECT_EQ(m->jobs[2].limits.backend, "banked");
+  EXPECT_EQ(m->jobs[2].limits.backend, MemBackendKind::banked);
 
   // to_json() -> parse() is the identity.
   const auto again = Manifest::parse(m->to_json(), &error);
@@ -154,21 +156,85 @@ TEST(Manifest, RejectsInvalidDocumentsWithJsonPaths) {
          "shards: unknown key");
   reject(R"({"jobs": [{"id": "a", "scenario": "x", "seed": -1}]})",
          "non-negative");
+  // A deadline whose nanosecond form overflows int64 is rejected, not
+  // wrapped into an instant timeout.
+  reject(R"({"jobs": [{"id": "a", "scenario": "x",
+                       "timeout_ms": 10000000000000}]})",
+         "manifest.jobs[0].timeout_ms: must be at most 9223372036854");
+  reject(R"({"defaults": {"timeout_ms": 9223372036855},
+             "jobs": [{"id": "a", "scenario": "x"}]})",
+         "manifest.defaults.timeout_ms: must be at most 9223372036854");
+  reject(R"({"schema_version": {"x": [1]},
+             "jobs": [{"id": "a", "scenario": "x"}]})",
+         "manifest.schema_version: expected 1");
+  reject(R"({"schema_version": 2, "jobs": [{"id": "a", "scenario": "x"}]})",
+         "manifest.schema_version: expected 1");
+}
+
+TEST(Manifest, AcceptsTheLargestTimeout) {
+  std::string error;
+  const auto doc = Value::parse(R"({"jobs": [{"id": "a", "scenario": "x",
+                                              "timeout_ms": 9223372036854}]})",
+                                &error);
+  ASSERT_TRUE(doc) << error;
+  const auto m = Manifest::parse(*doc, &error);
+  ASSERT_TRUE(m) << error;
+  EXPECT_EQ(m->jobs[0].limits.timeout_ms, raa::fleet::kMaxTimeoutMs);
+  EXPECT_EQ(raa::fleet::kMaxTimeoutMs, 9223372036854u);
 }
 
 TEST(Manifest, LimitsLayerJobOverDefaultsOverFallback) {
   raa::fleet::JobLimits job, defaults, fallback;
-  defaults.mode = "hybrid";
+  defaults.mode = ScenarioMode::hybrid;
   defaults.retries = 2;
-  fallback.mode = "cache_only";
-  fallback.backend = "banked";
+  fallback.mode = ScenarioMode::cache_only;
+  fallback.backend = MemBackendKind::banked;
   fallback.timeout_ms = 99;
   job.timeout_ms = 5;
   const auto eff = job.or_else(defaults).or_else(fallback);
-  EXPECT_EQ(eff.mode, "hybrid");     // defaults beat fallback
-  EXPECT_EQ(eff.retries, 2u);        // from defaults
-  EXPECT_EQ(eff.backend, "banked");  // only fallback sets it
-  EXPECT_EQ(eff.timeout_ms, 5u);     // job entry wins
+  EXPECT_EQ(eff.mode, ScenarioMode::hybrid);         // defaults beat fallback
+  EXPECT_EQ(eff.retries, 2u);                        // from defaults
+  EXPECT_EQ(eff.backend, MemBackendKind::banked);    // only fallback sets it
+  EXPECT_EQ(eff.timeout_ms, 5u);                     // job entry wins
+}
+
+TEST(Manifest, LoadFileResolvesInputsAgainstItsDirectory) {
+  const std::string root = RAA_SOURCE_DIR;
+  std::string error;
+  const std::string path = root + "/scenarios/fleet/smoke.manifest.json";
+  const auto m = Manifest::load_file(path, &error);
+  ASSERT_TRUE(m) << error;
+  ASSERT_EQ(m->jobs.size(), 4u);
+  EXPECT_EQ(m->jobs[0].scenario, root + "/scenarios/pointer_chase.json");
+  EXPECT_EQ(m->defaults.timeout_ms, 120000u);
+
+  error.clear();
+  EXPECT_FALSE(Manifest::load_file(root + "/no_such.manifest.json", &error));
+  EXPECT_NE(error.find("no_such.manifest.json: cannot open"),
+            std::string::npos)
+      << error;
+  // Semantic errors carry the file and the JSON path.
+  error.clear();
+  EXPECT_FALSE(Manifest::load_file(
+      root + "/tests/data/manifest_shards_key.json", &error));
+  EXPECT_NE(error.find("manifest_shards_key.json: manifest.jobs[0].shards: "
+                       "unknown key"),
+            std::string::npos)
+      << error;
+}
+
+TEST(Manifest, FromDirectoryMakesOneJobPerScenarioFile) {
+  const std::string root = RAA_SOURCE_DIR;
+  std::string error;
+  const auto m = Manifest::from_directory(root + "/scenarios", &error);
+  ASSERT_TRUE(m) << error;
+  EXPECT_EQ(m->name, "scenarios");
+  ASSERT_FALSE(m->jobs.empty());
+  EXPECT_EQ(m->jobs[0].id, "banked_bursty_dma");  // sorted by file name
+  for (const auto& job : m->jobs)
+    EXPECT_EQ(job.scenario, root + "/scenarios/" + job.id + ".json");
+  EXPECT_FALSE(Manifest::from_directory(root + "/no_such_dir", &error));
+  EXPECT_NE(error.find("cannot read directory"), std::string::npos) << error;
 }
 
 TEST(Manifest, DerivedSeedsDependOnIdNotPosition) {
@@ -354,6 +420,33 @@ TEST(Fleet, UnparseableScenarioIsAClassifiedJobFailureNotACrash) {
   EXPECT_EQ(res.records[3].status, JobStatus::failed);
   EXPECT_EQ(res.records[3].error, ErrorKind::parse);
   EXPECT_EQ(res.ok, 3u);
+}
+
+TEST(Fleet, LargestDeadlineNeverFiresEarly) {
+  // A job long enough (tens of ms) for the watchdog to check its deadline
+  // while it runs: a deadline whose sum with the start time overflowed
+  // would cancel it at once.
+  FleetOptions opt;
+  raa::fleet::JobSpec job;
+  job.id = "slow";
+  job.scenario = write_scenario("fleet_slow", 200000);
+  opt.manifest.jobs.push_back(std::move(job));
+  opt.fallback.timeout_ms = raa::fleet::kMaxTimeoutMs;
+  const FleetResult res = run_fleet(opt);
+  EXPECT_EQ(res.exit_code, raa::kExitOk);
+  ASSERT_EQ(res.records.size(), 1u);
+  EXPECT_EQ(res.records[0].status, JobStatus::ok) << res.records[0].message;
+}
+
+TEST(Fleet, LanesAreCappedAtTheJobCount) {
+  FleetOptions opt;
+  opt.manifest = small_manifest();
+  opt.jobs = 64;
+  const FleetResult res = run_fleet(opt);
+  ASSERT_EQ(res.exit_code, raa::kExitOk);
+  const Value* info = res.index.find("informational");
+  ASSERT_TRUE(info && info->find("lanes"));
+  EXPECT_EQ(info->find("lanes")->as_number(), 3.0);
 }
 
 TEST(Fleet, HangInjectionWithoutDeadlineIsAConfigError) {

@@ -1,0 +1,364 @@
+// The declarative JSON binding (src/report/json_bind.hpp) and the two
+// schemas built on it: the scenario file and the fleet manifest.
+//   * Binding: each converter's bounds and messages, strict keys, row-order
+//     emission, optional and parse-only rows, nested-object paths.
+//   * Golden: to_json() of every corpus scenario and of the smoke manifest
+//     is pinned byte for byte (tests/data/to_json.golden.txt), so the tables
+//     hold the emission order the hand-written serializers had.
+//   * Mutation robustness: deterministic byte- and number-level mutants of
+//     every corpus file either parse, and then survive a serialize/re-parse
+//     round trip unchanged, or fail with a message that starts at a JSON
+//     path or names a line and column. Mutants are only parsed, never
+//     instantiated: a mutated size can ask for gigabytes.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "fleet/manifest.hpp"
+#include "report/json.hpp"
+#include "report/json_bind.hpp"
+#include "scenario/scenario.hpp"
+
+namespace {
+
+namespace bind = raa::json::bind;
+using raa::json::Value;
+
+// --- the binding on a small struct ----------------------------------------
+
+enum class Color : std::uint8_t { red, green };
+
+raa::EnumNames<Color> enum_names(Color) {
+  static constexpr raa::EnumName<Color> kNames[] = {{"red", Color::red},
+                                                    {"green", Color::green}};
+  return {"color", kNames};
+}
+
+struct Inner {
+  double weight = 0.5;
+  bool operator==(const Inner&) const = default;
+};
+
+struct Rec {
+  std::string name;
+  unsigned count = 1;
+  std::uint64_t big = 0;
+  double share = 0.0;
+  double scale = 1.0;
+  bool flag = false;
+  Color color = Color::red;
+  std::optional<Color> tint;
+  std::optional<std::uint64_t> limit;
+  Inner inner;
+  bool operator==(const Rec&) const = default;
+};
+
+constexpr bind::Field<Inner> kInnerFields[] = {
+    bind::field<&Inner::weight>("weight", bind::fraction),
+};
+
+constexpr bind::Field<Rec> kRecFields[] = {
+    bind::field<&Rec::name>("name", bind::required | bind::positive),
+    bind::field<&Rec::count>("count", bind::positive),
+    bind::field<&Rec::big>("big", bind::omit_empty),
+    bind::field<&Rec::share>("share", bind::fraction),
+    bind::field<&Rec::scale>("scale"),
+    bind::field<&Rec::flag>("flag"),
+    bind::field<&Rec::color>("color"),
+    bind::field<&Rec::tint>("tint"),
+    bind::field<&Rec::limit>("limit", 0, 1000),
+    bind::object<kInnerFields, &Rec::inner>("inner"),
+    bind::field<&Rec::inner, &Inner::weight>("w", bind::parse_only),
+};
+
+/// Parse `text` with kRecFields; returns the error ("" on success).
+std::string read_rec(const std::string& text, Rec& out) {
+  std::string error;
+  const auto doc = Value::parse(text, &error);
+  EXPECT_TRUE(doc) << error;
+  if (!doc) return error;
+  bind::read(bind::Ctx{&error}, *doc, "rec", kRecFields, out);
+  return error;
+}
+
+std::string reject(const std::string& text) {
+  Rec r;
+  return read_rec(text, r);
+}
+
+TEST(JsonBind, ReadsEveryConverterAndEmitsInRowOrder) {
+  Rec r;
+  ASSERT_EQ(read_rec(R"({"color": "green", "name": "a", "count": 7,
+      "big": 9007199254740992, "share": 1, "scale": 1e300, "flag": true,
+      "tint": "red", "limit": 1000, "inner": {"weight": 0.25}})",
+                     r),
+            "");
+  EXPECT_EQ(r.name, "a");
+  EXPECT_EQ(r.count, 7u);
+  EXPECT_EQ(r.big, 9007199254740992u);  // 2^53: the largest exact integer
+  EXPECT_EQ(r.share, 1.0);
+  EXPECT_EQ(r.scale, 1e300);
+  EXPECT_TRUE(r.flag);
+  EXPECT_EQ(r.color, Color::green);
+  EXPECT_EQ(r.tint, Color::red);
+  EXPECT_EQ(r.limit, 1000u);
+  EXPECT_EQ(r.inner.weight, 0.25);
+  // Row order, not document order; the parse-only alias is never emitted.
+  EXPECT_EQ(bind::write(kRecFields, r).dump(),
+            R"({"name":"a","count":7,"big":9007199254740992,"share":1,)"
+            R"("scale":1e+300,"flag":true,"color":"green","tint":"red",)"
+            R"("limit":1000,"inner":{"weight":0.25}})");
+  // Unset optionals and omit_empty zeros are left out; defaults stay.
+  Rec d;
+  d.name = "d";
+  EXPECT_EQ(bind::write(kRecFields, d).dump(),
+            R"({"name":"d","count":1,"share":0,"scale":1,"flag":false,)"
+            R"("color":"red","inner":{"weight":0.5}})");
+  Rec again;
+  ASSERT_EQ(read_rec(bind::write(kRecFields, r).dump(), again), "");
+  EXPECT_EQ(again, r);
+}
+
+TEST(JsonBind, ParseOnlyAliasReadsIntoItsMember) {
+  Rec r;
+  ASSERT_EQ(read_rec(R"({"name": "a", "w": 0.75})", r), "");
+  EXPECT_EQ(r.inner.weight, 0.75);
+}
+
+TEST(JsonBind, DiagnosticsCarryTheJsonPath) {
+  EXPECT_EQ(reject(R"([])"), "rec: expected an object");
+  EXPECT_EQ(reject(R"({"name": "a", "typo": 1})"), "rec.typo: unknown key");
+  EXPECT_EQ(reject(R"({"count": 1})"), "rec: missing required key \"name\"");
+  EXPECT_EQ(reject(R"({"name": ""})"), "rec.name: must not be empty");
+  EXPECT_EQ(reject(R"({"name": 1})"), "rec.name: expected a string");
+  EXPECT_EQ(reject(R"({"name": "a", "count": 0})"),
+            "rec.count: must be positive");
+  for (const char* bad : {"-1", "1.5", "\"7\"", "9007199254740994"})
+    EXPECT_EQ(reject(std::string{R"({"name": "a", "big": )"} + bad + "}"),
+              "rec.big: expected a non-negative integer")
+        << bad;
+  EXPECT_EQ(reject(R"({"name": "a", "count": 4294967296})"),
+            "rec.count: value does not fit in 32 bits");
+  EXPECT_EQ(reject(R"({"name": "a", "limit": 1001})"),
+            "rec.limit: must be at most 1000");
+  EXPECT_EQ(reject(R"({"name": "a", "share": 1.5})"),
+            "rec.share: expected a number in [0, 1]");
+  EXPECT_EQ(reject(R"({"name": "a", "scale": -0.5})"),
+            "rec.scale: expected a non-negative number");
+  EXPECT_EQ(reject(R"({"name": "a", "flag": 1})"),
+            "rec.flag: expected true or false");
+  EXPECT_EQ(reject(R"({"name": "a", "tint": "blue"})"),
+            "rec.tint: unknown color 'blue' (want red or green)");
+  EXPECT_EQ(reject(R"({"name": "a", "inner": {"weight": 2}})"),
+            "rec.inner.weight: expected a number in [0, 1]");
+  EXPECT_EQ(reject(R"({"name": "a", "inner": {"mass": 2}})"),
+            "rec.inner.mass: unknown key");
+}
+
+TEST(JsonBind, EnumNameTablesServeBothDirections) {
+  const auto names = enum_names(Color{});
+  EXPECT_STREQ(raa::to_string(Color::green), "green");
+  EXPECT_EQ(names.parse("red"), Color::red);
+  EXPECT_FALSE(names.parse("Red"));
+  EXPECT_EQ(names.unknown("x"), "unknown color 'x' (want red or green)");
+  EXPECT_EQ(enum_names(raa::scen::GenKind{}).unknown("warp"),
+            "unknown generator 'warp' (want scripted, zipf, pointer_chase, "
+            "stencil, producer_consumer or bursty)");
+}
+
+// --- corpus fixtures --------------------------------------------------------
+
+const std::string kRoot = RAA_SOURCE_DIR;
+const std::string kManifest = "scenarios/fleet/smoke.manifest.json";
+
+std::string slurp(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Every corpus scenario, repo-relative, sorted by name.
+std::vector<std::string> corpus() {
+  std::vector<std::string> files;
+  namespace fs = std::filesystem;
+  for (const auto& e : fs::directory_iterator{kRoot + "/scenarios"})
+    if (e.path().extension() == ".json")
+      files.push_back("scenarios/" + e.path().filename().string());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// The schema a corpus file belongs to: parse text, return the error ("" on
+/// success) and, on success, the serialize/re-parse round-trip verdict.
+struct Schema {
+  const char* root;  ///< every semantic error starts with this path
+  std::function<std::string(const Value&, bool& round_trips)> parse;
+};
+
+Schema schema_for(const std::string& rel) {
+  if (rel == kManifest)
+    return {"manifest", [](const Value& doc, bool& round_trips) {
+              std::string error;
+              const auto m = raa::fleet::Manifest::parse(doc, &error);
+              if (m) round_trips = raa::fleet::Manifest::parse(m->to_json()) == m;
+              return error;
+            }};
+  return {"scenario", [](const Value& doc, bool& round_trips) {
+            std::string error;
+            const auto s = raa::scen::Scenario::parse(doc, &error);
+            if (s) round_trips = raa::scen::Scenario::parse(s->to_json()) == s;
+            return error;
+          }};
+}
+
+TEST(JsonBindGolden, ToJsonMatchesCheckedInGolden) {
+  std::string actual;
+  for (const std::string& rel : corpus()) {
+    std::string error;
+    const auto s = raa::scen::Scenario::load_file(kRoot + "/" + rel, &error);
+    ASSERT_TRUE(s) << error;
+    actual += "== " + rel + "\n" + s->to_json().dump(2) + "\n";
+  }
+  std::string error;
+  const auto doc = Value::parse(slurp(kRoot + "/" + kManifest), &error);
+  ASSERT_TRUE(doc) << error;
+  const auto m = raa::fleet::Manifest::parse(*doc, &error);
+  ASSERT_TRUE(m) << error;
+  actual += "== " + kManifest + "\n" + m->to_json().dump(2) + "\n";
+
+  const std::string golden_path = kRoot + "/tests/data/to_json.golden.txt";
+  const std::string golden = slurp(golden_path);
+  ASSERT_FALSE(golden.empty()) << "missing golden " << golden_path;
+  if (actual != golden) {
+    const std::string dump_path = ::testing::TempDir() + "to_json.actual.txt";
+    std::ofstream{dump_path, std::ios::binary} << actual;
+    FAIL() << "to_json output differs from " << golden_path
+           << "; actual written to " << dump_path;
+  }
+}
+
+// --- mutation robustness ----------------------------------------------------
+
+/// Byte mutants: delete each byte, or replace it with each of these.
+constexpr char kReplacements[] = {'0', '-', '"', '}', 'x'};
+/// Number mutants: every numeric token replaced by each of these
+/// (negative, overflowing, just past 2^53, not a number).
+const char* const kNumbers[] = {"-1", "1e300", "9007199254740994", "\"x\""};
+
+/// [begin, end) of every numeric token outside strings.
+std::vector<std::pair<std::size_t, std::size_t>> numbers(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char ch = text[i];
+    if (in_string) {
+      if (ch == '\\') ++i;
+      else if (ch == '"') in_string = false;
+    } else if (ch == '"') {
+      in_string = true;
+    } else if (ch == '-' || (ch >= '0' && ch <= '9')) {
+      std::size_t j = i + 1;
+      while (j < text.size() &&
+             std::string_view{"0123456789.eE+-"}.find(text[j]) !=
+                 std::string_view::npos)
+        ++j;
+      out.emplace_back(i, j);
+      i = j - 1;
+    }
+  }
+  return out;
+}
+
+class Mutants : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Mutants, ParseOrFailWithPathOrPositionNeverThrow) {
+  const std::string rel = GetParam();
+  const std::string text = slurp(kRoot + "/" + rel);
+  ASSERT_FALSE(text.empty()) << rel;
+  const Schema schema = schema_for(rel);
+
+  std::size_t accepted = 0, rejected = 0, checked = 0;
+  const auto check = [&](const std::string& mutant, const std::string& what) {
+    ++checked;
+    std::string error;
+    const auto doc = Value::parse(mutant, &error);
+    if (!doc) {
+      ++rejected;
+      EXPECT_TRUE(error.find("line ") != std::string::npos &&
+                  error.find(", column ") != std::string::npos)
+          << rel << " " << what << ": syntax error without a position: "
+          << error;
+      return;
+    }
+    bool round_trips = false;
+    try {
+      error = schema.parse(*doc, round_trips);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << rel << " " << what << ": parse threw " << e.what();
+      return;
+    }
+    if (error.empty()) {
+      ++accepted;
+      EXPECT_TRUE(round_trips) << rel << " " << what
+                               << ": parse(to_json(m)) != m";
+      return;
+    }
+    ++rejected;
+    const std::string root = schema.root;
+    EXPECT_TRUE(error.rfind(root, 0) == 0 &&
+                std::string_view{".[:"}.find(error[root.size()]) !=
+                    std::string_view::npos)
+        << rel << " " << what << ": error without a JSON path: " << error;
+  };
+
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    check(text.substr(0, i) + text.substr(i + 1),
+          "delete byte " + std::to_string(i));
+    for (const char ch : kReplacements) {
+      if (text[i] == ch) continue;
+      std::string m = text;
+      m[i] = ch;
+      check(m, "byte " + std::to_string(i) + " := '" + ch + "'");
+    }
+  }
+  for (const auto& [b, e] : numbers(text))
+    for (const char* n : kNumbers)
+      check(text.substr(0, b) + n + text.substr(e),
+            "number at " + std::to_string(b) + " := " + n);
+
+  // Both outcomes must occur, or the mutants are not exercising the schema.
+  EXPECT_GT(accepted, 0u) << rel;
+  EXPECT_GT(rejected, 0u) << rel;
+  EXPECT_EQ(accepted + rejected, checked);
+}
+
+std::vector<std::string> mutation_inputs() {
+  std::vector<std::string> files = corpus();
+  files.push_back(kManifest);
+  return files;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, Mutants, ::testing::ValuesIn(mutation_inputs()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = std::filesystem::path{info.param}.stem().string();
+      std::replace_if(
+          name.begin(), name.end(),
+          [](char ch) { return !std::isalnum(static_cast<unsigned char>(ch)); },
+          '_');
+      return name;
+    });
+
+}  // namespace

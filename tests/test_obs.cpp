@@ -234,11 +234,12 @@ TEST(ObsCounters, SnapshotJsonIsSortedAndComplete) {
 
 TEST(TraceExport, ClockParserRoundTrips) {
   using raa::obs::TraceClock;
-  EXPECT_EQ(obs::parse_trace_clock("sim"), TraceClock::sim);
-  EXPECT_EQ(obs::parse_trace_clock("host"), TraceClock::host);
-  EXPECT_EQ(obs::parse_trace_clock("dual"), TraceClock::dual);
-  EXPECT_FALSE(obs::parse_trace_clock("wall").has_value());
-  EXPECT_STREQ(obs::trace_clock_str(TraceClock::dual), "dual");
+  const auto names = enum_names(TraceClock{});
+  EXPECT_EQ(names.parse("sim"), TraceClock::sim);
+  EXPECT_EQ(names.parse("host"), TraceClock::host);
+  EXPECT_EQ(names.parse("dual"), TraceClock::dual);
+  EXPECT_FALSE(names.parse("wall").has_value());
+  EXPECT_STREQ(raa::to_string(TraceClock::dual), "dual");
 }
 
 /// Hand-built trace: one sim B/E pair, one sim complete, one host-only

@@ -15,8 +15,9 @@
 //   --mode=M         fallback mode for jobs that set none
 //                    (cache_only | hybrid | compare)
 //   --backend=B      fallback DRAM backend (flat | banked)
-//   --timeout-ms=N   fallback per-job deadline (0 = none); timed-out jobs
-//                    are cancelled cooperatively and their lane reclaimed
+//   --timeout-ms=N   fallback per-job deadline (0 = none, at most
+//                    9223372036854); timed-out jobs are cancelled
+//                    cooperatively and their lane reclaimed
 //   --retries=N      fallback retry budget for transient failures
 //   --backoff-ms=N   first retry delay (default 50), doubling per attempt
 //   --backoff-cap-ms=N  backoff ceiling (default 2000)
@@ -35,8 +36,11 @@
 //
 // Exit codes (src/common/exit_codes.hpp): 0 every job ok, 4 partial fleet
 // (some jobs ok, some not — the degradation signal), 1 no job succeeded or
-// the fleet itself failed, 2 bad usage/manifest.
+// the fleet itself failed, 2 bad usage/manifest (including a fallback flag
+// the manifest itself would reject: an unknown --mode/--backend name, or a
+// number out of range, such as --jobs=0).
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -46,6 +50,7 @@
 #include "common/exit_codes.hpp"
 #include "common/table.hpp"
 #include "fleet/fleet.hpp"
+#include "report/json_bind.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_export.hpp"
 
@@ -80,7 +85,29 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
+  // The fallback flags get the manifest's checks: enums through their name
+  // tables, numbers through the same converters and bounds (a malformed
+  // number reads as -1 and fails too).
+  FleetOptions opt;
   std::string error;
+  opt.fallback.mode = cli.get_enum<raa::scen::ScenarioMode>("mode", error);
+  opt.fallback.backend =
+      cli.get_enum<raa::mem::MemBackendKind>("backend", error);
+  const auto number = [&](const char* name, auto& out, unsigned flags,
+                          std::uint64_t max) {
+    if (cli.has(name))
+      raa::json::bind::convert(
+          {&error}, static_cast<double>(cli.get_int(name, -1)),
+          std::string{"--"} + name, flags, max, out);
+  };
+  number("jobs", opt.jobs, raa::json::bind::positive, 0);
+  number("timeout-ms", opt.fallback.timeout_ms, 0, raa::fleet::kMaxTimeoutMs);
+  number("retries", opt.fallback.retries, 0, 0);
+  if (!error.empty()) {
+    std::fprintf(stderr, "raa_fleet: %s\n", error.c_str());
+    return raa::kExitUsage;
+  }
+
   std::optional<Manifest> man =
       !manifest_path.empty() ? Manifest::load_file(manifest_path, &error)
                              : Manifest::from_directory(scenarios_dir, &error);
@@ -89,18 +116,8 @@ int main(int argc, char** argv) {
     return raa::kExitUsage;
   }
   if (cli.has("seed")) man->seed = cli.get_int("seed", 1);
-
-  FleetOptions opt;
   opt.manifest = std::move(*man);
   opt.out_dir = cli.get_string("out", "fleet_out");
-  opt.jobs = static_cast<unsigned>(cli.get_int("jobs", 1));
-  if (cli.has("mode")) opt.fallback.mode = cli.get_string("mode", "");
-  if (cli.has("backend")) opt.fallback.backend = cli.get_string("backend", "");
-  if (cli.has("timeout-ms"))
-    opt.fallback.timeout_ms =
-        static_cast<std::uint64_t>(cli.get_int("timeout-ms", 0));
-  if (cli.has("retries"))
-    opt.fallback.retries = static_cast<unsigned>(cli.get_int("retries", 0));
   opt.backoff_base_ms =
       static_cast<std::uint64_t>(cli.get_int("backoff-ms", 50));
   opt.backoff_cap_ms =

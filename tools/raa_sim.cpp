@@ -36,11 +36,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,7 +47,7 @@
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_export.hpp"
-#include "fleet/job.hpp"  // record_metrics — shared with the fleet engine
+#include "fleet/job.hpp"  // record_runs — shared with the fleet engine
 #include "fuzz/genscenario.hpp"  // kMarkerRegionName (header-only use)
 #include "memsim/system.hpp"
 #include "report/report.hpp"
@@ -66,10 +63,6 @@ using raa::mem::SystemConfig;
 using raa::mem::Workload;
 using raa::scen::Scenario;
 using raa::scen::TraceData;
-
-const char* mode_name(HierarchyMode m) {
-  return m == HierarchyMode::hybrid ? "hybrid" : "cache_only";
-}
 
 Metrics run_once(const SystemConfig& cfg, HierarchyMode mode, Workload& w) {
   System sys{cfg, mode};
@@ -92,12 +85,11 @@ int usage(const char* argv0) {
   return raa::kExitUsage;
 }
 
-/// Verify the record->replay contract for one (make_workload, mode) pair.
+/// Verify the record->replay contract for one (input, mode) pair.
 /// Returns false (with a stderr diagnostic) on any metrics mismatch.
-template <typename MakeWorkload>
-bool selfcheck_mode(const SystemConfig& cfg, HierarchyMode mode,
-                    const MakeWorkload& make) {
-  auto w = make();
+bool selfcheck_mode(const raa::fleet::LoadedInput& in, HierarchyMode mode) {
+  const SystemConfig& cfg = in.config;
+  auto w = in.make_workload();
   TraceData trace;
   raa::scen::record_workload(w, cfg, mode, trace);
   const Metrics recorded = run_once(cfg, mode, w);
@@ -107,7 +99,7 @@ bool selfcheck_mode(const SystemConfig& cfg, HierarchyMode mode,
     std::fprintf(stderr,
                  "selfcheck FAILED (%s): trace replay metrics differ "
                  "from the recorded run\n",
-                 mode_name(mode));
+                 raa::mem::to_string(mode));
     return false;
   }
   return true;
@@ -123,10 +115,7 @@ bool write_and_validate_json(const raa::report::RunReport& run,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const auto doc = raa::json::Value::parse(ss.str(), &error);
+  const auto doc = raa::json::Value::parse_file(path, &error);
   if (!doc) {
     std::fprintf(stderr, "error: emitted JSON does not re-parse: %s\n",
                  error.c_str());
@@ -160,12 +149,19 @@ int main(int argc, char** argv) try {
   const bool selfcheck = cli.get_bool("selfcheck", false);
   const bool quiet = cli.get_bool("quiet", false);
   const std::string trace_out = cli.get_string("trace-out", "");
+  std::string flag_error;
   const auto trace_clock =
-      raa::obs::parse_trace_clock(cli.get_string("trace-clock", "sim"));
-  if (!trace_clock) {
-    std::fprintf(stderr,
-                 "error: --trace-clock must be sim, host or dual\n");
-    return usage(argv[0]);
+      cli.get_enum<raa::obs::TraceClock>("trace-clock", flag_error)
+          .value_or(raa::obs::TraceClock::sim);
+  const auto mode_flag =
+      cli.get_enum<raa::scen::ScenarioMode>("mode", flag_error);
+  const auto backend_flag =
+      cli.get_enum<raa::mem::MemBackendKind>("backend", flag_error);
+  const auto mapping_flag =
+      cli.get_enum<raa::mem::BankMapping>("mapping", flag_error);
+  if (!flag_error.empty()) {
+    std::fprintf(stderr, "error: %s\n", flag_error.c_str());
+    return raa::kExitUsage;
   }
 
   if ((scenario_path.empty()) == (replay_path.empty())) {
@@ -184,118 +180,43 @@ int main(int argc, char** argv) try {
     return usage(argv[0]);
   }
 
-  // Resolve the input into (name, config, modes, make_workload).
-  SystemConfig cfg;
-  std::vector<HierarchyMode> modes;
-  std::string name;
-  std::function<Workload()> make_workload;
-  Scenario scenario;                       // scenario path only
-  std::shared_ptr<const TraceData> trace;  // replay path only
-
-  if (!replay_path.empty()) {
-    std::string error;
-    auto t = TraceData::read_file(replay_path, &error);
-    if (!t) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return raa::kExitUsage;
-    }
-    trace = std::make_shared<const TraceData>(std::move(*t));
-    cfg = trace->config;
-    name = trace->name.empty() ? "replay" : trace->name;
-    HierarchyMode mode = trace->mode;
-    if (cli.has("mode")) {
-      const std::string ms = cli.get_string("mode", "");
-      if (ms == "cache_only") mode = HierarchyMode::cache_only;
-      else if (ms == "hybrid") mode = HierarchyMode::hybrid;
-      else {
-        std::fprintf(stderr, "error: --mode for --replay must be "
-                             "cache_only or hybrid, got '%s'\n",
-                     ms.c_str());
-        return raa::kExitUsage;
+  // Resolve the input the way a fleet job does (src/fleet/job.hpp).
+  raa::fleet::JobSpec input;
+  input.scenario = scenario_path;
+  input.trace = replay_path;
+  raa::fleet::LoadedInput in;
+  try {
+    in = raa::fleet::load_input(input, mode_flag, backend_flag);
+  } catch (const raa::fleet::JobError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return e.kind() == raa::fleet::ErrorKind::degenerate
+               ? raa::kExitBadScenario
+               : raa::kExitUsage;
+  }
+  auto& [scenario, trace, cfg, modes] = in;
+  std::string name = trace ? trace->name : scenario.name;
+  if (name.empty()) name = "replay";
+  if (cli.has("seed"))
+    scenario.seed = static_cast<std::uint64_t>(
+        cli.get_int("seed", static_cast<std::int64_t>(scenario.seed)));
+  if (cli.get_bool("fail-on-marker", false)) {
+    for (const auto& r : scenario.regions)
+      if (r.name.rfind(raa::fuzz::kMarkerRegionName, 0) == 0) {
+        std::fprintf(stderr,
+                     "marker divergence reproduced: region '%s' present "
+                     "in %s\n",
+                     r.name.c_str(), scenario_path.c_str());
+        return raa::kExitFailure;
       }
-    }
-    modes = {mode};
-    make_workload = [&] { return raa::scen::make_replay_workload(trace); };
-  } else {
-    std::string error;
-    auto s = Scenario::load_file(scenario_path, &error);
-    if (!s) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return raa::kExitUsage;
-    }
-    scenario = std::move(*s);
-    if (cli.has("seed"))
-      scenario.seed = static_cast<std::uint64_t>(
-          cli.get_int("seed", static_cast<std::int64_t>(scenario.seed)));
-    if (cli.has("mode")) {
-      const auto m = raa::scen::scenario_mode_from(cli.get_string("mode", ""));
-      if (!m) {
-        std::fprintf(stderr, "error: --mode must be cache_only, hybrid or "
-                             "compare\n");
-        return raa::kExitUsage;
-      }
-      scenario.mode = *m;
-    }
-    // A declared region no program references is a degenerate scenario:
-    // parse() accepts it (the struct is well-formed) but running it would
-    // silently skew the address-space layout for no workload effect.
-    // Distinct exit code so scripts can tell it from a parse error.
-    if (const auto unref = scenario.first_unreferenced_region()) {
-      std::fprintf(stderr,
-                   "error: %s: scenario.regions[%zu]: region '%s' is "
-                   "declared but referenced by no program (claimed by zero "
-                   "cores)\n",
-                   scenario_path.c_str(), *unref,
-                   scenario.regions[*unref].name.c_str());
-      return raa::kExitBadScenario;
-    }
-    if (cli.get_bool("fail-on-marker", false)) {
-      for (const auto& r : scenario.regions)
-        if (r.name.rfind(raa::fuzz::kMarkerRegionName, 0) == 0) {
-          std::fprintf(stderr,
-                       "marker divergence reproduced: region '%s' present "
-                       "in %s\n",
-                       r.name.c_str(), scenario_path.c_str());
-          return raa::kExitFailure;
-        }
-    }
-    cfg = scenario.config;
-    name = scenario.name;
-    modes = scenario.hierarchy_modes();
-    make_workload = [&] { return scenario.instantiate(); };
-    if (!record_path.empty() && modes.size() != 1) {
-      std::fprintf(stderr,
-                   "error: --record needs a single concrete mode; pass "
-                   "--mode=cache_only or --mode=hybrid\n");
-      return raa::kExitUsage;
-    }
   }
-  if (cli.has("backend")) {
-    const std::string bs = cli.get_string("backend", "");
-    if (bs == "flat") {
-      cfg.memory.kind = raa::mem::MemBackendKind::flat;
-    } else if (bs == "banked") {
-      cfg.memory.kind = raa::mem::MemBackendKind::banked;
-    } else {
-      std::fprintf(stderr,
-                   "error: --backend must be flat or banked, got '%s'\n",
-                   bs.c_str());
-      return raa::kExitUsage;
-    }
+  if (!record_path.empty() && modes.size() != 1) {
+    std::fprintf(stderr,
+                 "error: --record needs a single concrete mode; pass "
+                 "--mode=cache_only or --mode=hybrid\n");
+    return raa::kExitUsage;
   }
-  if (cli.has("mapping")) {
-    const std::string ms = cli.get_string("mapping", "");
-    if (ms == "block") {
-      cfg.memory.banked.mapping = raa::mem::BankMapping::block;
-    } else if (ms == "xor") {
-      cfg.memory.banked.mapping = raa::mem::BankMapping::xor_hash;
-    } else {
-      std::fprintf(stderr,
-                   "error: --mapping must be block or xor, got '%s'\n",
-                   ms.c_str());
-      return raa::kExitUsage;
-    }
-  }
+  cfg.memory.banked.mapping =
+      mapping_flag.value_or(cfg.memory.banked.mapping);
 
   // --- main run(s) --------------------------------------------------------
   // The tracing session brackets exactly the main runs (not the
@@ -307,7 +228,7 @@ int main(int argc, char** argv) try {
   std::vector<Metrics> results;
   TraceData recorded;
   for (std::size_t i = 0; i < modes.size(); ++i) {
-    Workload w = make_workload();
+    Workload w = in.make_workload();
     if (!record_path.empty() && i == 0)
       raa::scen::record_workload(w, cfg, modes[i], recorded);
     results.push_back(run_once(cfg, modes[i], w));
@@ -317,7 +238,7 @@ int main(int argc, char** argv) try {
   if (!trace_out.empty()) {
     const raa::obs::Trace obs_trace = raa::obs::stop();
     std::string error;
-    if (!raa::obs::write_chrome_trace(obs_trace, trace_out, *trace_clock,
+    if (!raa::obs::write_chrome_trace(obs_trace, trace_out, trace_clock,
                                       &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return raa::kExitFailure;
@@ -327,7 +248,7 @@ int main(int argc, char** argv) try {
           "wrote trace %s (%zu events, %llu dropped, clock=%s)\n",
           trace_out.c_str(), obs_trace.events.size(),
           static_cast<unsigned long long>(obs_trace.dropped),
-          raa::obs::trace_clock_str(*trace_clock));
+          raa::to_string(trace_clock));
   }
 
   if (!record_path.empty()) {
@@ -352,8 +273,8 @@ int main(int argc, char** argv) try {
     raa::Table t{{"mode", "cycles", "energy pJ", "noc flit-hops",
                   "accesses"}};
     for (std::size_t i = 0; i < modes.size(); ++i)
-      t.row(mode_name(modes[i]), results[i].cycles, results[i].energy_pj(),
-            results[i].noc_flit_hops,
+      t.row(raa::mem::to_string(modes[i]), results[i].cycles,
+            results[i].energy_pj(), results[i].noc_flit_hops,
             static_cast<unsigned long>(results[i].accesses));
     t.print(std::cout);
     if (modes.size() == 2) {
@@ -370,7 +291,7 @@ int main(int argc, char** argv) try {
   if (selfcheck) {
     bool ok = true;
     for (const HierarchyMode mode : modes)
-      ok = selfcheck_mode(cfg, mode, make_workload) && ok;
+      ok = selfcheck_mode(in, mode) && ok;
     if (!ok) return raa::kExitFailure;
     std::printf("selfcheck OK: recorded run == trace replay for %zu mode%s\n",
                 modes.size(), modes.size() == 1 ? "" : "s");
@@ -391,18 +312,9 @@ int main(int argc, char** argv) try {
       b.set_param("seed", std::to_string(scenario.seed));
     } else {
       b.set_param("trace", replay_path);
-      b.set_param("mode", mode_name(modes[0]));
+      b.set_param("mode", raa::mem::to_string(modes[0]));
     }
-    for (std::size_t i = 0; i < modes.size(); ++i)
-      raa::fleet::record_metrics(
-          b, std::string{mode_name(modes[i])} + "/", results[i]);
-    if (modes.size() == 2) {
-      b.record("time_x", results[0].cycles / results[1].cycles, "x");
-      b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
-               "x");
-      b.record("noc_x",
-               results[0].noc_flit_hops / results[1].noc_flit_hops, "x");
-    }
+    raa::fleet::record_runs(b, modes, results);
     b.record_info("wall_seconds", wall, "s");
     // Quarantined "obs" section: only attached when a tracing session
     // ran, so untraced reports keep their exact pre-obs bytes.

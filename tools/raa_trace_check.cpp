@@ -20,9 +20,7 @@
 // reported; all files are checked).
 
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -133,17 +131,10 @@ bool check_trace(const Value& doc, std::string* error) {
 }
 
 bool check_file(const char* path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "raa_trace_check: cannot open %s\n", path);
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
   std::string error;
-  const std::optional<Value> doc = Value::parse(buf.str(), &error);
+  const std::optional<Value> doc = Value::parse_file(path, &error);
   if (!doc) {
-    std::fprintf(stderr, "raa_trace_check: %s: %s\n", path, error.c_str());
+    std::fprintf(stderr, "raa_trace_check: %s\n", error.c_str());
     return false;
   }
   if (!check_trace(*doc, &error)) {
