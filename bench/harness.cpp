@@ -6,12 +6,19 @@
 
 #include "common/exit_codes.hpp"
 #include "exec/parallel.hpp"
+#include "report/json_bind.hpp"
 
 namespace raa::bench {
 
 namespace {
 
 using clock = std::chrono::steady_clock;
+
+/// Flag ceilings: far above any real run, low enough that the unit list
+/// fits in memory and the lane count stays a thread count one host can
+/// start.
+constexpr std::uint64_t kMaxReps = 100000;
+constexpr std::uint64_t kMaxJobs = 256;
 
 /// One scenario unit: a single repetition of a single benchmark, with a
 /// private report so units can run concurrently and merge in order.
@@ -102,10 +109,29 @@ int harness_main(int argc, char** argv) {
     }
   }
 
-  const int reps =
-      static_cast<int>(std::max<std::int64_t>(1, cli.get_int("reps", 1)));
-  const int jobs =
-      static_cast<int>(std::max<std::int64_t>(1, cli.get_int("jobs", 1)));
+  // --reps and --jobs go through the manifest's checked converters: a
+  // value that is not a positive integer within its bound exits 2 before
+  // any unit runs (a malformed number reads as -1 and fails too). The
+  // bounds keep the unit list's allocation and the int casts sane.
+  std::uint64_t reps_flag = 1;
+  std::uint64_t jobs_flag = 1;
+  std::string error;
+  const auto number = [&](const char* name, std::uint64_t max,
+                          std::uint64_t& out) {
+    if (cli.has(name))
+      json::bind::convert({&error},
+                          static_cast<double>(cli.get_int(name, -1)),
+                          std::string{"--"} + name, json::bind::positive, max,
+                          out);
+  };
+  number("reps", kMaxReps, reps_flag);
+  number("jobs", kMaxJobs, jobs_flag);
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return raa::kExitUsage;
+  }
+  const int reps = static_cast<int>(reps_flag);
+  const int jobs = static_cast<int>(jobs_flag);
   report::RunReport run{reps};
   const auto run_start = clock::now();
 

@@ -7,8 +7,8 @@
 /// scenario reports in registration order, run_comparison assigns the
 /// cache_only/hybrid halves by index, never by finishing time.
 ///
-/// The wait help-runs queued tasks (see pool.hpp), so a task may itself
-/// call ordered_reduce on the same pool.
+/// The wait help-runs tasks from the caller's own source (see pool.hpp),
+/// so a task may itself call ordered_reduce on the same pool.
 
 #include <cstddef>
 #include <exception>
@@ -54,12 +54,10 @@ void ordered_reduce(Pool& pool, std::size_t n, TaskFn&& task, MergeFn&& merge) {
     });
   }
   for (std::size_t i = 0; i < n; ++i) {
-    pool.help_while(
-        [&] {
-          const std::scoped_lock lock{mutex};
-          return !slots[i].done;
-        },
-        &group);
+    pool.help_while([&] {
+      const std::scoped_lock lock{mutex};
+      return !slots[i].done;
+    });
     std::optional<R> value;
     {
       const std::scoped_lock lock{mutex};

@@ -1,114 +1,76 @@
 #include "exec/pool.hpp"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace raa::exec {
 
-Pool::Pool(unsigned workers) {
-  try {
-    workers_.start(workers, [this](std::stop_token stop, unsigned) {
-      worker_loop(stop);
-    });
-  } catch (...) {
-    // Thread exhaustion mid-spawn: wake and join the workers that did
-    // start (their CV predicate is only re-evaluated on notify, so the
-    // jthread destructors' bare request_stop would hang) and propagate.
-    shutdown_workers();
-    throw;
-  }
-}
-
-void Pool::shutdown_workers() {
-  {
-    const std::scoped_lock lock{mutex_};
-    stopping_ = true;
-  }
-  workers_.request_stop();
-  cv_.notify_all();
-  workers_.join();
-}
+Pool::Pool(unsigned workers)
+    : exec_({.num_workers = workers}, [this](void* item, unsigned) {
+        run(static_cast<Task*>(item));
+      }) {}
 
 Pool::~Pool() {
-  shutdown_workers();
+  exec_.shutdown();
   // Leftover tasks mean a group was destroyed without wait() — a contract
-  // violation; its lambdas' captures may already dangle, so dropping them
+  // violation; its lambdas' captures may already dangle, so freeing them
   // unrun is the only safe option.
-  queue_.clear();
+  while (void* item = exec_.try_pop(exec_.num_workers()))
+    delete static_cast<Task*>(item);
 }
 
 void Pool::submit(Group& g, std::function<void()> fn) {
   RAA_CHECK(fn != nullptr);
   {
+    // Pushed under the lock so a waiter's locked re-check of its own
+    // source either sees the task or sleeps before the notify below.
     const std::scoped_lock lock{mutex_};
-    queue_.push_back(Task{std::move(fn), &g, g.submitted++});
-    ++epoch_;
+    exec_.submit(new Task{std::move(fn), &g, g.submitted++},
+                 exec_.current_worker());
   }
   cv_.notify_all();
 }
 
-bool Pool::run_one(const Group* only) {
-  Task task;
-  {
-    const std::scoped_lock lock{mutex_};
-    auto it = queue_.begin();
-    if (only != nullptr)
-      it = std::find_if(queue_.begin(), queue_.end(),
-                        [only](const Task& t) { return t.group == only; });
-    if (it == queue_.end()) return false;
-    task = std::move(*it);
-    queue_.erase(it);
-  }
+void Pool::run(Task* raw) {
+  const std::unique_ptr<Task> task{raw};
   std::exception_ptr error;
   try {
-    task.fn();
+    task->fn();
   } catch (...) {
     error = std::current_exception();
   }
   {
     const std::scoped_lock lock{mutex_};
-    Group& g = *task.group;
+    Group& g = *task->group;
     ++g.finished;
-    if (error && (!g.error || task.index < g.error_index)) {
+    if (error && (!g.error || task->index < g.error_index)) {
       // Move, don't share: the group's reference must be the only one, so
       // the exception object is freed by whoever finally takes it (the
       // waiter), never by a worker racing the waiter's rethrow-and-read.
       g.error = std::move(error);
-      g.error_index = task.index;
+      g.error_index = task->index;
     }
-    ++epoch_;
   }
   cv_.notify_all();
-  return true;
 }
 
-void Pool::worker_loop(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    if (run_one()) continue;
-    std::unique_lock lock{mutex_};
-    cv_.wait(lock,
-             [&] { return !queue_.empty() || stopping_ || stop.stop_requested(); });
-  }
-}
-
-void Pool::help_while(const std::function<bool()>& not_ready,
-                      const Group* only) {
+void Pool::help_while(const std::function<bool()>& not_ready) {
+  const unsigned self = exec_.current_worker();
+  std::unique_lock lock{mutex_};
   for (;;) {
-    std::uint64_t seen;
-    {
-      const std::scoped_lock lock{mutex_};
-      seen = epoch_;
-    }
-    // Predicate runs with no pool lock held: it may take external locks
-    // (ordered_reduce checks its result slots here).
-    if (!not_ready()) return;
-    if (run_one(only)) continue;
-    std::unique_lock lock{mutex_};
-    // Any enqueue/completion since `seen` was captured re-tests the
-    // predicate instead of sleeping through its flip.
-    cv_.wait(lock, [&] { return epoch_ != seen; });
+    void* item = nullptr;
+    // Every submission and completion notifies under this lock, so the
+    // locked re-test cannot sleep through the predicate's flip or a task
+    // arriving in our own source.
+    cv_.wait(lock, [&] {
+      return !not_ready() || (item = exec_.pop_own(self)) != nullptr;
+    });
+    if (item == nullptr) return;
+    lock.unlock();
+    run(static_cast<Task*>(item));
+    lock.lock();
   }
 }
 
@@ -127,37 +89,8 @@ void Pool::wait(Group& g) {
 }
 
 std::exception_ptr Pool::wait_collect(Group& g) {
-  help_while(
-      [&] {
-        const std::scoped_lock lock{mutex_};
-        return g.finished < g.submitted;
-      },
-      &g);
+  help_while([&] { return g.finished < g.submitted; });
   return take_error(g);
-}
-
-bool Pool::wait_for(Group& g, std::chrono::nanoseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool done;
-    std::uint64_t seen;
-    {
-      const std::scoped_lock lock{mutex_};
-      done = g.finished >= g.submitted;
-      seen = epoch_;
-    }
-    if (done) break;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    if (run_one(&g)) continue;
-    std::unique_lock lock{mutex_};
-    // Same missed-wakeup guard as help_while: any enqueue/completion since
-    // `seen` re-tests the group instead of sleeping through its finish.
-    if (!cv_.wait_until(lock, deadline, [&] { return epoch_ != seen; }))
-      return false;
-  }
-  if (std::exception_ptr error = take_error(g))
-    std::rethrow_exception(error);
-  return true;
 }
 
 }  // namespace raa::exec

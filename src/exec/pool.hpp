@@ -1,35 +1,35 @@
 #pragma once
 /// \file pool.hpp
-/// Bounded task-queue executor: the parallel-execution substrate under the
-/// bench harness's --jobs fan-out, the fleet's job lanes and
-/// run_comparison's concurrent halves. Every client submits coarse,
-/// independent units.
+/// Grouped task pool: the parallel-execution surface under the bench
+/// harness's --jobs fan-out, the fleet's job lanes and run_comparison's
+/// concurrent halves. Every client submits coarse, independent units.
+/// It is a thin layer over one private StealingExecutor (stealing.hpp),
+/// which owns the worker threads and the queues; the pool adds groups,
+/// error capture and helping waits.
 ///
 /// Design points that the layers above rely on:
-///  * Work-helping waits. Any thread blocked in wait()/help_while() pops
-///    and runs queued tasks itself — restricted to the group it is
-///    waiting on, so a waiter makes progress on exactly the work it
-///    needs and never executes unrelated tasks inside its own timing
-///    window. A Pool with zero worker threads is therefore a valid
-///    (deterministic, inline) executor, and a task may submit subtasks
-///    to its own pool and wait on them without risking worker starvation
-///    deadlock.
+///  * Work-helping waits that pop only the waiter's own source: its own
+///    deque if it is a pool worker, the executor's injection queue if it
+///    is not. A waiter never steals. A submission goes to the submitter's
+///    own source, so the tasks a waiter awaits are either there or already
+///    running on another thread: a task may submit subtasks to its own
+///    pool and wait on them without risking worker-starvation deadlock,
+///    and a bench unit waiting on its sub-units does not steal other
+///    lanes' units into its timing window. A Pool with zero worker threads
+///    is therefore a valid inline executor.
 ///  * Deterministic failure reporting. Every task carries its submission
 ///    index within its Group; wait() rethrows the exception of the
 ///    *lowest-index* failed task, independent of completion order.
 ///  * Reuse. Groups reset on wait(); a pool is submitted to repeatedly
 ///    over its lifetime (every bench unit, every fleet job).
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
 
-#include "exec/worker_pool.hpp"
+#include "exec/stealing.hpp"
 
 namespace raa::exec {
 
@@ -59,53 +59,35 @@ class Pool {
   explicit Pool(unsigned workers);
 
   /// Joins the workers. Tasks still queued — possible only when a Group
-  /// was destroyed without wait(), violating its contract — are dropped
+  /// was destroyed without wait(), violating its contract — are freed
   /// unrun (their captures may already dangle).
   ~Pool();
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  unsigned workers() const noexcept { return workers_.size(); }
-
-  /// Enqueue `fn` under `g`. Runs on a worker or inside a helping wait;
-  /// may be called from inside a task (nested submission).
+  /// Enqueue `fn` under `g` on the calling thread's own source. Runs on a
+  /// worker or inside a helping wait; may be called from inside a task
+  /// (nested submission).
   void submit(Group& g, std::function<void()> fn);
 
-  /// Help-run queued tasks *of `g`* until every task of `g` has finished,
-  /// then rethrow the lowest-index captured exception (if any). Resets
-  /// `g`. Helping is group-restricted on purpose: a waiter must never
-  /// execute unrelated work inside its own timing window (the bench
-  /// harness records per-unit wall clocks around these waits), and the
-  /// awaited tasks are by definition queued or already running, so
-  /// restricted helping cannot starve.
+  /// Help-run tasks from the caller's own source until every task of `g`
+  /// has finished, then rethrow the lowest-index captured exception (if
+  /// any). Resets `g`.
   void wait(Group& g);
 
   /// wait() variant that returns the error instead of throwing (for
   /// cancellation paths that are already unwinding). Resets `g`.
   std::exception_ptr wait_collect(Group& g);
 
-  /// Deadline-aware wait(): like wait(), but gives up once `timeout` has
-  /// elapsed. Returns true when every task of `g` finished (then resets
-  /// `g` and rethrows the lowest-index error exactly like wait()); false
-  /// on expiry, leaving `g` *unreset* — the caller may keep working and
-  /// wait()/wait_for() the same group again later. Helping is
-  /// group-restricted as in wait(), and the deadline is only observed
-  /// between helped tasks: on a zero-worker pool a single long task can
-  /// overshoot it, so deadline supervisors (the fleet watchdog) should
-  /// run on a pool with workers >= 1 and pair the expiry with cooperative
-  /// cancellation of the task itself.
-  bool wait_for(Group& g, std::chrono::nanoseconds timeout);
-
-  /// Help-run queued tasks while `not_ready()` returns true. Between
-  /// tasks the predicate is re-evaluated with no pool lock held (it may
-  /// take its own locks); when no runnable task is queued the caller
-  /// sleeps until any task is enqueued or finishes. With `only` set,
-  /// helping is restricted to that group's tasks (see wait()). The
-  /// condition must be flipped by a task of this pool (or already be
-  /// false), else this never returns.
-  void help_while(const std::function<bool()>& not_ready,
-                  const Group* only = nullptr);
+  /// Help-run tasks from the caller's own source while `not_ready()`
+  /// returns true; when that source is dry, sleep until a task of this
+  /// pool finishes or is submitted. The predicate runs with the pool lock
+  /// held (that is what makes the sleep race-free), so it may take its own
+  /// locks but must never call into the pool. The condition must be
+  /// flipped by a task of this pool (or already be false), else this
+  /// never returns.
+  void help_while(const std::function<bool()>& not_ready);
 
  private:
   struct Task {
@@ -114,22 +96,14 @@ class Pool {
     std::size_t index = 0;
   };
 
-  /// Pop-and-run one queued task — the oldest overall, or the oldest of
-  /// `only`'s — and return true; false when none was eligible.
-  bool run_one(const Group* only = nullptr);
-  void worker_loop(std::stop_token stop);
-  /// Stop, wake and join the worker threads.
-  void shutdown_workers();
+  /// The executor's RunFn: run one task and record its completion.
+  void run(Task* task);
   std::exception_ptr take_error(Group& g);
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;  ///< signalled on enqueue and completion
-  std::deque<Task> queue_;
-  /// Bumped on every enqueue/completion; helping waiters use it to avoid
-  /// missed wakeups between predicate check and sleep.
-  std::uint64_t epoch_ = 0;
-  bool stopping_ = false;
-  WorkerPool workers_;
+  std::mutex mutex_;
+  std::condition_variable cv_;  ///< signalled on submission and completion
+  /// Last member: its workers stop before the state above dies.
+  StealingExecutor exec_;
 };
 
 }  // namespace raa::exec

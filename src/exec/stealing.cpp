@@ -43,15 +43,14 @@ StealingExecutor::StealingExecutor(Options options, RunFn run, PollFn poll)
   obs_token_ = obs::Registry::instance().attach_external(
       "exec.steals", [this] { return steal_count(); });
   try {
-    pool_.start(n, [this](std::stop_token stop, unsigned w) {
-      worker_loop(stop, w);
-    });
+    threads_.reserve(n);
+    for (unsigned w = 0; w < n; ++w)
+      threads_.emplace_back(
+          [this, w](std::stop_token stop) { worker_loop(stop, w); });
   } catch (...) {
-    // Thread exhaustion mid-start: wake the workers that did start so
-    // their parked commit_wait observes the stop, then join.
-    pool_.request_stop();
-    notifier_.notify_all();
-    pool_.join();
+    // Thread exhaustion mid-start: stop, wake and join the workers that
+    // did start, and detach the gauge before the members die.
+    shutdown();
     throw;
   }
 }
@@ -64,9 +63,11 @@ void StealingExecutor::shutdown() {
     obs::Registry::instance().detach_external(obs_token_);
     obs_token_ = 0;
   }
-  pool_.request_stop();
+  for (auto& t : threads_) t.request_stop();
   notifier_.notify_all();
-  pool_.join();
+  for (auto& t : threads_)
+    if (t.joinable()) t.join();
+  threads_.clear();
 }
 
 unsigned StealingExecutor::current_worker() const noexcept {
@@ -95,14 +96,15 @@ void* StealingExecutor::pop_injected(bool lifo) {
   return item;
 }
 
+void* StealingExecutor::pop_own(unsigned worker) {
+  if (worker < options_.num_workers) return deques_[worker]->pop();
+  return pop_injected(/*lifo=*/true);
+}
+
 void* StealingExecutor::try_pop(unsigned worker) {
   const unsigned n = options_.num_workers;
   const unsigned self = worker <= n ? worker : n;
-  if (self < n) {
-    if (void* item = deques_[self]->pop()) return item;
-  } else if (void* item = pop_injected(/*lifo=*/true)) {
-    return item;
-  }
+  if (void* item = pop_own(self)) return item;
   if (void* item = steal_sweep(self)) return item;
   if (poll_ != nullptr) return poll_(self);
   return nullptr;

@@ -24,10 +24,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "exec/worker_pool.hpp"
 #include "exec/wsq.hpp"
 
 namespace raa::exec {
@@ -102,9 +102,10 @@ class Notifier {
   std::atomic<std::uint64_t> waiters_{0};
 };
 
-/// Work-stealing executor over `num_workers` threads. Items are opaque
-/// non-null pointers; `run` is invoked on the worker that acquired the
-/// item. Thread-safe: submit()/try_pop() may be called from any thread.
+/// Work-stealing executor over `num_workers` threads — the one place in
+/// src/exec/ that creates threads. Items are opaque non-null pointers;
+/// `run` is invoked on the worker that acquired the item. Thread-safe:
+/// submit()/pop_own()/try_pop() may be called from any thread.
 class StealingExecutor {
  public:
   /// Called with (item, worker) — worker == num_workers when an external
@@ -138,6 +139,11 @@ class StealingExecutor {
   /// num_workers): own source first, then steal sweep, then poll.
   /// Returns nullptr when everything is dry.
   void* try_pop(unsigned worker);
+
+  /// try_pop()'s first step alone: worker `worker`'s own deque (LIFO), or
+  /// for an external thread the newest injected item. Never steals. As
+  /// with try_pop(), only worker w itself may pass w < num_workers.
+  void* pop_own(unsigned worker);
 
   /// Wake one parked worker / all parked workers (e.g. for shutdown or
   /// after bulk submission).
@@ -191,7 +197,8 @@ class StealingExecutor {
   std::uint64_t obs_token_ = 0;  ///< registry external-gauge handle
 
   Notifier notifier_;
-  WorkerPool pool_;  ///< last member: threads die before the state above
+  /// Last member: the threads die before the state above.
+  std::vector<std::jthread> threads_;
 };
 
 }  // namespace raa::exec

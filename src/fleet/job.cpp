@@ -50,31 +50,6 @@ void wrap_cancellable(mem::Workload& w, const std::atomic<bool>& cancel) {
 
 }  // namespace
 
-const char* to_string(ErrorKind kind) noexcept {
-  switch (kind) {
-    case ErrorKind::none: return "none";
-    case ErrorKind::parse: return "parse";
-    case ErrorKind::degenerate: return "degenerate";
-    case ErrorKind::check: return "check";
-    case ErrorKind::io: return "io";
-    case ErrorKind::cancelled: return "cancelled";
-    case ErrorKind::injected: return "injected";
-    case ErrorKind::internal: return "internal";
-  }
-  return "unknown";
-}
-
-const char* to_string(JobStatus status) noexcept {
-  switch (status) {
-    case JobStatus::ok: return "ok";
-    case JobStatus::retried_ok: return "retried_ok";
-    case JobStatus::failed: return "failed";
-    case JobStatus::timeout: return "timeout";
-    case JobStatus::skipped: return "skipped";
-  }
-  return "unknown";
-}
-
 void record_runs(report::BenchReport& b,
                  const std::vector<mem::HierarchyMode>& modes,
                  const std::vector<mem::Metrics>& results) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "fleet/manifest.hpp"
 #include "memsim/config.hpp"
 #include "report/json.hpp"
@@ -35,6 +36,8 @@ struct Metrics;
 }  // namespace raa::mem
 
 namespace raa::fleet {
+
+using raa::to_string;
 
 /// Why a job attempt failed. The kind decides retryability: transient
 /// kinds (io, cancelled) re-enter the queue under the retry budget;
@@ -51,7 +54,18 @@ enum class ErrorKind : std::uint8_t {
   internal,    ///< any other exception (bug in the job runner)
 };
 
-const char* to_string(ErrorKind kind) noexcept;
+inline EnumNames<ErrorKind> enum_names(ErrorKind) {
+  static constexpr EnumName<ErrorKind> kNames[] = {
+      {"none", ErrorKind::none},
+      {"parse", ErrorKind::parse},
+      {"degenerate", ErrorKind::degenerate},
+      {"check", ErrorKind::check},
+      {"io", ErrorKind::io},
+      {"cancelled", ErrorKind::cancelled},
+      {"injected", ErrorKind::injected},
+      {"internal", ErrorKind::internal}};
+  return {"error kind", kNames};
+}
 
 /// True for kinds worth retrying (a repeat attempt can plausibly succeed).
 constexpr bool is_transient(ErrorKind kind) noexcept {
@@ -80,7 +94,15 @@ enum class JobStatus : std::uint8_t {
   skipped,     ///< never attempted (fail-fast tripped first)
 };
 
-const char* to_string(JobStatus status) noexcept;
+inline EnumNames<JobStatus> enum_names(JobStatus) {
+  static constexpr EnumName<JobStatus> kNames[] = {
+      {"ok", JobStatus::ok},
+      {"retried_ok", JobStatus::retried_ok},
+      {"failed", JobStatus::failed},
+      {"timeout", JobStatus::timeout},
+      {"skipped", JobStatus::skipped}};
+  return {"job status", kNames};
+}
 
 /// Effective per-job execution settings after resolving job entry >
 /// manifest defaults > driver fallback (fleet.cpp does the resolving).

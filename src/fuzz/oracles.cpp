@@ -53,17 +53,6 @@ std::string metrics_diff(const mem::Metrics& a, const mem::Metrics& b) {
 
 }  // namespace
 
-const char* to_string(Oracle o) noexcept {
-  switch (o) {
-    case Oracle::store: return "store";
-    case Oracle::replay: return "replay";
-    case Oracle::roundtrip: return "roundtrip";
-    case Oracle::backend: return "backend";
-    case Oracle::marker: return "marker";
-  }
-  return "?";
-}
-
 std::optional<Divergence> check_oracles(const scen::Scenario& s,
                                         const OracleOptions& opt) {
   if (opt.check_marker) {

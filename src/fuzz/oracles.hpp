@@ -19,10 +19,13 @@
 #include <optional>
 #include <string>
 
+#include "common/enum_names.hpp"
 #include "memsim/config.hpp"
 #include "scenario/scenario.hpp"
 
 namespace raa::fuzz {
+
+using raa::to_string;
 
 enum class Oracle : std::uint8_t {
   store,
@@ -32,7 +35,13 @@ enum class Oracle : std::uint8_t {
   marker
 };
 
-const char* to_string(Oracle o) noexcept;
+inline EnumNames<Oracle> enum_names(Oracle) {
+  static constexpr EnumName<Oracle> kNames[] = {
+      {"store", Oracle::store},         {"replay", Oracle::replay},
+      {"roundtrip", Oracle::roundtrip}, {"backend", Oracle::backend},
+      {"marker", Oracle::marker}};
+  return {"oracle", kNames};
+}
 
 struct OracleOptions {
   bool check_marker = false;  ///< enable the synthetic test oracle

@@ -12,21 +12,14 @@
 //  * BankedBackendSystem runs the banked model under the full simulator.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "kernels/program.hpp"
 #include "memsim/backend.hpp"
 #include "memsim/system.hpp"
+#include "memsim_testing.hpp"
 
 namespace {
 
-using raa::kern::AddressSpace;
-using raa::kern::Phase;
-using raa::kern::ScriptedProgram;
-using raa::kern::Stream;
-using raa::kern::StreamKind;
 using raa::mem::BankedBackend;
 using raa::mem::BurstTiming;
 using raa::mem::FlatBackend;
@@ -34,11 +27,10 @@ using raa::mem::HierarchyMode;
 using raa::mem::LineReq;
 using raa::mem::MemBackendKind;
 using raa::mem::Metrics;
-using raa::mem::RefClass;
-using raa::mem::Region;
 using raa::mem::System;
 using raa::mem::SystemConfig;
 using raa::mem::Workload;
+using raa::test_util::mixed_workload;
 
 // --- backend FSM unit tests ----------------------------------------------
 
@@ -297,46 +289,6 @@ SystemConfig small_cfg() {
   cfg.mesh_x = 4;
   cfg.mesh_y = 4;
   return cfg;
-}
-
-/// Replica of test_memsim.cpp's mixed workload (every access class, DMA
-/// map/unmap, guarded redirection, the prefetcher) — the same workload the
-/// pre-refactor goldens below were captured from.
-Workload mixed_workload(const SystemConfig& cfg, std::uint64_t seed) {
-  raa::Rng rng{seed};
-  Workload w;
-  w.name = "mixed";
-  AddressSpace as{cfg.dma_chunk_bytes};
-  const std::uint64_t part = 2 * cfg.dma_chunk_bytes;
-  const Region& shared =
-      as.add(w, "shared", cfg.tiles * part, RefClass::strided);
-  const Region& priv =
-      as.add(w, "private", cfg.tiles * 2048, RefClass::random_noalias);
-
-  for (unsigned c = 0; c < cfg.tiles; ++c) {
-    std::vector<Phase> phases;
-    const unsigned rounds = 2 + static_cast<unsigned>(rng.below(2));
-    for (unsigned k = 0; k < rounds; ++k) {
-      phases.push_back(Phase{
-          .streams = {Stream{.region = &shared, .store = (k % 2 == 1),
-                             .start = c * part, .stride = 8}},
-          .iterations = part / 8,
-          .gap_cycles = static_cast<std::uint32_t>(rng.below(6))});
-      phases.push_back(Phase{
-          .streams = {Stream{.region = &shared, .kind = StreamKind::random_rmw,
-                             .ref = RefClass::random_unknown,
-                             .elem_bytes = 8},
-                      Stream{.region = &priv, .kind = StreamKind::random,
-                             .ref = RefClass::random_noalias,
-                             .slice_bytes = 2048, .slice_base = c * 2048,
-                             .elem_bytes = 8}},
-          .iterations = 64 + rng.below(96),
-          .gap_cycles = static_cast<std::uint32_t>(rng.below(8))});
-    }
-    w.programs.push_back(std::make_unique<ScriptedProgram>(
-        std::move(phases), seed * 131 + c));
-  }
-  return w;
 }
 
 /// Pre-refactor Metrics, field for field (hexfloat => bit-exact doubles).

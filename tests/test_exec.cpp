@@ -1,8 +1,12 @@
-// Tests of the parallel-execution substrate (src/exec/): worker lifecycle,
-// the task pool's work-helping waits and deterministic failure reporting,
-// and — most load-bearing — ordered_reduce's submission-order merge under
-// adversarial completion order (the property every parallel consumer in
-// the repo leans on for determinism).
+// Tests of the grouped task pool (src/exec/pool.hpp): its work-helping
+// waits, deterministic failure reporting and shutdown, and — most
+// load-bearing — ordered_reduce's submission-order merge under adversarial
+// completion order (the property every parallel consumer in the repo leans
+// on for determinism). The executor underneath is tested in
+// test_stealing.cpp.
+//
+// PoolStress scales with RAA_STRESS_ITERS (see the pool_stress CTest entry
+// in tests/CMakeLists.txt, run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,29 +20,13 @@
 
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
-#include "exec/worker_pool.hpp"
+#include "stress_budget.hpp"
 
 namespace {
 
 using raa::exec::Pool;
-using raa::exec::WorkerPool;
+using raa::test_util::stress_iters;
 
-TEST(WorkerPool, RunsLoopPerThreadAndJoins) {
-  std::atomic<unsigned> started{0};
-  WorkerPool wp;
-  wp.start(3, [&](std::stop_token stop, unsigned) {
-    started.fetch_add(1);
-    while (!stop.stop_requested())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_EQ(wp.size(), 3u);
-  wp.join();
-  EXPECT_EQ(started.load(), 3u);
-  EXPECT_EQ(wp.size(), 0u);
-  // Restartable after join.
-  wp.start(1, [](std::stop_token, unsigned) {});
-  wp.join();
-}
 
 TEST(PoolTest, RunsSubmittedTasks) {
   Pool pool{2};
@@ -52,14 +40,21 @@ TEST(PoolTest, RunsSubmittedTasks) {
 
 TEST(PoolTest, ZeroWorkersRunsEverythingInlineInWait) {
   // A pool without threads is a valid serial executor: the waiting thread
-  // runs every task itself, in submission order.
+  // runs every task itself, each exactly once. (The order is the
+  // executor's: ordered_reduce merges by index, not by run order.)
   Pool pool{0};
-  std::vector<int> order;
+  std::vector<int> runs(8, 0);
+  std::vector<std::thread::id> ran_on;
   Pool::Group g;
-  for (int i = 0; i < 8; ++i) pool.submit(g, [&order, i] { order.push_back(i); });
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    pool.submit(g, [&, i] {
+      ++runs[i];
+      ran_on.push_back(std::this_thread::get_id());
+    });
   pool.wait(g);
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  for (int n : runs) EXPECT_EQ(n, 1);
+  ASSERT_EQ(ran_on.size(), runs.size());
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(PoolTest, NestedSubmissionDoesNotStarve) {
@@ -186,63 +181,6 @@ TEST(OrderedReduce, WorksOnZeroWorkerPool) {
   EXPECT_EQ(sum, 4950);
 }
 
-TEST(PoolWaitFor, ZeroWorkerPoolHelpsInlineAndResetsGroup) {
-  // On a zero-worker pool the waiter itself must run every queued task,
-  // so a generous deadline behaves exactly like wait(): true, group reset
-  // and reusable.
-  Pool pool{0};
-  std::atomic<int> ran{0};
-  Pool::Group g;
-  for (int i = 0; i < 8; ++i) pool.submit(g, [&ran] { ++ran; });
-  EXPECT_TRUE(pool.wait_for(g, std::chrono::seconds(30)));
-  EXPECT_EQ(ran.load(), 8);
-  pool.submit(g, [&ran] { ++ran; });  // reset group is reusable
-  EXPECT_TRUE(pool.wait_for(g, std::chrono::seconds(30)));
-  EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(PoolWaitFor, ExpiresOnStuckTaskThenCompletesAfterRelease) {
-  // A task pinned on a flag must make wait_for return false at the
-  // deadline without resetting the group; once the flag is released the
-  // same group completes under a plain wait(). The waiter must not call
-  // wait_for until the *worker* has adopted the task: a helping waiter
-  // that dequeued it itself would run the pinned loop inline and never
-  // reach its own deadline check.
-  Pool pool{1};
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<bool> ran{false};
-  Pool::Group g;
-  pool.submit(g, [&] {
-    started = true;
-    while (!release.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-    ran = true;
-  });
-  while (!started.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_FALSE(pool.wait_for(g, std::chrono::milliseconds(50)));
-  EXPECT_FALSE(ran.load());
-  release = true;
-  pool.wait(g);
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(PoolWaitFor, RethrowsLowestIndexErrorOnCompletion) {
-  // Deadline met -> identical error contract to wait(): the
-  // lowest-submission-index exception wins regardless of finish order.
-  Pool pool{0};
-  Pool::Group g;
-  pool.submit(g, [] { throw std::runtime_error("first"); });
-  pool.submit(g, [] { throw std::runtime_error("second"); });
-  try {
-    (void)pool.wait_for(g, std::chrono::seconds(30));
-    FAIL() << "expected the first task's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-}
-
 TEST(PoolShutdown, DropsPendingTasksOnZeroWorkerPool) {
   // Destroying a pool with tasks still queued (a violated Group contract)
   // must drop them unrun — deterministically observable on a zero-worker
@@ -283,6 +221,56 @@ TEST(PoolTest, HelpWhileRunsTasksUntilConditionFlips) {
   pool.help_while([&] { return !ready; });
   EXPECT_TRUE(ready);
   pool.wait(g);
+}
+
+TEST(PoolStress, NestedOrderedReduceWithJitterAndFailures) {
+  // ordered_reduce inside ordered_reduce on two workers plus the waiting
+  // thread: inner submissions land in whichever thread runs the outer
+  // task, waiters help only from their own source, and two outer tasks
+  // fail through an inner task each. Every round must merge the prefix
+  // below the lower failure in order, rethrow that failure, and leave the
+  // pool usable for the next round.
+  constexpr std::size_t kOuter = 6;
+  constexpr std::size_t kInner = 4;
+  Pool pool{2};
+  const unsigned rounds = stress_iters(4000) / 100;
+  for (unsigned r = 0; r < rounds; ++r) {
+    const std::size_t fail_at = r % (kOuter + 1);  // kOuter: no failure
+    std::vector<std::size_t> merged;
+    const auto jitter = [r](std::size_t i, std::size_t j) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(40 * ((i * 7 + j * 3 + r) % 5)));
+    };
+    try {
+      raa::exec::ordered_reduce<std::size_t>(
+          pool, kOuter,
+          [&](std::size_t i) {
+            std::size_t sum = 0;
+            raa::exec::ordered_reduce<std::size_t>(
+                pool, kInner,
+                [&](std::size_t j) {
+                  jitter(i, j);
+                  if (j == kInner - 1 && (i == fail_at || i == fail_at + 2))
+                    throw std::runtime_error("outer " + std::to_string(i));
+                  return i * kInner + j;
+                },
+                [&](std::size_t j, std::size_t&& v) {
+                  EXPECT_EQ(v, i * kInner + j);
+                  sum += v;
+                });
+            return sum;
+          },
+          [&](std::size_t i, std::size_t&& sum) {
+            EXPECT_EQ(sum, i * kInner * kInner + kInner * (kInner - 1) / 2);
+            merged.push_back(i);
+          });
+      EXPECT_EQ(fail_at, kOuter) << "round " << r << " should have thrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "outer " + std::to_string(fail_at));
+    }
+    ASSERT_EQ(merged.size(), fail_at) << "round " << r;
+    for (std::size_t i = 0; i < merged.size(); ++i) EXPECT_EQ(merged[i], i);
+  }
 }
 
 }  // namespace

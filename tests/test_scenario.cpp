@@ -11,6 +11,7 @@
 
 #include "kernels/program.hpp"
 #include "memsim/system.hpp"
+#include "memsim_testing.hpp"
 #include "report/json.hpp"
 #include "scenario/generators.hpp"
 #include "scenario/scenario.hpp"
@@ -33,6 +34,7 @@ using raa::mem::SystemConfig;
 using raa::mem::Workload;
 using raa::scen::Scenario;
 using raa::scen::TraceData;
+using raa::test_util::expect_metrics_equal;
 
 SystemConfig small_cfg() {
   SystemConfig cfg;
@@ -44,37 +46,6 @@ SystemConfig small_cfg() {
   cfg.spm_bytes = 8 * 1024;
   cfg.dma_chunk_bytes = 1024;
   return cfg;
-}
-
-/// Field-by-field Metrics equality: the record/replay contract is exact,
-/// so even the FP sums must match bit-for-bit.
-void expect_metrics_equal(const Metrics& a, const Metrics& b) {
-  EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
-  EXPECT_DOUBLE_EQ(a.noc_flit_hops, b.noc_flit_hops);
-  EXPECT_DOUBLE_EQ(a.e_l1, b.e_l1);
-  EXPECT_DOUBLE_EQ(a.e_l2, b.e_l2);
-  EXPECT_DOUBLE_EQ(a.e_spm, b.e_spm);
-  EXPECT_DOUBLE_EQ(a.e_dram, b.e_dram);
-  EXPECT_DOUBLE_EQ(a.e_noc, b.e_noc);
-  EXPECT_DOUBLE_EQ(a.e_dir, b.e_dir);
-  EXPECT_DOUBLE_EQ(a.e_static, b.e_static);
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.l1_hits, b.l1_hits);
-  EXPECT_EQ(a.l1_misses, b.l1_misses);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.spm_hits, b.spm_hits);
-  EXPECT_EQ(a.dram_line_reads, b.dram_line_reads);
-  EXPECT_EQ(a.dram_line_writes, b.dram_line_writes);
-  EXPECT_EQ(a.invalidations, b.invalidations);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.prefetch_fills, b.prefetch_fills);
-  EXPECT_EQ(a.dma_transfers, b.dma_transfers);
-  EXPECT_EQ(a.guarded_lookups, b.guarded_lookups);
-  EXPECT_EQ(a.guarded_to_spm, b.guarded_to_spm);
-  EXPECT_EQ(a.remote_spm_accesses, b.remote_spm_accesses);
-  // The defaulted operator== must agree with the field-wise comparison.
-  EXPECT_TRUE(a == b);
 }
 
 /// Drain a program through fill() in `batch`-sized chunks.

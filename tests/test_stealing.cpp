@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <barrier>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -34,6 +33,7 @@
 #include "exec/wsq.hpp"
 #include "runtime/runtime.hpp"
 #include "simcore/tdg_sim.hpp"
+#include "stress_budget.hpp"
 
 namespace {
 
@@ -42,16 +42,7 @@ using raa::exec::WorkStealingDeque;
 using raa::rt::Runtime;
 using raa::rt::RuntimeOptions;
 using raa::rt::SchedulerPolicy;
-
-/// Stress budget: RAA_STRESS_ITERS overrides (the stealing-stress CTest
-/// entry raises it; plain tier1 runs stay fast).
-unsigned stress_iters(unsigned dflt) {
-  if (const char* s = std::getenv("RAA_STRESS_ITERS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return dflt;
-}
+using raa::test_util::stress_iters;
 
 void spin_until(const std::function<bool()>& pred) {
   while (!pred()) std::this_thread::yield();
