@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Line coverage of the JSON binding and the two parsers built on it.
+"""Line coverage of the JSON binding, the two parsers built on it, and the
+memsim line table and protocol paths.
 
 Usage: parser_coverage.py BUILD_DIR OUT_DIR
 
 BUILD_DIR is a `-DCMAKE_CXX_FLAGS=--coverage` build whose tests have run.
-For the scenario object and the manifest object this runs gcov in a
-directory of its own under OUT_DIR (the .gcov files CI uploads), then
-prints the line coverage of src/scenario/scenario.cpp,
-src/fleet/manifest.cpp and src/report/json_bind.hpp. The binding is a
-header compiled into both objects, so one of its lines counts as run when
-either object ran it. The numbers are informational, not a gate.
+For each object below this runs gcov in a directory of its own under
+OUT_DIR (the .gcov files CI uploads), then prints the line coverage of
+each file in FILES. A header counts a line as run when any object that
+compiles it ran it: src/report/json_bind.hpp over the scenario and
+manifest objects, src/memsim/linetable.hpp over the linetable and system
+objects. The numbers are informational, not a gate.
 """
 import pathlib
 import subprocess
@@ -18,9 +19,12 @@ import sys
 OBJECTS = {
     "scenario": "src/CMakeFiles/raa_scenario.dir/scenario/scenario.cpp.gcda",
     "manifest": "src/CMakeFiles/raa_fleet.dir/fleet/manifest.cpp.gcda",
+    "linetable": "src/CMakeFiles/raa_memsim.dir/memsim/linetable.cpp.gcda",
+    "system": "src/CMakeFiles/raa_memsim.dir/memsim/system.cpp.gcda",
 }
 FILES = ["src/scenario/scenario.cpp", "src/fleet/manifest.cpp",
-         "src/report/json_bind.hpp"]
+         "src/report/json_bind.hpp", "src/memsim/linetable.hpp",
+         "src/memsim/linetable.cpp", "src/memsim/system.cpp"]
 
 
 def line_hits(gcov_file):

@@ -37,6 +37,18 @@ struct Attempt {
 
 }  // namespace
 
+std::chrono::steady_clock::time_point saturating_add(
+    std::chrono::steady_clock::time_point t, std::uint64_t ms) {
+  // Milliseconds left before the clock's maximum (from the epoch when `t`
+  // lies before it, which only saturates earlier).
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      clock_type::duration::max() -
+      std::max(t.time_since_epoch(), clock_type::duration::zero()));
+  if (ms >= static_cast<std::uint64_t>(room.count()))
+    return clock_type::time_point::max();
+  return t + std::chrono::milliseconds(ms);
+}
+
 FleetResult run_fleet(const FleetOptions& opt) {
   FleetResult res;
   const Manifest& man = opt.manifest;
@@ -168,12 +180,15 @@ FleetResult run_fleet(const FleetOptions& opt) {
     });
   };
 
-  /// Delay before attempt `made + 1`: base * 2^(made-1), capped.
+  /// Delay in ms before attempt `made + 1`: base * 2^(made-1), capped.
+  /// The doubling stops at the cap, so it never wraps.
   const auto backoff_delay = [&](unsigned made) {
-    std::uint64_t ms = std::max<std::uint64_t>(1, opt.backoff_base_ms);
-    for (unsigned k = 1; k < made && ms < opt.backoff_cap_ms; ++k) ms *= 2;
-    return std::chrono::milliseconds(
-        std::min(ms, std::max<std::uint64_t>(1, opt.backoff_cap_ms)));
+    const std::uint64_t cap = std::max<std::uint64_t>(1, opt.backoff_cap_ms);
+    std::uint64_t ms =
+        std::min(cap, std::max<std::uint64_t>(1, opt.backoff_base_ms));
+    for (unsigned k = 1; k < made && ms < cap; ++k)
+      ms = ms > cap / 2 ? cap : ms * 2;
+    return ms;
   };
 
   const auto finalize = [&](std::size_t job, JobStatus status,
@@ -277,8 +292,8 @@ FleetResult run_fleet(const FleetOptions& opt) {
                 man.jobs[job].id.c_str(), attempts[job],
                 to_string(out.error), out.message.c_str());
           RAA_OBS_HOST_EVENT(fleet, job_retry, instant, job, attempts[job]);
-          delayed.push_back(
-              Delayed{now + backoff_delay(attempts[job]), job});
+          delayed.push_back(Delayed{
+              saturating_add(now, backoff_delay(attempts[job])), job});
           res.records[job].error = out.error;  // last-seen, final wins later
           res.records[job].message = out.message;
         } else {
@@ -298,14 +313,7 @@ FleetResult run_fleet(const FleetOptions& opt) {
       const std::uint64_t timeout_ms = settings[att->job].timeout_ms;
       if (timeout_ms == 0) continue;
       if (att->started.load(std::memory_order_acquire)) {
-        // Saturate rather than overflow the steady clock: a deadline
-        // centuries away is no deadline.
-        const auto budget =
-            std::chrono::milliseconds(std::min(timeout_ms, kMaxTimeoutMs));
-        const auto deadline =
-            att->start.time_since_epoch() > clock_type::duration::max() - budget
-                ? clock_type::time_point::max()
-                : att->start + budget;
+        const auto deadline = saturating_add(att->start, timeout_ms);
         if (now >= deadline) {
           // exchange: emit the timeout event once, not per watchdog pass.
           if (!att->cancel.exchange(true, std::memory_order_relaxed))

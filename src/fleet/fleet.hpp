@@ -22,6 +22,7 @@
 /// degradation), 1 when none did or the fleet itself failed (output-dir
 /// I/O), 2 on configuration errors.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -79,5 +80,12 @@ struct FleetResult {
 };
 
 FleetResult run_fleet(const FleetOptions& opt);
+
+/// `t` plus `ms` milliseconds, saturating at time_point::max() where the
+/// plain sum would overflow the clock: a deadline or a retry release
+/// centuries away is never. The watchdog and the retry backoff both
+/// schedule through it.
+std::chrono::steady_clock::time_point saturating_add(
+    std::chrono::steady_clock::time_point t, std::uint64_t ms);
 
 }  // namespace raa::fleet

@@ -7,7 +7,6 @@
 #include "fleet/manifest.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/shrink.hpp"
-#include "memsim/linetable.hpp"
 #include "memsim/system.hpp"
 #include "report/report.hpp"
 #include "scenario/trace.hpp"
@@ -16,15 +15,15 @@ namespace raa::fuzz {
 
 namespace {
 
-/// Record a reference run (paged store, serial engine) of `s` under the
-/// divergence's hierarchy mode and persist it as a RAAT trace next to the
-/// JSON repro, so a triager can replay the exact access streams.
+/// Record a reference run of `s` under the divergence's hierarchy mode and
+/// persist it as a RAAT trace next to the JSON repro, so a triager can
+/// replay the exact access streams.
 bool write_repro_trace(const scen::Scenario& s, mem::HierarchyMode mode,
                        const std::string& path, std::string* error) {
   scen::TraceData trace;
   mem::Workload w = s.instantiate();
   scen::record_workload(w, s.config, mode, trace);
-  (void)mem::run_with_store(s.config, mode, w, mem::LineStore::paged);
+  (void)mem::System{s.config, mode}.run(w);
   return trace.write_file(path, error);
 }
 

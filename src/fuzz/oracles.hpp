@@ -4,11 +4,10 @@
 /// independent pairs of executions that the simulator contracts to be
 /// *exactly* equal (Metrics operator== is bit-for-bit, FP sums included):
 ///
-///   store     paged line table        vs  hashed line table
 ///   replay    live generators         vs  recorded-trace replay
 ///   roundtrip the scenario as built   vs  parse(to_json(scenario))
 ///   backend   forced-banked copy: recorded run vs trace replay (the
-///             three pairs above already run under whichever DRAM
+///             two pairs above already run under whichever DRAM
 ///             backend the scenario itself selected)
 ///
 /// A further, test-only oracle ("marker") fails for exactly the scenarios
@@ -27,18 +26,13 @@ namespace raa::fuzz {
 
 using raa::to_string;
 
-enum class Oracle : std::uint8_t {
-  store,
-  replay,
-  roundtrip,
-  backend,
-  marker
-};
+enum class Oracle : std::uint8_t { replay, roundtrip, backend, marker };
 
 inline EnumNames<Oracle> enum_names(Oracle) {
   static constexpr EnumName<Oracle> kNames[] = {
-      {"store", Oracle::store},         {"replay", Oracle::replay},
-      {"roundtrip", Oracle::roundtrip}, {"backend", Oracle::backend},
+      {"replay", Oracle::replay},
+      {"roundtrip", Oracle::roundtrip},
+      {"backend", Oracle::backend},
       {"marker", Oracle::marker}};
   return {"oracle", kNames};
 }
@@ -50,7 +44,7 @@ struct OracleOptions {
 /// One disagreement: which pair diverged, under which hierarchy mode, and
 /// a short what-differed message for the repro report.
 struct Divergence {
-  Oracle oracle = Oracle::store;
+  Oracle oracle = Oracle::replay;
   mem::HierarchyMode mode = mem::HierarchyMode::cache_only;
   std::string detail;
 };

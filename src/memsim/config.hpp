@@ -16,6 +16,7 @@
 /// *relative* magnitudes matter for the reproduced speedups.
 
 #include <cstdint>
+#include <iterator>
 
 #include "common/enum_names.hpp"
 
@@ -198,9 +199,56 @@ struct Metrics {
   }
 
   /// Exact (bit-for-bit, including the FP sums) equality. The simulator's
-  /// determinism contracts — paged vs hashed store, record vs replay —
-  /// are *exact*, so equality here is ==, not a tolerance.
+  /// determinism contracts — record vs replay, serialize vs re-parse, the
+  /// checked-in corpus goldens — are *exact*, so equality here is ==, not
+  /// a tolerance.
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
+
+/// One Metrics field by name: the table below lists every field once, in
+/// declaration order, for code that walks them all (diff reports, exact
+/// test comparisons, golden writers).
+template <class T>
+struct MetricsField {
+  const char* name;
+  T Metrics::*member;
+};
+
+inline constexpr MetricsField<double> kMetricsReals[] = {
+    {"cycles", &Metrics::cycles},
+    {"noc_flit_hops", &Metrics::noc_flit_hops},
+    {"e_l1", &Metrics::e_l1},
+    {"e_l2", &Metrics::e_l2},
+    {"e_spm", &Metrics::e_spm},
+    {"e_dram", &Metrics::e_dram},
+    {"e_noc", &Metrics::e_noc},
+    {"e_dir", &Metrics::e_dir},
+    {"e_static", &Metrics::e_static}};
+
+inline constexpr MetricsField<std::uint64_t> kMetricsCounts[] = {
+    {"accesses", &Metrics::accesses},
+    {"l1_hits", &Metrics::l1_hits},
+    {"l1_misses", &Metrics::l1_misses},
+    {"l2_hits", &Metrics::l2_hits},
+    {"l2_misses", &Metrics::l2_misses},
+    {"spm_hits", &Metrics::spm_hits},
+    {"dram_line_reads", &Metrics::dram_line_reads},
+    {"dram_line_writes", &Metrics::dram_line_writes},
+    {"dram_row_hits", &Metrics::dram_row_hits},
+    {"dram_row_misses", &Metrics::dram_row_misses},
+    {"dram_row_conflicts", &Metrics::dram_row_conflicts},
+    {"dram_refreshes", &Metrics::dram_refreshes},
+    {"invalidations", &Metrics::invalidations},
+    {"writebacks", &Metrics::writebacks},
+    {"prefetch_fills", &Metrics::prefetch_fills},
+    {"dma_transfers", &Metrics::dma_transfers},
+    {"guarded_lookups", &Metrics::guarded_lookups},
+    {"guarded_to_spm", &Metrics::guarded_to_spm},
+    {"remote_spm_accesses", &Metrics::remote_spm_accesses}};
+
+// A field added to Metrics but not to the tables fails here.
+static_assert(sizeof(Metrics) ==
+              std::size(kMetricsReals) * sizeof(double) +
+                  std::size(kMetricsCounts) * sizeof(std::uint64_t));
 
 }  // namespace raa::mem

@@ -28,10 +28,4 @@ LineTable::Page* LineTable::slow_page(std::uint64_t page) {
   return *slot;
 }
 
-LineInfo& LineTable::hashed_at(std::uint64_t idx) {
-  auto& slot = map_[idx];
-  if (!slot) slot = std::make_unique<LineInfo>();
-  return *slot;
-}
-
 }  // namespace raa::mem

@@ -11,19 +11,13 @@
 /// mapped-chunk directory live on the SPM side (spm.hpp), because
 /// cache_only runs never need them.
 ///
-/// Two backends share the same API:
-///  * `paged`  — the fast path: a dense top-level page vector for low page
-///    indices plus a sparse map for the rest (the production
-///    configuration);
-///  * `hashed` — the old-shape reference path: one hash probe (plus a
-///    pointer chase) per lookup. Kept for the equivalence test suite,
-///    which runs whole workloads through both backends and asserts the
-///    Metrics are identical field-by-field.
+/// Pages: a dense top-level page vector for low page indices plus a sparse
+/// map for the rest, so one far address cannot size the vector.
 ///
 /// Reference stability: a `LineInfo&` returned by `at()` stays valid until
-/// `clear()` — pages are never moved or freed while the table lives, and
-/// the hashed backend boxes each record. The simulator relies on this to
-/// hold a line's record across victim evictions that create other lines.
+/// `clear()` — pages are never moved or freed while the table lives. The
+/// simulator relies on this to hold a line's record across victim
+/// evictions that create other lines.
 
 #include <array>
 #include <bit>
@@ -32,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -89,12 +82,6 @@ struct alignas(32) LineInfo {
 static_assert(sizeof(LineInfo) == 32);
 static_assert(alignof(LineInfo) == 32);
 
-/// Which storage backend a LineTable (and hence a System) uses.
-enum class LineStore : std::uint8_t {
-  paged,   ///< dense page vector + sparse high pages (fast path)
-  hashed,  ///< hash map per line (old-shape reference path, tests only)
-};
-
 /// See file comment.
 class LineTable {
  public:
@@ -108,15 +95,12 @@ class LineTable {
   /// pages go to a sparse map, so one far address cannot size the vector.
   static constexpr std::size_t kDensePages = std::size_t{1} << 16;
 
-  explicit LineTable(unsigned line_bytes, LineStore store = LineStore::paged)
-      : line_bytes_(line_bytes), store_(store) {
+  explicit LineTable(unsigned line_bytes) : line_bytes_(line_bytes) {
     RAA_CHECK(line_bytes > 0);
     line_pow2_ = std::has_single_bit(line_bytes);
     if (line_pow2_)
       line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
   }
-
-  LineStore store() const noexcept { return store_; }
 
   /// Line index of a byte address (the record key).
   std::uint64_t index_of(std::uint64_t addr) const {
@@ -126,33 +110,26 @@ class LineTable {
   /// Get-or-create the record for a (line-aligned) address.
   LineInfo& at(std::uint64_t line_addr) {
     const std::uint64_t idx = index_of(line_addr);
-    if (store_ == LineStore::paged) {
-      const std::uint64_t page = idx >> kPageLineBits;
-      if (page < pages_.size() && pages_[page] != nullptr)
-        return (*pages_[page])[idx & (kPageLines - 1)];
-      return (*slow_page(page))[idx & (kPageLines - 1)];
-    }
-    return hashed_at(idx);
+    const std::uint64_t page = idx >> kPageLineBits;
+    if (page < pages_.size() && pages_[page] != nullptr)
+      return (*pages_[page])[idx & (kPageLines - 1)];
+    return (*slow_page(page))[idx & (kPageLines - 1)];
   }
 
-  /// Read-only lookup that never allocates. Returns nullptr when the line
-  /// was never touched (paged: page not allocated; hashed: no entry). A
-  /// null result is equivalent to a default-constructed LineInfo.
+  /// Read-only lookup that never allocates. Returns nullptr when the
+  /// line's page was never allocated. A null result is equivalent to a
+  /// default-constructed LineInfo.
   const LineInfo* peek(std::uint64_t line_addr) const {
     const std::uint64_t idx = index_of(line_addr);
-    if (store_ == LineStore::paged) {
-      const std::uint64_t page = idx >> kPageLineBits;
-      const Page* p = nullptr;
-      if (page < pages_.size()) {
-        p = pages_[page];
-      } else if (const auto it = high_pages_.find(page);
-                 it != high_pages_.end()) {
-        p = it->second;
-      }
-      return p ? &(*p)[idx & (kPageLines - 1)] : nullptr;
+    const std::uint64_t page = idx >> kPageLineBits;
+    const Page* p = nullptr;
+    if (page < pages_.size()) {
+      p = pages_[page];
+    } else if (const auto it = high_pages_.find(page);
+               it != high_pages_.end()) {
+      p = it->second;
     }
-    const auto it = map_.find(idx);
-    return it == map_.end() ? nullptr : it->second.get();
+    return p ? &(*p)[idx & (kPageLines - 1)] : nullptr;
   }
 
   /// Drop every record (invalidates all references).
@@ -160,14 +137,13 @@ class LineTable {
     pages_.clear();
     high_pages_.clear();
     blocks_.clear();
-    map_.clear();
   }
 
-  /// Allocated page count (paged backend; 0 under hashed). Diagnostics.
+  /// Allocated page count. Diagnostics.
   std::size_t pages_allocated() const noexcept { return blocks_.size(); }
 
-  /// Size of the dense top-level page vector (paged backend; never more
-  /// than kDensePages). Diagnostics.
+  /// Size of the dense top-level page vector (never more than
+  /// kDensePages). Diagnostics.
   std::size_t page_slots() const noexcept { return pages_.size(); }
 
  private:
@@ -175,25 +151,19 @@ class LineTable {
   // Pages live in raw byte blocks and are never destroyed explicitly.
   static_assert(std::is_trivially_destructible_v<Page>);
 
-  // The cold paths live in linetable.cpp, so that at() stays small
-  // enough to inline into every protocol path.
   /// Get-or-allocate page `page` off the dense fast path: an absent dense
-  /// slot, or any page in the sparse map.
+  /// slot, or any page in the sparse map. Lives in linetable.cpp, so that
+  /// at() stays small enough to inline into every protocol path.
   Page* slow_page(std::uint64_t page);
-  /// Get-or-create the record of line index `idx` (hashed backend).
-  LineInfo& hashed_at(std::uint64_t idx);
 
   unsigned line_bytes_;
   unsigned line_shift_ = 0;
   bool line_pow2_ = false;
-  LineStore store_;
   std::vector<Page*> pages_;
   /// Pages at or above kDensePages (far, sparse addresses).
   std::map<std::uint64_t, Page*> high_pages_;
   /// Storage of every page in pages_ and high_pages_.
   std::vector<std::unique_ptr<std::byte[]>> blocks_;
-  /// Hashed backend boxes records so references survive rehashing.
-  std::unordered_map<std::uint64_t, std::unique_ptr<LineInfo>> map_;
 };
 
 }  // namespace raa::mem

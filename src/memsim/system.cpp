@@ -103,12 +103,8 @@ class CoreHeap {
 
 }  // namespace
 
-System::System(const SystemConfig& config, HierarchyMode mode,
-               LineStore store)
-    : cfg_(config),
-      mode_(mode),
-      noc_(config),
-      lines_(config.line_bytes, store) {
+System::System(const SystemConfig& config, HierarchyMode mode)
+    : cfg_(config), mode_(mode), noc_(config), lines_(config.line_bytes) {
   RAA_CHECK(cfg_.tiles <= 64);  // directory sharer mask is a 64-bit word
   line_pow2_ = std::has_single_bit(cfg_.line_bytes);
   chunk_pow2_ = std::has_single_bit(cfg_.dma_chunk_bytes);
@@ -862,7 +858,7 @@ ComparisonResult run_comparison(const SystemConfig& config,
                                 const ComparisonOptions& options) {
   const auto half = [&](HierarchyMode mode) {
     Workload w = make_workload();
-    System sys{config, mode, options.store};
+    System sys{config, mode};
     return sys.run(w);
   };
   ComparisonResult result;
@@ -883,12 +879,6 @@ ComparisonResult run_comparison(const SystemConfig& config,
         (i == 0 ? result.cache_only : result.hybrid) = std::move(m);
       });
   return result;
-}
-
-Metrics run_with_store(const SystemConfig& config, HierarchyMode mode,
-                       Workload& workload, LineStore store) {
-  System sys{config, mode, store};
-  return sys.run(workload);
 }
 
 }  // namespace raa::mem

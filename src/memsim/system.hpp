@@ -31,9 +31,7 @@
 /// stream holds the values and valid bits of its resident chunk, and a
 /// small sorted directory of mapped chunk ranges answers the guarded
 /// filter. Cores interleave through a flat index-min heap sifted in place;
-/// access streams are pulled in batches through CoreProgram::fill. The
-/// `LineStore::hashed` backend preserves the old per-access-hash shape for
-/// equivalence testing.
+/// access streams are pulled in batches through CoreProgram::fill.
 ///
 /// Host parallelism stays outside a run: run_comparison may simulate its
 /// two halves concurrently, but one run is single-threaded end to end (see
@@ -63,8 +61,7 @@ namespace raa::mem {
 /// See file comment.
 class System {
  public:
-  System(const SystemConfig& config, HierarchyMode mode,
-         LineStore store = LineStore::paged);
+  System(const SystemConfig& config, HierarchyMode mode);
 
   /// Run a workload to completion and return the metrics. The workload's
   /// programs are consumed. Requires programs.size() == config.tiles.
@@ -72,7 +69,6 @@ class System {
 
   HierarchyMode mode() const noexcept { return mode_; }
   const SystemConfig& config() const noexcept { return cfg_; }
-  LineStore line_store() const noexcept { return lines_.store(); }
 
  private:
   static std::uint64_t bit(unsigned tile) noexcept {
@@ -256,7 +252,6 @@ struct ComparisonOptions {
   /// completion order. `make_workload` must then be safe to call from two
   /// threads at once. Null runs the halves back to back.
   exec::Pool* pool = nullptr;
-  LineStore store = LineStore::paged;
 };
 
 /// Build and run `make_workload()` under both hierarchy configurations.
@@ -266,14 +261,5 @@ struct ComparisonOptions {
 ComparisonResult run_comparison(const SystemConfig& config,
                                 const std::function<Workload()>& make_workload,
                                 const ComparisonOptions& options = {});
-
-/// Run `workload` to completion on a fresh System with an explicit
-/// per-line state backend. This is the differential hook the scenario
-/// fuzzer drives: the paged and hashed LineTable backends must produce
-/// field-identical Metrics for every workload (the StoreEquivalence
-/// contract), so any mismatch here is a simulator bug, not a workload
-/// property.
-Metrics run_with_store(const SystemConfig& config, HierarchyMode mode,
-                       Workload& workload, LineStore store);
 
 }  // namespace raa::mem

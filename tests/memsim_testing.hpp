@@ -20,40 +20,14 @@ namespace raa::test_util {
 
 /// Field-by-field Metrics equality. Every equivalence contract here is
 /// exact (both sides execute the identical simulation), so even the FP
-/// sums must match bit-for-bit. A failure names the field.
+/// sums must match bit-for-bit: doubles compare with ==, not within ULPs.
+/// A failure names the field.
 inline void expect_metrics_equal(const mem::Metrics& a,
                                  const mem::Metrics& b) {
-  EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
-  EXPECT_DOUBLE_EQ(a.noc_flit_hops, b.noc_flit_hops);
-  EXPECT_DOUBLE_EQ(a.e_l1, b.e_l1);
-  EXPECT_DOUBLE_EQ(a.e_l2, b.e_l2);
-  EXPECT_DOUBLE_EQ(a.e_spm, b.e_spm);
-  EXPECT_DOUBLE_EQ(a.e_dram, b.e_dram);
-  EXPECT_DOUBLE_EQ(a.e_noc, b.e_noc);
-  EXPECT_DOUBLE_EQ(a.e_dir, b.e_dir);
-  EXPECT_DOUBLE_EQ(a.e_static, b.e_static);
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.l1_hits, b.l1_hits);
-  EXPECT_EQ(a.l1_misses, b.l1_misses);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.spm_hits, b.spm_hits);
-  EXPECT_EQ(a.dram_line_reads, b.dram_line_reads);
-  EXPECT_EQ(a.dram_line_writes, b.dram_line_writes);
-  EXPECT_EQ(a.dram_row_hits, b.dram_row_hits);
-  EXPECT_EQ(a.dram_row_misses, b.dram_row_misses);
-  EXPECT_EQ(a.dram_row_conflicts, b.dram_row_conflicts);
-  EXPECT_EQ(a.dram_refreshes, b.dram_refreshes);
-  EXPECT_EQ(a.invalidations, b.invalidations);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.prefetch_fills, b.prefetch_fills);
-  EXPECT_EQ(a.dma_transfers, b.dma_transfers);
-  EXPECT_EQ(a.guarded_lookups, b.guarded_lookups);
-  EXPECT_EQ(a.guarded_to_spm, b.guarded_to_spm);
-  EXPECT_EQ(a.remote_spm_accesses, b.remote_spm_accesses);
-  // The defaulted operator== must agree with the field-wise comparison
-  // (it catches a field added to Metrics but not to the list above).
-  EXPECT_TRUE(a == b);
+  for (const auto& f : mem::kMetricsReals)
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
+  for (const auto& f : mem::kMetricsCounts)
+    EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
 }
 
 /// FT-like mixed-class workload: strided SPM streams over per-core slices,

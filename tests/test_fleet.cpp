@@ -7,10 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/job.hpp"
 #include "fleet/manifest.hpp"
+#include "golden_testing.hpp"
 #include "report/json.hpp"
 
 namespace {
@@ -438,6 +440,24 @@ TEST(Fleet, LargestDeadlineNeverFiresEarly) {
   EXPECT_EQ(res.records[0].status, JobStatus::ok) << res.records[0].message;
 }
 
+TEST(Fleet, SaturatingAddNeverWrapsTheClock) {
+  // The watchdog's deadlines and the retry releases are start + ms; a
+  // plain sum wraps to a time in the past for the last three cases, which
+  // fires a deadline at once or releases a retry without its backoff.
+  using raa::fleet::saturating_add;
+  using std::chrono::milliseconds;
+  using time_point = std::chrono::steady_clock::time_point;
+  const time_point t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(saturating_add(t0, 0), t0);
+  EXPECT_EQ(saturating_add(t0, 1500), t0 + milliseconds(1500));
+  const time_point near_end = time_point::max() - milliseconds(5);
+  EXPECT_EQ(saturating_add(near_end, 4), near_end + milliseconds(4));
+  EXPECT_EQ(saturating_add(near_end, 6), time_point::max());
+  EXPECT_EQ(saturating_add(t0, raa::fleet::kMaxTimeoutMs), time_point::max());
+  EXPECT_EQ(saturating_add(t0, std::numeric_limits<std::uint64_t>::max()),
+            time_point::max());
+}
+
 TEST(Fleet, LanesAreCappedAtTheJobCount) {
   FleetOptions opt;
   opt.manifest = small_manifest();
@@ -538,19 +558,9 @@ TEST(FleetJobDocument, MatchesCheckedInGolden) {
   params->set("scenario", rel);
   const std::string actual = doc.dump(2) + "\n";
 
-  const std::string golden_path =
-      root + "/tests/data/fleet_job_banked_row_locality.golden.json";
-  std::ifstream in{golden_path, std::ios::binary};
-  ASSERT_TRUE(in) << "missing golden " << golden_path;
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  if (actual != golden.str()) {
-    const std::string dump_path =
-        ::testing::TempDir() + "fleet_job_banked_row_locality.actual.json";
-    std::ofstream{dump_path, std::ios::binary} << actual;
-    FAIL() << "job document differs from " << golden_path
-           << "; actual written to " << dump_path;
-  }
+  raa::test_util::expect_matches_golden(
+      actual, "fleet_job_banked_row_locality.golden.json",
+      "fleet_job_banked_row_locality.actual.json");
 }
 
 }  // namespace

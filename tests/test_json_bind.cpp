@@ -17,14 +17,13 @@
 #include <cctype>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fleet/manifest.hpp"
+#include "golden_testing.hpp"
 #include "report/json.hpp"
 #include "report/json_bind.hpp"
 #include "scenario/scenario.hpp"
@@ -33,6 +32,9 @@ namespace {
 
 namespace bind = raa::json::bind;
 using raa::json::Value;
+using raa::test_util::corpus;
+using raa::test_util::kRoot;
+using raa::test_util::slurp;
 
 // --- the binding on a small struct ----------------------------------------
 
@@ -178,26 +180,7 @@ TEST(JsonBind, EnumNameTablesServeBothDirections) {
 
 // --- corpus fixtures --------------------------------------------------------
 
-const std::string kRoot = RAA_SOURCE_DIR;
 const std::string kManifest = "scenarios/fleet/smoke.manifest.json";
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-/// Every corpus scenario, repo-relative, sorted by name.
-std::vector<std::string> corpus() {
-  std::vector<std::string> files;
-  namespace fs = std::filesystem;
-  for (const auto& e : fs::directory_iterator{kRoot + "/scenarios"})
-    if (e.path().extension() == ".json")
-      files.push_back("scenarios/" + e.path().filename().string());
-  std::sort(files.begin(), files.end());
-  return files;
-}
 
 /// The schema a corpus file belongs to: parse text, return the error ("" on
 /// success) and, on success, the serialize/re-parse round-trip verdict.
@@ -237,15 +220,8 @@ TEST(JsonBindGolden, ToJsonMatchesCheckedInGolden) {
   ASSERT_TRUE(m) << error;
   actual += "== " + kManifest + "\n" + m->to_json().dump(2) + "\n";
 
-  const std::string golden_path = kRoot + "/tests/data/to_json.golden.txt";
-  const std::string golden = slurp(golden_path);
-  ASSERT_FALSE(golden.empty()) << "missing golden " << golden_path;
-  if (actual != golden) {
-    const std::string dump_path = ::testing::TempDir() + "to_json.actual.txt";
-    std::ofstream{dump_path, std::ios::binary} << actual;
-    FAIL() << "to_json output differs from " << golden_path
-           << "; actual written to " << dump_path;
-  }
+  raa::test_util::expect_matches_golden(actual, "to_json.golden.txt",
+                                        "to_json.actual.txt");
 }
 
 // --- mutation robustness ----------------------------------------------------

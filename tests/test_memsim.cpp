@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -31,7 +32,6 @@ using raa::mem::ChunkDirectory;
 using raa::mem::CoreProgram;
 using raa::mem::HierarchyMode;
 using raa::mem::LineInfo;
-using raa::mem::LineStore;
 using raa::mem::LineTable;
 using raa::mem::Metrics;
 using raa::mem::Noc;
@@ -609,12 +609,14 @@ TEST(LineTable, ClearDropsEverything) {
   EXPECT_EQ(t.at(128).dram, 0u);
 }
 
-TEST(LineTable, HashedBackendMatchesPagedOnRandomOps) {
-  LineTable paged{64, LineStore::paged};
-  LineTable hashed{64, LineStore::hashed};
+TEST(LineTable, MatchesMapModelOnRandomOps) {
+  LineTable table{64};
+  // The model: one record per line index, absent = all-zero record.
+  std::unordered_map<std::uint64_t, LineInfo> model;
   raa::Rng rng{7};
-  // Apply the same random record update to both backends and check
-  // every field (the oracle/owner pair through its accessors) agrees.
+  // Apply the same random record update to the table and the model and
+  // check every field (the oracle/owner pair through its accessors)
+  // agrees.
   const auto update = [](LineInfo& li, std::uint64_t v) {
     li.dram = v;
     li.prefetch_mask = v >> 8;
@@ -627,13 +629,13 @@ TEST(LineTable, HashedBackendMatchesPagedOnRandomOps) {
     }
   };
   for (int i = 0; i < 2000; ++i) {
-    // Page-sized jumps as well as far pages (the paged sparse map).
+    // Page-sized jumps as well as far pages (the sparse high-page map).
     const std::uint64_t line =
         (rng.below(1 << 16) + (rng.below(4) == 0 ? std::uint64_t{1} << 40
                                                   : 0)) *
         64;
-    LineInfo& a = paged.at(line);
-    LineInfo& b = hashed.at(line);
+    LineInfo& a = table.at(line);
+    LineInfo& b = model[line / 64];
     EXPECT_EQ(a.dram, b.dram);
     EXPECT_EQ(a.oracle(), b.oracle());
     EXPECT_EQ(a.sharers, b.sharers);
@@ -652,29 +654,6 @@ TEST(LineTable, NonPowerOfTwoLineSize) {
   EXPECT_EQ(t.at(96 * 5).dram, 5u);
   EXPECT_EQ(t.at(96 * 6).dram, 6u);
 }
-
-// --- flat-path vs reference-path equivalence ---------------------------
-
-class StoreEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(StoreEquivalence, FlatAndHashedPathsProduceIdenticalMetrics) {
-  const std::uint64_t seed = GetParam();
-  const SystemConfig cfg = small_cfg();
-  for (const auto mode :
-       {HierarchyMode::cache_only, HierarchyMode::hybrid}) {
-    auto wa = mixed_workload(cfg, seed);
-    auto wb = mixed_workload(cfg, seed);
-    System flat{cfg, mode, LineStore::paged};
-    System ref{cfg, mode, LineStore::hashed};
-    const Metrics ma = flat.run(wa);
-    const Metrics mb = ref.run(wb);
-    expect_metrics_equal(ma, mb);
-    EXPECT_GT(ma.accesses, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StoreEquivalence,
-                         ::testing::Values(11, 23, 47, 95, 191));
 
 TEST(RunComparison, HalvesIndependentOfPool) {
   // The two halves may run concurrently on a pool; results are assigned by

@@ -103,6 +103,8 @@ int main(int argc, char** argv) {
   number("jobs", opt.jobs, raa::json::bind::positive, 0);
   number("timeout-ms", opt.fallback.timeout_ms, 0, raa::fleet::kMaxTimeoutMs);
   number("retries", opt.fallback.retries, 0, 0);
+  number("backoff-ms", opt.backoff_base_ms, 0, raa::fleet::kMaxTimeoutMs);
+  number("backoff-cap-ms", opt.backoff_cap_ms, 0, raa::fleet::kMaxTimeoutMs);
   if (!error.empty()) {
     std::fprintf(stderr, "raa_fleet: %s\n", error.c_str());
     return raa::kExitUsage;
@@ -118,10 +120,6 @@ int main(int argc, char** argv) {
   if (cli.has("seed")) man->seed = cli.get_int("seed", 1);
   opt.manifest = std::move(*man);
   opt.out_dir = cli.get_string("out", "fleet_out");
-  opt.backoff_base_ms =
-      static_cast<std::uint64_t>(cli.get_int("backoff-ms", 50));
-  opt.backoff_cap_ms =
-      static_cast<std::uint64_t>(cli.get_int("backoff-cap-ms", 2000));
   opt.inject_fail = cli.get_string("inject-fail", "");
   opt.inject_flaky = cli.get_string("inject-flaky", "");
   opt.inject_hang = cli.get_string("inject-hang", "");

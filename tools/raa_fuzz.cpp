@@ -1,7 +1,7 @@
 // raa_fuzz — the differential scenario fuzzer: generate random valid
 // scenarios from a seed, run every determinism oracle pair over each
-// (paged vs hashed line store, record vs replay, serialize vs re-parse),
-// and on any divergence shrink to a minimal repro written as a scenario
+// (record vs replay, serialize vs re-parse, banked record vs replay), and
+// on any divergence shrink to a minimal repro written as a scenario
 // JSON file raa_sim accepts unchanged, plus a recorded RAAT trace of the
 // failing run.
 //
