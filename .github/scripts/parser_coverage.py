@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Line coverage of the JSON binding, the two parsers built on it, and the
-memsim line table and protocol paths.
+"""Line coverage of the JSON binding, the two parsers built on it, the
+RAAT trace codec (it decodes files from outside), and the memsim line
+table and protocol paths.
 
 Usage: parser_coverage.py BUILD_DIR OUT_DIR
 
@@ -18,13 +19,15 @@ import sys
 
 OBJECTS = {
     "scenario": "src/CMakeFiles/raa_scenario.dir/scenario/scenario.cpp.gcda",
+    "trace": "src/CMakeFiles/raa_scenario.dir/scenario/trace.cpp.gcda",
     "manifest": "src/CMakeFiles/raa_fleet.dir/fleet/manifest.cpp.gcda",
     "linetable": "src/CMakeFiles/raa_memsim.dir/memsim/linetable.cpp.gcda",
     "system": "src/CMakeFiles/raa_memsim.dir/memsim/system.cpp.gcda",
 }
-FILES = ["src/scenario/scenario.cpp", "src/fleet/manifest.cpp",
-         "src/report/json_bind.hpp", "src/memsim/linetable.hpp",
-         "src/memsim/linetable.cpp", "src/memsim/system.cpp"]
+FILES = ["src/scenario/scenario.cpp", "src/scenario/trace.cpp",
+         "src/fleet/manifest.cpp", "src/report/json_bind.hpp",
+         "src/memsim/linetable.hpp", "src/memsim/linetable.cpp",
+         "src/memsim/system.cpp"]
 
 
 def line_hits(gcov_file):

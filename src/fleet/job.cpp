@@ -59,28 +59,8 @@ void record_runs(report::BenchReport& b,
     b.record(prefix + "cycles", m.cycles, "cycles");
     b.record(prefix + "energy_pj", m.energy_pj(), "pJ");
     b.record(prefix + "noc_flit_hops", m.noc_flit_hops, "flit-hops");
-    const auto count = [&](const char* name, std::uint64_t v) {
-      b.record(prefix + name, static_cast<double>(v), "count");
-    };
-    count("accesses", m.accesses);
-    count("l1_hits", m.l1_hits);
-    count("l1_misses", m.l1_misses);
-    count("l2_hits", m.l2_hits);
-    count("l2_misses", m.l2_misses);
-    count("spm_hits", m.spm_hits);
-    count("dram_line_reads", m.dram_line_reads);
-    count("dram_line_writes", m.dram_line_writes);
-    count("dram_row_hits", m.dram_row_hits);
-    count("dram_row_misses", m.dram_row_misses);
-    count("dram_row_conflicts", m.dram_row_conflicts);
-    count("dram_refreshes", m.dram_refreshes);
-    count("invalidations", m.invalidations);
-    count("writebacks", m.writebacks);
-    count("prefetch_fills", m.prefetch_fills);
-    count("dma_transfers", m.dma_transfers);
-    count("guarded_lookups", m.guarded_lookups);
-    count("guarded_to_spm", m.guarded_to_spm);
-    count("remote_spm_accesses", m.remote_spm_accesses);
+    for (const auto& f : mem::kMetricsCounts)
+      b.record(prefix + f.name, static_cast<double>(m.*f.member), "count");
   }
   if (modes.size() == 2) {
     b.record("time_x", results[0].cycles / results[1].cycles, "x");

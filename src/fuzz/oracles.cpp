@@ -1,6 +1,5 @@
 #include "fuzz/oracles.hpp"
 
-#include <memory>
 #include <sstream>
 
 #include "fuzz/genscenario.hpp"
@@ -53,24 +52,22 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
                       "parse(to_json()) is not field-identical"};
 
   for (const mem::HierarchyMode mode : s.hierarchy_modes()) {
-    // Reference leg, recorded as it runs.
-    auto trace = std::make_shared<scen::TraceData>();
-    mem::Workload w = s.instantiate();
-    scen::record_workload(w, s.config, mode, *trace);
-    const mem::Metrics ref = mem::System{s.config, mode}.run(w);
+    // Reference leg, recorded as it runs and replayed from its encoding.
+    std::string why;
+    const auto rr =
+        scen::record_and_replay(s.instantiate(), s.config, mode, &why);
+    if (!rr)
+      return Divergence{Oracle::replay, mode,
+                        "trace does not survive encoding: " + why};
+    if (!(rr->replayed == rr->recorded))
+      return Divergence{Oracle::replay, mode,
+                        metrics_diff(rr->recorded, rr->replayed)};
 
-    {
-      mem::Workload w2 = scen::make_replay_workload(trace);
-      const mem::Metrics m = mem::System{s.config, mode}.run(w2);
-      if (!(m == ref))
-        return Divergence{Oracle::replay, mode, metrics_diff(ref, m)};
-    }
-    {
-      mem::Workload w2 = parsed->instantiate();
-      const mem::Metrics m = mem::System{parsed->config, mode}.run(w2);
-      if (!(m == ref))
-        return Divergence{Oracle::roundtrip, mode, metrics_diff(ref, m)};
-    }
+    mem::Workload w2 = parsed->instantiate();
+    const mem::Metrics m = mem::System{parsed->config, mode}.run(w2);
+    if (!(m == rr->recorded))
+      return Divergence{Oracle::roundtrip, mode,
+                        metrics_diff(rr->recorded, m)};
   }
 
   // Backend oracle: a forced-banked copy must satisfy the same determinism
@@ -80,15 +77,16 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
     scen::Scenario b = s;
     b.config.memory.kind = mem::MemBackendKind::banked;
     for (const mem::HierarchyMode mode : b.hierarchy_modes()) {
-      auto trace = std::make_shared<scen::TraceData>();
-      mem::Workload w = b.instantiate();
-      scen::record_workload(w, b.config, mode, *trace);
-      const mem::Metrics ref = mem::System{b.config, mode}.run(w);
-      mem::Workload w2 = scen::make_replay_workload(trace);
-      const mem::Metrics m = mem::System{b.config, mode}.run(w2);
-      if (!(m == ref))
+      std::string why;
+      const auto rr =
+          scen::record_and_replay(b.instantiate(), b.config, mode, &why);
+      if (!rr)
         return Divergence{Oracle::backend, mode,
-                          "banked record vs replay: " + metrics_diff(ref, m)};
+                          "banked trace does not survive encoding: " + why};
+      if (!(rr->replayed == rr->recorded))
+        return Divergence{Oracle::backend, mode,
+                          "banked record vs replay: " +
+                              metrics_diff(rr->recorded, rr->replayed)};
     }
   }
   return std::nullopt;

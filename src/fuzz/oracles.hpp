@@ -10,6 +10,10 @@
 ///             two pairs above already run under whichever DRAM
 ///             backend the scenario itself selected)
 ///
+/// Both replays go through the trace's encoded bytes and run under the
+/// config and mode decoded from them (scen::record_and_replay), so a
+/// field the trace header fails to carry shows up as a divergence.
+///
 /// A further, test-only oracle ("marker") fails for exactly the scenarios
 /// containing a __diverge_marker region; the shrinker tests use it as a
 /// synthetic bug with a known minimal reproducer.

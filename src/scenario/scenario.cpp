@@ -6,6 +6,7 @@
 
 #include "report/json_bind.hpp"
 #include "scenario/generators.hpp"
+#include "scenario/trace.hpp"
 
 namespace raa::scen {
 
@@ -194,14 +195,33 @@ constexpr Field<Scenario> kScenarioFields[] = {
     key<Scenario>("programs"),  // required, checked after the regions
 };
 
+/// A RAAT trace's JSON header (trace.hpp). "config" and "memory" bind
+/// exactly as in a scenario file; regions are the laid-out mem::Regions.
+constexpr Field<mem::Region> kTraceRegionFields[] = {
+    field<&mem::Region::name>("name", required),
+    field<&mem::Region::base>("base", required),
+    field<&mem::Region::bytes>("bytes", required),
+    field<&mem::Region::ref>("class", required),
+};
+
+constexpr Field<TraceData> kTraceHeaderFields[] = {
+    field<&TraceData::name>("name", required),
+    field<&TraceData::mode>("mode", required),
+    object<kConfigFields, &TraceData::config>("config", required),
+    object<kMemoryFields, &TraceData::config, &SystemConfig::memory>(
+        "memory", required),
+    key<TraceData>("regions", required),
+};
+
 // --- plain checks after the table pass ------------------------------------
 
 bool check_config(const Ctx& c, const std::string& path,
                   const SystemConfig& cfg) {
-  if (cfg.tiles != cfg.mesh_x * cfg.mesh_y)
+  const std::uint64_t mesh = std::uint64_t{cfg.mesh_x} * cfg.mesh_y;
+  if (cfg.tiles != mesh)
     return c.fail(path, "tiles (" + std::to_string(cfg.tiles) +
                             ") must equal mesh_x * mesh_y (" +
-                            std::to_string(cfg.mesh_x * cfg.mesh_y) + ")");
+                            std::to_string(mesh) + ")");
   if (cfg.dma_chunk_bytes % cfg.line_bytes != 0)
     return c.fail(path, "dma_chunk_bytes must be a multiple of line_bytes");
   return true;
@@ -529,6 +549,37 @@ json::Value Scenario::to_json() const {
       for (const ProgramSpec& p : programs) list.push_back(program_json(p));
     doc.set(std::string{key}, std::move(list));
   });
+}
+
+json::Value trace_header_json(const TraceData& trace) {
+  return bind::write(kTraceHeaderFields, trace, [&](std::string_view,
+                                                    Value& doc) {
+    Value list{json::Array{}};
+    for (const mem::Region& r : trace.regions)
+      list.push_back(bind::write(kTraceRegionFields, r));
+    doc.set("regions", std::move(list));
+  });
+}
+
+bool read_trace_header(const json::Value& doc, TraceData& trace,
+                       std::string* error) {
+  const Ctx c{error};
+  const std::string root = "header";
+  if (!bind::read(c, doc, root, kTraceHeaderFields, trace) ||
+      !check_config(c, root + ".config", trace.config))
+    return false;
+  const Value& list = *doc.find("regions");
+  if (!list.is_array())
+    return c.fail(root + ".regions", "expected an array of regions");
+  for (std::size_t i = 0; i < list.as_array().size(); ++i) {
+    mem::Region r;
+    if (!bind::read(c, list.as_array()[i],
+                    root + ".regions[" + std::to_string(i) + "]",
+                    kTraceRegionFields, r))
+      return false;
+    trace.regions.push_back(std::move(r));
+  }
+  return true;
 }
 
 std::optional<std::size_t> Scenario::first_unreferenced_region() const {

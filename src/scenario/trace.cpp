@@ -1,10 +1,14 @@
 #include "scenario/trace.hpp"
 
-#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "common/check.hpp"
+#include "memsim/system.hpp"
+#include "report/json_bind.hpp"
 
 namespace raa::scen {
 
@@ -27,17 +31,18 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-std::uint64_t get_varint(const std::uint8_t*& p, const std::uint8_t* end) {
-  std::uint64_t v = 0;
-  unsigned shift = 0;
-  while (true) {
-    RAA_CHECK_MSG(p < end, "truncated trace stream");
+/// The one varint decoder (file framing, stream validation and replay):
+/// nullptr on success, else why the bytes at `p` are not a varint.
+const char* get_varint(const std::uint8_t*& p, const std::uint8_t* end,
+                       std::uint64_t& v) {
+  v = 0;
+  for (unsigned shift = 0; shift < 64; shift += 7) {
+    if (p >= end) return "truncated varint";
     const std::uint8_t b = *p++;
     v |= std::uint64_t{b & 0x7Fu} << shift;
-    if (!(b & 0x80)) return v;
-    shift += 7;
-    RAA_CHECK_MSG(shift < 64, "overlong varint in trace stream");
+    if (!(b & 0x80)) return nullptr;
   }
+  return "overlong varint";
 }
 
 std::uint64_t zigzag(std::int64_t v) {
@@ -97,174 +102,162 @@ class RecordingProgram final : public mem::CoreProgram {
   Encoder enc_;
 };
 
-// --- fixed-width file-header helpers (little-endian) ----------------------
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int k = 0; k < 4; ++k)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int k = 0; k < 8; ++k)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_varint(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-struct Reader {
-  const std::uint8_t* p;
-  const std::uint8_t* end;
-  std::string err;
-
-  bool fail(const char* msg) {
-    if (err.empty()) err = msg;
-    return false;
+/// Decode the access at `p` of a stream whose previous address and delta
+/// are `prev_addr`/`prev_delta` (Encoder's state, mirrored): nullptr on
+/// success, else why not. Shared by load-time validation and
+/// TraceProgram.
+const char* decode_access(const std::uint8_t*& p, const std::uint8_t* end,
+                          std::uint64_t& prev_addr, std::int64_t& prev_delta,
+                          mem::Access& out) {
+  if (p >= end) return "stream ends before its access count";
+  const std::uint8_t flags = *p++;
+  const unsigned ref = (flags >> kFlagRefShift) & kFlagRefMask;
+  if (ref > static_cast<unsigned>(mem::RefClass::random_unknown))
+    return "bad reference class";
+  std::uint64_t v = 0;
+  std::int64_t delta = prev_delta;
+  if (!(flags & kFlagRepeatDelta)) {
+    if (const char* e = get_varint(p, end, v)) return e;
+    delta = unzigzag(v);
   }
-  bool need(std::size_t n, const char* what) {
-    return static_cast<std::size_t>(end - p) >= n ? true : fail(what);
+  v = 0;
+  if (flags & kFlagHasGap) {
+    if (const char* e = get_varint(p, end, v)) return e;
+    if (v > UINT32_MAX) return "gap does not fit 32 bits";
   }
-  bool u32(std::uint32_t& v) {
-    if (!need(4, "truncated header")) return false;
-    v = 0;
-    for (int k = 0; k < 4; ++k) v |= std::uint32_t{p[k]} << (8 * k);
-    p += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (!need(8, "truncated header")) return false;
-    v = 0;
-    for (int k = 0; k < 8; ++k) v |= std::uint64_t{p[k]} << (8 * k);
-    p += 8;
-    return true;
-  }
-  bool f64(double& v) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool varint(std::uint64_t& v) {
-    v = 0;
-    unsigned shift = 0;
-    while (true) {
-      if (!need(1, "truncated varint")) return false;
-      const std::uint8_t b = *p++;
-      v |= std::uint64_t{b & 0x7Fu} << shift;
-      if (!(b & 0x80)) return true;
-      shift += 7;
-      if (shift >= 64) return fail("overlong varint");
-    }
-  }
-  bool str(std::string& s) {
-    std::uint64_t n = 0;
-    if (!varint(n)) return false;
-    if (!need(n, "truncated string")) return false;
-    s.assign(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return true;
-  }
-};
-
-/// Validate that an encoded core stream decodes cleanly: exactly `count`
-/// accesses, every varint complete, and no trailing bytes. read_file runs
-/// this over every stream so a truncated or bit-flipped file fails with a
-/// diagnostic at load time instead of tripping RAA_CHECK (or worse) deep
-/// inside a replay run.
-const char* validate_stream(const TraceData::CoreStream& cs) {
-  const std::uint8_t* p = cs.bytes.data();
-  const std::uint8_t* end = p + cs.bytes.size();
-  const auto skip_varint = [&]() -> const char* {
-    unsigned shift = 0;
-    while (true) {
-      if (p >= end) return "truncated varint";
-      const std::uint8_t b = *p++;
-      if (!(b & 0x80)) return nullptr;
-      shift += 7;
-      if (shift >= 64) return "overlong varint";
-    }
-  };
-  for (std::uint64_t i = 0; i < cs.count; ++i) {
-    if (p >= end) return "stream ends before its access count";
-    const std::uint8_t flags = *p++;
-    if (!(flags & kFlagRepeatDelta))
-      if (const char* e = skip_varint()) return e;
-    if (flags & kFlagHasGap)
-      if (const char* e = skip_varint()) return e;
-  }
-  if (p != end) return "trailing bytes after the last access";
+  prev_addr += static_cast<std::uint64_t>(delta);  // wrapping
+  prev_delta = delta;
+  out = mem::Access{prev_addr, (flags & kFlagStore) != 0,
+                    static_cast<mem::RefClass>(ref),
+                    static_cast<std::uint32_t>(v)};
   return nullptr;
 }
 
-/// SystemConfig fields in serialization order. Keeping the walk in one
-/// template means writer and reader cannot drift apart.
-template <typename U32, typename F64>
-void walk_config(mem::SystemConfig& c, U32&& u32, F64&& f64) {
-  u32(c.tiles), u32(c.mesh_x), u32(c.mesh_y), u32(c.mem_controllers);
-  u32(c.line_bytes), u32(c.l1_bytes), u32(c.l1_assoc), u32(c.l2_bank_bytes);
-  u32(c.l2_assoc), u32(c.spm_bytes), u32(c.dma_chunk_bytes);
-  u32(c.lat_l1_hit), u32(c.lat_spm_hit), u32(c.lat_l2_hit), u32(c.lat_dir);
-  u32(c.lat_filter), u32(c.memory.flat.lat_dram), u32(c.lat_router);
-  u32(c.lat_link), u32(c.memory.flat.dram_cycles_per_line);
-  f64(c.e_l1_hit), f64(c.e_l1_probe), f64(c.e_spm), f64(c.e_l2);
-  f64(c.e_dir), f64(c.e_filter), f64(c.memory.flat.e_dram_line),
-      f64(c.e_flit_hop);
-  f64(c.e_static_per_tile_cycle);
+/// Validate that an encoded core stream decodes cleanly: exactly `count`
+/// accesses and no trailing bytes. decode() runs this over every stream so
+/// a truncated or bit-flipped file fails with a diagnostic at load time
+/// instead of tripping RAA_CHECK deep inside a replay run.
+const char* validate_stream(const TraceData::CoreStream& cs) {
+  const std::uint8_t* p = cs.bytes.data();
+  const std::uint8_t* end = p + cs.bytes.size();
+  std::uint64_t prev_addr = 0;
+  std::int64_t prev_delta = 0;
+  mem::Access a;
+  for (std::uint64_t i = 0; i < cs.count; ++i)
+    if (const char* e = decode_access(p, end, prev_addr, prev_delta, a))
+      return e;
+  return p == end ? nullptr : "trailing bytes after the last access";
 }
 
-/// Banked-backend parameters in serialization order (trace version 2).
-/// Zero is legal for the t_* and refresh fields, so these stay out of the
-/// walk_config nonzero sanity sweep and get their own range check.
-template <typename U32, typename F64>
-void walk_banked(mem::BankedBackendParams& b, U32&& u32, F64&& f64) {
-  u32(b.channels), u32(b.banks_per_channel), u32(b.row_bytes);
-  u32(b.t_rp), u32(b.t_rcd), u32(b.t_cas), u32(b.line_cycles);
-  u32(b.refresh_interval), u32(b.refresh_cycles), u32(b.dma_cycles_per_line);
-  f64(b.e_line), f64(b.e_activate), f64(b.e_refresh);
+// --- fixed-width framing (little-endian) -----------------------------------
+
+template <typename T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  for (std::size_t k = 0; k < sizeof(T); ++k)
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * k)));
+}
+
+template <typename T>
+bool get_le(const std::uint8_t*& p, const std::uint8_t* end, T& v) {
+  if (static_cast<std::size_t>(end - p) < sizeof(T)) return false;
+  v = 0;
+  for (std::size_t k = 0; k < sizeof(T); ++k) v |= T{p[k]} << (8 * k);
+  p += sizeof(T);
+  return true;
 }
 
 }  // namespace
 
-bool TraceData::write_file(const std::string& path, std::string* error) const {
-  std::vector<std::uint8_t> buf;
-  for (const char m : kMagic) buf.push_back(static_cast<std::uint8_t>(m));
-  put_u32(buf, kTraceVersion);
-  mem::SystemConfig c = config;
-  walk_config(
-      c, [&](unsigned v) { put_u32(buf, v); },
-      [&](double v) { put_f64(buf, v); });
-  put_u32(buf, static_cast<std::uint32_t>(c.memory.kind));
-  walk_banked(
-      c.memory.banked, [&](unsigned v) { put_u32(buf, v); },
-      [&](double v) { put_f64(buf, v); });
-  buf.push_back(mode == mem::HierarchyMode::hybrid ? 1 : 0);
-  put_str(buf, name);
-  put_u32(buf, static_cast<std::uint32_t>(regions.size()));
-  for (const auto& r : regions) {
-    put_str(buf, r.name);
-    put_u64(buf, r.base);
-    put_u64(buf, r.bytes);
-    buf.push_back(static_cast<std::uint8_t>(r.ref));
-  }
-  put_u32(buf, static_cast<std::uint32_t>(cores.size()));
+std::optional<std::vector<std::uint8_t>> TraceData::encode(
+    std::string* error) const {
+  // The header stores numbers as JSON doubles, exact only up to 2^53.
+  constexpr auto kMaxExact =
+      static_cast<std::uint64_t>(json::bind::kMaxExactInt);
+  for (const auto& r : regions)
+    if (r.base > kMaxExact || r.bytes > kMaxExact) {
+      if (error)
+        *error = "region '" + r.name +
+                 "': base and bytes must be at most 2^53 to be stored "
+                 "exactly in the trace header";
+      return std::nullopt;
+    }
+  const std::string header = trace_header_json(*this).dump();
+  std::vector<std::uint8_t> buf(std::begin(kMagic), std::end(kMagic));
+  put_le(buf, kTraceVersion);
+  put_varint(buf, header.size());
+  buf.insert(buf.end(), header.begin(), header.end());
+  put_le(buf, static_cast<std::uint32_t>(cores.size()));
   for (const auto& cs : cores) {
-    put_u64(buf, cs.count);
+    put_le(buf, cs.count);
     put_varint(buf, cs.bytes.size());
     buf.insert(buf.end(), cs.bytes.begin(), cs.bytes.end());
   }
+  return buf;
+}
 
+std::optional<TraceData> TraceData::decode(std::span<const std::uint8_t> bytes,
+                                           std::string* error) {
+  const auto fail = [&](const std::string& msg) -> std::optional<TraceData> {
+    if (error) *error = msg;
+    return std::nullopt;
+  };
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = p + bytes.size();
+  const auto need = [&](std::uint64_t n) {
+    return static_cast<std::uint64_t>(end - p) >= n;
+  };
+
+  if (!need(4) || std::memcmp(p, kMagic, 4) != 0)
+    return fail("not a RAA trace file (bad magic)");
+  p += 4;
+  std::uint32_t version = 0;
+  if (!get_le(p, end, version)) return fail("truncated header");
+  if (version != kTraceVersion)
+    return fail("unsupported trace version " + std::to_string(version) +
+                " (want " + std::to_string(kTraceVersion) + ")");
+
+  std::uint64_t header_bytes = 0;
+  if (const char* e = get_varint(p, end, header_bytes)) return fail(e);
+  if (!need(header_bytes)) return fail("truncated header");
+  std::string why;
+  const auto doc = json::Value::parse(
+      {reinterpret_cast<const char*>(p), header_bytes}, &why);
+  p += header_bytes;
+  TraceData t;
+  if (!doc) return fail("header: " + why);
+  if (!read_trace_header(*doc, t, &why)) return fail(why);
+
+  std::uint32_t core_count = 0;
+  if (!get_le(p, end, core_count)) return fail("truncated core count");
+  if (core_count != t.config.tiles)
+    return fail("core stream count (" + std::to_string(core_count) +
+                ") does not match config tiles (" +
+                std::to_string(t.config.tiles) + ")");
+  for (std::uint32_t i = 0; i < core_count; ++i) {
+    CoreStream cs;
+    std::uint64_t nbytes = 0;
+    if (!get_le(p, end, cs.count)) return fail("truncated core stream");
+    if (const char* e = get_varint(p, end, nbytes)) return fail(e);
+    if (!need(nbytes)) return fail("truncated core stream");
+    cs.bytes.assign(p, p + nbytes);
+    p += nbytes;
+    if (const char* e = validate_stream(cs))
+      return fail("core stream " + std::to_string(i) + " is corrupt: " + e);
+    t.cores.push_back(std::move(cs));
+  }
+  if (p != end) return fail("trailing bytes after last core stream");
+  return t;
+}
+
+bool TraceData::write_file(const std::string& path, std::string* error) const {
+  const auto buf = encode(error);
+  if (!buf) return false;
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) {
     if (error) *error = "cannot open " + path + " for writing";
     return false;
   }
-  const bool ok = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
+  const bool ok = std::fwrite(buf->data(), 1, buf->size(), f) == buf->size();
   const bool closed = std::fclose(f) == 0;
   if (!(ok && closed)) {
     if (error) *error = "short write to " + path;
@@ -275,115 +268,15 @@ bool TraceData::write_file(const std::string& path, std::string* error) const {
 
 std::optional<TraceData> TraceData::read_file(const std::string& path,
                                               std::string* error) {
-  const auto fail = [&](const std::string& msg) -> std::optional<TraceData> {
-    if (error) *error = path + ": " + msg;
-    return std::nullopt;
-  };
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return fail("cannot open for reading");
-  std::vector<std::uint8_t> buf;
-  std::uint8_t chunk[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-    buf.insert(buf.end(), chunk, chunk + got);
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) return fail("read error");
-
-  Reader rd{buf.data(), buf.data() + buf.size()};
-  if (!rd.need(4, "truncated magic") || std::memcmp(rd.p, kMagic, 4) != 0)
-    return fail("not a RAA trace file (bad magic)");
-  rd.p += 4;
-  std::uint32_t version = 0;
-  if (!rd.u32(version)) return fail(rd.err);
-  if (version != kTraceVersion)
-    return fail("unsupported trace version " + std::to_string(version) +
-                " (want " + std::to_string(kTraceVersion) + ")");
-
-  TraceData t;
-  bool ok = true;
-  walk_config(
-      t.config, [&](unsigned& v) {
-        std::uint32_t x = 0;
-        ok = ok && rd.u32(x);
-        v = x;
-      },
-      [&](double& v) { ok = ok && rd.f64(v); });
-  if (!ok) return fail(rd.err);
-  // Config sanity: these fields come from an untrusted file but feed
-  // straight into System setup (divisions, mesh construction). Apply the
-  // same rules the scenario parser enforces.
-  {
-    bool bad = false;
-    walk_config(
-        t.config, [&](unsigned& v) { bad = bad || v == 0; },
-        [&](double& v) { bad = bad || !(v >= 0.0); });
-    if (bad) return fail("config field out of range (zero or negative)");
-    if (t.config.tiles != t.config.mesh_x * t.config.mesh_y)
-      return fail("config tiles != mesh_x * mesh_y");
-    if (t.config.dma_chunk_bytes % t.config.line_bytes != 0)
-      return fail("config dma_chunk_bytes not a multiple of line_bytes");
-  }
-  std::uint32_t backend_kind = 0;
-  if (!rd.u32(backend_kind)) return fail(rd.err);
-  if (backend_kind > 1) return fail("bad memory backend kind");
-  t.config.memory.kind = static_cast<mem::MemBackendKind>(backend_kind);
-  walk_banked(
-      t.config.memory.banked, [&](unsigned& v) {
-        std::uint32_t x = 0;
-        ok = ok && rd.u32(x);
-        v = x;
-      },
-      [&](double& v) { ok = ok && rd.f64(v); });
-  if (!ok) return fail(rd.err);
-  {
-    const mem::BankedBackendParams& b = t.config.memory.banked;
-    if (b.channels == 0 || b.banks_per_channel == 0 || b.row_bytes == 0 ||
-        b.line_cycles == 0 || b.dma_cycles_per_line == 0)
-      return fail("banked memory field out of range (zero)");
-    if (!(b.e_line >= 0.0) || !(b.e_activate >= 0.0) ||
-        !(b.e_refresh >= 0.0))
-      return fail("banked memory energy out of range (negative)");
-  }
-  if (!rd.need(1, "truncated mode")) return fail(rd.err);
-  const std::uint8_t mode_byte = *rd.p++;
-  if (mode_byte > 1) return fail("bad hierarchy mode byte");
-  t.mode = mode_byte ? mem::HierarchyMode::hybrid
-                     : mem::HierarchyMode::cache_only;
-  if (!rd.str(t.name)) return fail(rd.err);
-
-  std::uint32_t region_count = 0;
-  if (!rd.u32(region_count)) return fail(rd.err);
-  for (std::uint32_t i = 0; i < region_count; ++i) {
-    mem::Region r;
-    if (!rd.str(r.name) || !rd.u64(r.base) || !rd.u64(r.bytes))
-      return fail(rd.err);
-    if (!rd.need(1, "truncated region class")) return fail(rd.err);
-    const std::uint8_t ref = *rd.p++;
-    if (ref > 2) return fail("bad region class byte");
-    r.ref = static_cast<mem::RefClass>(ref);
-    t.regions.push_back(std::move(r));
-  }
-
-  std::uint32_t core_count = 0;
-  if (!rd.u32(core_count)) return fail(rd.err);
-  if (core_count != t.config.tiles)
-    return fail("core stream count (" + std::to_string(core_count) +
-                ") does not match config tiles (" +
-                std::to_string(t.config.tiles) + ")");
-  for (std::uint32_t i = 0; i < core_count; ++i) {
-    CoreStream cs;
-    std::uint64_t nbytes = 0;
-    if (!rd.u64(cs.count) || !rd.varint(nbytes)) return fail(rd.err);
-    if (!rd.need(nbytes, "truncated core stream")) return fail(rd.err);
-    cs.bytes.assign(rd.p, rd.p + nbytes);
-    rd.p += nbytes;
-    if (const char* e = validate_stream(cs))
-      return fail("core stream " + std::to_string(i) + " is corrupt: " + e);
-    t.cores.push_back(std::move(cs));
-  }
-  if (rd.p != rd.end) return fail("trailing bytes after last core stream");
+  std::ifstream in{path, std::ios::binary};
+  const std::vector<std::uint8_t> buf{std::istreambuf_iterator<char>{in},
+                                      std::istreambuf_iterator<char>{}};
+  std::string why = !in.is_open() ? "cannot open for reading"
+                    : in.bad()    ? "read error"
+                                  : "";
+  std::optional<TraceData> t;
+  if (why.empty()) t = decode(buf, &why);
+  if (!t && error) *error = path + ": " + why;
   return t;
 }
 
@@ -428,6 +321,26 @@ mem::Workload make_replay_workload(std::shared_ptr<const TraceData> trace) {
   return w;
 }
 
+std::optional<RecordReplay> record_and_replay(mem::Workload w,
+                                              const mem::SystemConfig& config,
+                                              mem::HierarchyMode mode,
+                                              std::string* error) {
+  TraceData trace;
+  record_workload(w, config, mode, trace);
+  RecordReplay out;
+  out.recorded = mem::System{config, mode}.run(w);
+  const auto bytes = trace.encode(error);
+  if (!bytes) return std::nullopt;
+  auto decoded = TraceData::decode(*bytes, error);
+  if (!decoded) return std::nullopt;
+  const mem::SystemConfig cfg = decoded->config;
+  const mem::HierarchyMode replay_mode = decoded->mode;
+  mem::Workload replay = make_replay_workload(
+      std::make_shared<const TraceData>(std::move(*decoded)));
+  out.replayed = mem::System{cfg, replay_mode}.run(replay);
+  return out;
+}
+
 TraceProgram::TraceProgram(std::shared_ptr<const TraceData> trace,
                            std::size_t core)
     : trace_(std::move(trace)) {
@@ -440,23 +353,9 @@ TraceProgram::TraceProgram(std::shared_ptr<const TraceData> trace,
 
 std::size_t TraceProgram::fill(std::span<mem::Access> out) {
   std::size_t n = 0;
-  while (n < out.size() && remaining_ > 0) {
-    RAA_CHECK_MSG(p_ < end_, "trace stream ends before its access count");
-    const std::uint8_t flags = *p_++;
-    std::int64_t delta = prev_delta_;
-    if (!(flags & kFlagRepeatDelta)) delta = unzigzag(get_varint(p_, end_));
-    std::uint32_t gap = 0;
-    if (flags & kFlagHasGap)
-      gap = static_cast<std::uint32_t>(get_varint(p_, end_));
-    const std::uint64_t addr =
-        prev_addr_ + static_cast<std::uint64_t>(delta);  // wrapping
-    out[n++] = mem::Access{
-        addr, (flags & kFlagStore) != 0,
-        static_cast<mem::RefClass>((flags >> kFlagRefShift) & kFlagRefMask),
-        gap};
-    prev_addr_ = addr;
-    prev_delta_ = delta;
-    --remaining_;
+  for (; n < out.size() && remaining_ > 0; ++n, --remaining_) {
+    const char* e = decode_access(p_, end_, prev_addr_, prev_delta_, out[n]);
+    RAA_CHECK_MSG(e == nullptr, e);
   }
   return n;
 }

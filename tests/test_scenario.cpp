@@ -290,6 +290,10 @@ TEST(ScenarioParse, ReportsActionableErrors) {
   expect_error(R"({"name": "t", "config": {"tiles": 8}, )" + base +
                    R"(, "programs": []})",
                "mesh_x * mesh_y");
+  // 65536 * 65537 wraps 32 bits to 65536: the product must not wrap.
+  expect_error(R"({"name": "t", "config": {"tiles": 65536, "mesh_x": 65536,
+                   "mesh_y": 65537}, )" + base + R"(, "programs": []})",
+               "tiles (65536) must equal mesh_x * mesh_y (4295032832)");
   expect_error(R"({"name": "t", )" + base +
                    R"(, "memory": {"banked": {"mapping": "hash"}},
                    "programs": []})",
@@ -381,7 +385,30 @@ TEST(TraceRoundTrip, ReplayReproducesMetrics) {
 }
 
 TEST(TraceRoundTrip, FileRoundTripPreservesEverything) {
-  const SystemConfig cfg = small_cfg();
+  // Banked, with every banked parameter off its default: a header field
+  // the file drops (as the bank mapping once was) fails the config
+  // comparison and, through the replay, the metrics.
+  SystemConfig cfg = small_cfg();
+  cfg.memory.kind = raa::mem::MemBackendKind::banked;
+  raa::mem::BankedBackendParams& b = cfg.memory.banked;
+  b.channels = 4;
+  b.banks_per_channel = 4;
+  b.mapping = raa::mem::BankMapping::xor_hash;
+  b.row_bytes = 1024;
+  b.t_rp = 30;
+  b.t_rcd = 35;
+  b.t_cas = 25;
+  b.line_cycles = 6;
+  b.refresh_interval = 0;
+  b.refresh_cycles = 100;
+  b.dma_cycles_per_line = 5;
+  b.e_line = 1100.5;
+  b.e_activate = 0.1;
+  b.e_refresh = 650.25;
+  ASSERT_FALSE(b == raa::mem::BankedBackendParams{});
+  cfg.memory.flat.lat_dram = 150;
+  cfg.e_static_per_tile_cycle = 1.0 / 3.0;  // not a short decimal
+
   Workload w = mixed_workload(cfg, 31);
   TraceData trace;
   raa::scen::record_workload(w, cfg, HierarchyMode::hybrid, trace);
@@ -395,16 +422,48 @@ TEST(TraceRoundTrip, FileRoundTripPreservesEverything) {
   ASSERT_TRUE(loaded.has_value()) << err;
   EXPECT_EQ(loaded->mode, HierarchyMode::hybrid);
   EXPECT_EQ(loaded->name, "mixed");
-  EXPECT_EQ(loaded->config.tiles, cfg.tiles);
-  EXPECT_EQ(loaded->config.dma_chunk_bytes, cfg.dma_chunk_bytes);
-  ASSERT_EQ(loaded->regions.size(), 2u);
-  EXPECT_EQ(loaded->regions[0].name, "shared");
-  EXPECT_EQ(loaded->regions[1].ref, RefClass::random_noalias);
+  EXPECT_TRUE(loaded->config == cfg);
+  EXPECT_EQ(loaded->config.memory.banked.mapping,
+            raa::mem::BankMapping::xor_hash);
+  ASSERT_EQ(loaded->regions.size(), trace.regions.size());
+  for (std::size_t i = 0; i < trace.regions.size(); ++i) {
+    EXPECT_EQ(loaded->regions[i].name, trace.regions[i].name);
+    EXPECT_EQ(loaded->regions[i].base, trace.regions[i].base);
+    EXPECT_EQ(loaded->regions[i].bytes, trace.regions[i].bytes);
+    EXPECT_EQ(loaded->regions[i].ref, trace.regions[i].ref);
+  }
 
+  // Replay what the file says, not what the test knows.
+  const SystemConfig loaded_cfg = loaded->config;
+  const HierarchyMode loaded_mode = loaded->mode;
   Workload replay = raa::scen::make_replay_workload(
       std::make_shared<const TraceData>(std::move(*loaded)));
-  System replay_sys{cfg, HierarchyMode::hybrid};
+  System replay_sys{loaded_cfg, loaded_mode};
   expect_metrics_equal(reference, replay_sys.run(replay));
+}
+
+TEST(TraceRoundTrip, WriteRejectsRegionsTheHeaderCannotHoldExactly) {
+  TraceData t;
+  t.config = small_cfg();
+  t.cores.resize(t.config.tiles);
+  Region r;
+  r.name = "huge";
+  r.bytes = (std::uint64_t{1} << 53) + 1;
+  t.regions.push_back(r);
+  const std::string path = temp_path("huge_region.raat");
+  std::string err;
+  EXPECT_FALSE(t.write_file(path, &err));
+  EXPECT_NE(err.find("region 'huge'"), std::string::npos) << err;
+  EXPECT_NE(err.find("2^53"), std::string::npos) << err;
+
+  // 2^53 itself is exact, and survives the round trip.
+  t.regions[0].bytes = std::uint64_t{1} << 53;
+  t.regions[0].base = std::uint64_t{1} << 53;
+  ASSERT_TRUE(t.write_file(path, &err)) << err;
+  const auto loaded = TraceData::read_file(path, &err);
+  ASSERT_TRUE(loaded.has_value()) << err;
+  EXPECT_EQ(loaded->regions[0].bytes, std::uint64_t{1} << 53);
+  EXPECT_EQ(loaded->regions[0].base, std::uint64_t{1} << 53);
 }
 
 TEST(TraceRoundTrip, ReadRejectsCorruptFiles) {
@@ -418,6 +477,110 @@ TEST(TraceRoundTrip, ReadRejectsCorruptFiles) {
   EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
   EXPECT_FALSE(TraceData::read_file(temp_path("missing.raat"), &err)
                    .has_value());
+
+  // A version-2 file (binary header) is refused by its version word.
+  f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite("RAAT\x02\x00\x00\x00", 1, 8, f);
+  std::fclose(f);
+  EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
+  EXPECT_NE(err.find("unsupported trace version 2 (want 3)"),
+            std::string::npos)
+      << err;
+}
+
+/// A RAAT v3 file around `header`, with `tiles` empty core streams.
+std::vector<std::uint8_t> raat_bytes(const std::string& header,
+                                     unsigned tiles) {
+  std::vector<std::uint8_t> out{'R', 'A', 'A', 'T', 3, 0, 0, 0};
+  std::uint64_t n = header.size();
+  for (; n >= 0x80; n >>= 7)
+    out.push_back(static_cast<std::uint8_t>(n | 0x80));
+  out.push_back(static_cast<std::uint8_t>(n));
+  out.insert(out.end(), header.begin(), header.end());
+  for (int k = 0; k < 4; ++k)
+    out.push_back(static_cast<std::uint8_t>(tiles >> (8 * k)));
+  out.resize(out.size() + 9 * std::size_t{tiles}, 0);  // u64 count, varint 0
+  return out;
+}
+
+TEST(TraceRoundTrip, DecodeRejectsBadHeadersWithJsonPaths) {
+  TraceData t;
+  t.config = small_cfg();
+  t.name = "header_check";
+  Region r;
+  r.name = "r";
+  r.bytes = 4096;
+  t.regions.push_back(r);
+  const unsigned tiles = t.config.tiles;
+  std::string err;
+  ASSERT_TRUE(TraceData::decode(
+                  raat_bytes(raa::scen::trace_header_json(t).dump(), tiles),
+                  &err)
+                  .has_value())
+      << err;
+
+  const auto expect_error = [&](const auto& mutate, const std::string& want) {
+    raa::json::Value h = raa::scen::trace_header_json(t);
+    mutate(h);
+    err.clear();
+    EXPECT_FALSE(TraceData::decode(raat_bytes(h.dump(), tiles), &err)
+                     .has_value());
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+  };
+  using raa::json::Value;
+  expect_error([](Value& h) { h.set("mode", "hybird"); },
+               "header.mode: unknown mode 'hybird'");
+  expect_error([](Value& h) { h.set("extra", 1); },
+               "header.extra: unknown key");
+  expect_error(
+      [](Value& h) {
+        h.find("memory")->find("banked")->set("mapping", "xr");
+      },
+      "header.memory.banked.mapping: unknown mapping 'xr'");
+  expect_error([](Value& h) { h.find("config")->set("mesh_x", 3); },
+               "header.config: tiles (4) must equal mesh_x * mesh_y (6)");
+  expect_error([](Value& h) { h.set("regions", Value{raa::json::Object{}}); },
+               "header.regions: expected an array of regions");
+  expect_error(
+      [](Value& h) {
+        h.find("regions")->as_array()[0].set("class", "bogus");
+      },
+      "header.regions[0].class: unknown reference class 'bogus'");
+  expect_error(
+      [](Value& h) {
+        h.find("regions")->as_array()[0].set("base", 18014398509481984.0);
+      },
+      "header.regions[0].base: expected a non-negative integer");
+
+  err.clear();
+  EXPECT_FALSE(TraceData::decode(raat_bytes("{", tiles), &err).has_value());
+  EXPECT_EQ(err.rfind("header: ", 0), 0u) << err;
+}
+
+TEST(TraceRoundTrip, DecodeRejectsMalformedAccesses) {
+  // Flags 0x16: repeat delta, reference class 3 (there are three).
+  // Flags 0x18: repeat delta, gap 2^32 (a gap is 32 bits).
+  // Flags 0x00: an address delta follows, here eleven varint bytes.
+  const std::pair<std::vector<std::uint8_t>, const char*> kCases[] = {
+      {{0x16}, "bad reference class"},
+      {{0x18, 0x80, 0x80, 0x80, 0x80, 0x10}, "gap does not fit 32 bits"},
+      {{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+        0x01},
+       "overlong varint"}};
+  for (const auto& [stream, want] : kCases) {
+    TraceData t;
+    t.config = small_cfg();
+    t.cores.resize(t.config.tiles);
+    t.cores[0] = TraceData::CoreStream{1, stream};
+    std::string err;
+    const auto bytes = t.encode(&err);
+    ASSERT_TRUE(bytes.has_value()) << err;
+    EXPECT_FALSE(TraceData::decode(*bytes, &err).has_value());
+    EXPECT_NE(err.find(std::string{"core stream 0 is corrupt: "} + want),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(TraceRoundTrip, ReadRejectsInsaneConfigs) {
@@ -431,7 +594,9 @@ TEST(TraceRoundTrip, ReadRejectsInsaneConfigs) {
   std::string err;
   ASSERT_TRUE(t.write_file(path, &err)) << err;
   EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
-  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  EXPECT_NE(err.find("config.line_bytes: must be positive"),
+            std::string::npos)
+      << err;
 
   TraceData t2;
   t2.config = small_cfg();

@@ -15,13 +15,15 @@
 //   --mapping    block | xor — override the banked backend's bank-hash
 //                address mapping (scenario key memory.banked.mapping)
 //   --seed       override the scenario's seed (deterministic re-runs
-//                under a different random stream)
+//                under a different random stream; scenario input only:
+//                with --replay it is a usage error, exit 2)
 //   --record     write the run's access streams as a self-contained
 //                trace file (requires a single concrete mode)
 //   --selfcheck  prove the record/replay contract for this scenario:
-//                metrics field-identical for an in-memory record -> replay
-//                round trip; exit 1 on any mismatch (scenario input only:
-//                with --replay there is nothing to check, exit 2)
+//                metrics field-identical for a record -> encode -> decode
+//                -> replay round trip; exit 1 on any mismatch (scenario
+//                input only: with --replay there is nothing to check,
+//                exit 2)
 //
 //   --fail-on-marker  test hook for the fuzz suite: exit 1 when the
 //                scenario declares a __diverge_marker region (the
@@ -37,7 +39,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,15 +60,9 @@ namespace {
 using raa::mem::HierarchyMode;
 using raa::mem::Metrics;
 using raa::mem::System;
-using raa::mem::SystemConfig;
 using raa::mem::Workload;
 using raa::scen::Scenario;
 using raa::scen::TraceData;
-
-Metrics run_once(const SystemConfig& cfg, HierarchyMode mode, Workload& w) {
-  System sys{cfg, mode};
-  return sys.run(w);
-}
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -85,24 +80,20 @@ int usage(const char* argv0) {
   return raa::kExitUsage;
 }
 
-/// Verify the record->replay contract for one (input, mode) pair.
-/// Returns false (with a stderr diagnostic) on any metrics mismatch.
+/// Verify the record->replay contract for one (input, mode) pair: the
+/// replay runs the trace decoded from its file encoding, under the decoded
+/// config and mode. Returns false (with a stderr diagnostic) when the
+/// bytes do not decode or any metric differs.
 bool selfcheck_mode(const raa::fleet::LoadedInput& in, HierarchyMode mode) {
-  const SystemConfig& cfg = in.config;
-  auto w = in.make_workload();
-  TraceData trace;
-  raa::scen::record_workload(w, cfg, mode, trace);
-  const Metrics recorded = run_once(cfg, mode, w);
-  auto replay = raa::scen::make_replay_workload(
-      std::make_shared<const TraceData>(std::move(trace)));
-  if (!(recorded == run_once(cfg, mode, replay))) {
-    std::fprintf(stderr,
-                 "selfcheck FAILED (%s): trace replay metrics differ "
-                 "from the recorded run\n",
-                 raa::mem::to_string(mode));
-    return false;
-  }
-  return true;
+  std::string error;
+  const auto rr = raa::scen::record_and_replay(in.make_workload(), in.config,
+                                               mode, &error);
+  if (rr && rr->recorded == rr->replayed) return true;
+  std::fprintf(stderr, "selfcheck FAILED (%s): %s\n",
+               raa::mem::to_string(mode),
+               rr ? "trace replay metrics differ from the recorded run"
+                  : error.c_str());
+  return false;
 }
 
 /// Write the report, then read it back and re-parse as a schema sanity
@@ -179,6 +170,11 @@ int main(int argc, char** argv) try {
                          "replay round trip; a --replay run has none\n");
     return usage(argv[0]);
   }
+  if (cli.has("seed") && !replay_path.empty()) {
+    std::fprintf(stderr, "error: --seed re-seeds a scenario's generators; "
+                         "a --replay trace has none\n");
+    return usage(argv[0]);
+  }
 
   // Resolve the input the way a fleet job does (src/fleet/job.hpp).
   raa::fleet::JobSpec input;
@@ -231,7 +227,7 @@ int main(int argc, char** argv) try {
     Workload w = in.make_workload();
     if (!record_path.empty() && i == 0)
       raa::scen::record_workload(w, cfg, modes[i], recorded);
-    results.push_back(run_once(cfg, modes[i], w));
+    results.push_back(System{cfg, modes[i]}.run(w));
   }
   const double wall =
       std::chrono::duration<double>(clock::now() - t0).count();
