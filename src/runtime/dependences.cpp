@@ -44,13 +44,6 @@ void DependenceRegistry::apply(TaskId task, std::uintptr_t lo,
                                std::uintptr_t hi, AccessMode mode,
                                std::vector<TaskId>& preds) {
   RAA_CHECK(lo < hi);
-  split_at(lo);
-  split_at(hi);
-
-  // Walk existing segments overlapping [lo, hi); fill gaps with fresh
-  // segments so the new access is recorded everywhere.
-  std::uintptr_t cursor = lo;
-  auto it = segments_.lower_bound(lo);
   const bool reads = mode != AccessMode::write;
   const bool writes = mode != AccessMode::read;
 
@@ -68,6 +61,22 @@ void DependenceRegistry::apply(TaskId task, std::uintptr_t lo,
       add_reader(seg, task);
     }
   };
+
+  // Fast path: the access is exactly one tracked segment (the common case
+  // of a task re-touching a whole object), so neither split would cut.
+  auto it = segments_.lower_bound(lo);
+  if (it != segments_.end() && it->first == lo && it->second.end == hi) {
+    touch(it->second);
+    return;
+  }
+
+  split_at(lo);
+  split_at(hi);
+
+  // Walk existing segments overlapping [lo, hi); fill gaps with fresh
+  // segments so the new access is recorded everywhere.
+  std::uintptr_t cursor = lo;
+  it = segments_.lower_bound(lo);
 
   while (cursor < hi) {
     if (it == segments_.end() || it->first >= hi) {

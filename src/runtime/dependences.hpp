@@ -13,7 +13,9 @@
 ///
 /// The registry stores disjoint segments in an ordered map keyed by start
 /// address; registering an access splits overlapped segments at the access
-/// boundaries, so arbitrary partial overlaps are supported.
+/// boundaries, so arbitrary partial overlaps are supported. An access that
+/// is exactly one tracked segment (a task re-touching a whole object) takes
+/// one map search and no split.
 
 #include <cstdint>
 #include <map>

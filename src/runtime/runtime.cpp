@@ -80,54 +80,48 @@ TaskId Runtime::spawn_impl(std::vector<Dep> deps, std::function<void()> body,
   // Spawns from a worker thread go to that worker's own deque (lock-free
   // owner push under work stealing); external threads use the shared slot.
   const unsigned hint = scheduler_.current_worker();
-  TaskId id = kNoTask;
-  {
-    const std::scoped_lock lock{graph_mutex_};
-    auto block = std::make_unique<detail::TaskBlock>();
-    detail::TaskBlock* t = block.get();
-    id = static_cast<TaskId>(tasks_.size());
-    t->id = id;
-    t->body = std::move(body);
-    t->attrs = std::move(attrs);
-    if (nested && t_current.rt == this && t_current.task != nullptr) {
-      t->parent = t_current.task;
-      ++t->parent->children;
-    }
-    tasks_.push_back(std::move(block));
-    ++spawned_;
-
-    std::vector<TaskId> preds;
-    registry_.register_task(id, deps, preds);
-
-    if (options_.capture_graph) {
-      const double cost =
-          t->attrs.cost_hint > 0.0 ? t->attrs.cost_hint : 1.0;
-      const tdg::NodeId node = captured_.add_node(
-          cost, t->attrs.label,
-          t->attrs.criticality == Criticality::critical);
-      RAA_CHECK(node == id);  // ids are dense and aligned with the graph
-      for (const TaskId p : preds) captured_.add_edge(p, id);
-    }
-
-    for (const TaskId p : preds) {
-      detail::TaskBlock* pred = tasks_[p].get();
-      if (!pred->finished) {
-        pred->successors.push_back(t);
-        ++t->pending_preds;
-      }
-    }
-    if (t->pending_preds == 0) {
-      scheduler_.push(t, hint);  // push wakes a parked worker itself
-      ++ready_count_;
-    }
-    RAA_OBS_HOST_EVENT(rt, task_spawn, instant, static_cast<std::uint64_t>(id),
-                       preds.size());
+  const std::scoped_lock lock{graph_mutex_};
+  const auto id = static_cast<TaskId>(tasks_.size());
+  detail::TaskBlock& t = tasks_.emplace_back();
+  t.id = id;
+  t.body = std::move(body);
+  t.attrs = std::move(attrs);
+  if (nested && t_current.rt == this && t_current.task != nullptr) {
+    t.parent = t_current.task;
+    t.parent->children.fetch_add(1, std::memory_order_relaxed);
   }
+  ++spawned_;
+
+  preds_.clear();
+  registry_.register_task(id, deps, preds_);
+
+  if (options_.capture_graph) {
+    const double cost = t.attrs.cost_hint > 0.0 ? t.attrs.cost_hint : 1.0;
+    const tdg::NodeId node = captured_.add_node(
+        cost, t.attrs.label, t.attrs.criticality == Criticality::critical);
+    RAA_CHECK(node == id);  // ids are dense and aligned with the graph
+    for (const TaskId p : preds_) captured_.add_edge(p, id);
+  }
+
+  for (const TaskId p : preds_) {
+    detail::TaskBlock& pred = tasks_[p];
+    if (!pred.finished) {
+      pred.successors.push_back(&t);
+      ++t.pending_preds;
+    }
+  }
+  if (t.pending_preds == 0) {
+    // Count before the push: once pushed, a worker may pop and decrement.
+    ready_count_.fetch_add(1, std::memory_order_relaxed);
+    scheduler_.push(&t, hint);  // push wakes a parked worker itself
+  }
+  RAA_OBS_HOST_EVENT(rt, task_spawn, instant, static_cast<std::uint64_t>(id),
+                     preds_.size());
   return id;
 }
 
 void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
-  TraceRecord rec;
+  TraceRecord& rec = task->trace;
   rec.task = task->id;
   rec.worker = worker_id;
   rec.start_ns = now_ns();
@@ -144,46 +138,43 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
   rec.end_ns = now_ns();
   RAA_OBS_HOST_EVENT(rt, task_run, complete, rec.end_ns - rec.start_ns,
                      static_cast<std::uint64_t>(task->id));
+  task->body = nullptr;  // release captured state before completing
 
-  std::vector<detail::TaskBlock*> newly_ready;
+  bool wake = false;
   {
     const std::scoped_lock lock{graph_mutex_};
-    task->finished = true;
-    task->body = nullptr;  // release captured state promptly
-    task->trace = rec;
+    task->finished = true;  // publishes `rec` to trace() and graph()
     ++executed_;
-    trace_.push_back(rec);
-    if (options_.capture_graph && task->attrs.cost_hint <= 0.0) {
-      // Replace the placeholder cost with the measured duration (>= 1ns so
-      // graph analyses never see zero-cost nodes).
-      captured_.node(task->id).cost =
-          std::max<double>(1.0, static_cast<double>(rec.end_ns - rec.start_ns));
-    }
     for (detail::TaskBlock* succ : task->successors) {
       RAA_CHECK(succ->pending_preds > 0);
-      if (--succ->pending_preds == 0) newly_ready.push_back(succ);
+      if (--succ->pending_preds == 0) {
+        ready_count_.fetch_add(1, std::memory_order_relaxed);
+        scheduler_.push(succ, worker_id);
+      }
     }
-    for (detail::TaskBlock* succ : newly_ready) {
-      scheduler_.push(succ, worker_id);
-      ++ready_count_;
-    }
+    bool joined = false;
     if (task->parent != nullptr) {
-      RAA_CHECK(task->parent->children > 0);
-      --task->parent->children;  // may unblock the parent's corun/join
+      // Release: the parent's acquire load of 0 sees this body's writes.
+      const std::uint32_t before =
+          task->parent->children.fetch_sub(1, std::memory_order_release);
+      RAA_CHECK(before > 0);
+      joined = before == 1;  // may unblock the parent's corun/join
     }
+    // Workers park inside the executor and are woken by scheduler_.push();
+    // done_cv_ wakes threads blocked in taskwait()/corun(), and only when
+    // one of their predicates holds: a wakeup that would find none true
+    // just parks again.
+    wake = waiters_ > 0 &&
+           (joined || executed_ == spawned_ ||
+            ready_count_.load(std::memory_order_relaxed) > 0);
   }
-  // Workers park inside the executor and are woken by scheduler_.push();
-  // done_cv_ wakes threads blocked in taskwait()/corun() on completion
-  // events (barrier reached, children drained, work newly available).
-  done_cv_.notify_all();
+  if (wake) done_cv_.notify_all();
 }
 
 void Runtime::run_popped(detail::TaskBlock* task, unsigned worker_id) {
-  {
-    const std::scoped_lock lock{graph_mutex_};
-    RAA_CHECK(ready_count_ > 0);
-    --ready_count_;
-  }
+  const std::uint64_t before =
+      ready_count_.fetch_sub(1, std::memory_order_relaxed);
+  RAA_CHECK(before > 0);
   execute(task, worker_id);
 }
 
@@ -203,21 +194,23 @@ void Runtime::corun() {
 }
 
 void Runtime::corun_children(detail::TaskBlock* task, unsigned worker_id) {
-  for (;;) {
-    {
-      const std::scoped_lock lock{graph_mutex_};
-      if (task->children == 0) return;
-    }
+  const auto drained = [task] {
+    return task->children.load(std::memory_order_acquire) == 0;
+  };
+  while (!drained()) {
     // Children outstanding: help run ready tasks (our children, or
     // anything else — stealing unrelated work is what keeps every
     // worker busy during a join).
     if (run_one(worker_id)) continue;
+    // Park. The last child's decrement happens under the graph mutex and
+    // reads waiters_ in the same hold, so it either sees this waiter and
+    // notifies, or has already drained the count this predicate reads.
     std::unique_lock lock{graph_mutex_};
-    if (task->children == 0) return;
+    ++waiters_;
     done_cv_.wait(lock, [&] {
-      return task->children == 0 || ready_count_ > 0;
+      return drained() || ready_count_.load(std::memory_order_relaxed) > 0;
     });
-    if (task->children == 0) return;
+    --waiters_;
   }
 }
 
@@ -234,26 +227,40 @@ void Runtime::taskwait() {
     std::unique_lock lock{graph_mutex_};
     if (executed_ == spawned_) return;
     // Nothing ready but tasks still in flight on workers: wait for a
-    // completion (which may also make new tasks ready).
+    // completion that reaches the barrier or makes new tasks ready.
+    ++waiters_;
     done_cv_.wait(lock, [&] {
-      return executed_ == spawned_ || ready_count_ > 0;
+      return executed_ == spawned_ ||
+             ready_count_.load(std::memory_order_relaxed) > 0;
     });
+    --waiters_;
     if (executed_ == spawned_) return;
   }
 }
 
 tdg::Graph Runtime::graph() const {
   const std::scoped_lock lock{graph_mutex_};
-  return captured_;
+  tdg::Graph g = captured_;
+  if (options_.capture_graph)
+    for (const detail::TaskBlock& t : tasks_)
+      if (t.finished && t.attrs.cost_hint <= 0.0)
+        // The measured duration replaces the placeholder cost (>= 1 ns so
+        // graph analyses never see zero-cost nodes).
+        g.node(t.id).cost = std::max<double>(
+            1.0, static_cast<double>(t.trace.end_ns - t.trace.start_ns));
+  return g;
 }
 
 std::vector<TraceRecord> Runtime::trace() const {
   const std::scoped_lock lock{graph_mutex_};
-  std::vector<TraceRecord> out = trace_;
-  std::sort(out.begin(), out.end(),
-            [](const TraceRecord& a, const TraceRecord& b) {
-              return a.end_ns < b.end_ns;
-            });
+  std::vector<TraceRecord> out;
+  out.reserve(static_cast<std::size_t>(executed_));
+  for (const detail::TaskBlock& t : tasks_)
+    if (t.finished) out.push_back(t.trace);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.end_ns < b.end_ns;
+                   });
   return out;
 }
 

@@ -29,12 +29,12 @@
 ///   });
 /// \endcode
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -107,9 +107,10 @@ class Runtime {
   /// called from inside a task body of this runtime (use corun() there).
   void taskwait();
 
-  /// Snapshot of the captured TDG. Node costs are the measured execution
-  /// times in nanoseconds (0 for unfinished tasks, cost_hint if provided
-  /// and the task has not run). Call after taskwait() for a stable view.
+  /// Snapshot of the captured TDG. A node's cost is its task's cost_hint
+  /// when one was given, else the measured execution time in nanoseconds
+  /// (at least 1) once the task has finished, and 1 before. Call after
+  /// taskwait() for a stable view.
   tdg::Graph graph() const;
 
   /// Execution trace (one record per finished task), ordered by end time.
@@ -139,17 +140,28 @@ class Runtime {
   RuntimeOptions options_;
 
   /// Graph mutex: guards task-block state transitions, the dependence
-  /// registry, the captured graph and counters. Task bodies run unlocked.
+  /// registry, the captured graph and the spawn/execute counters. A spawn
+  /// and a completion each take it once; task bodies, the pop bookkeeping
+  /// and a join's fast check run unlocked (see ready_count_ and
+  /// TaskBlock::children).
   mutable std::mutex graph_mutex_;
-  std::condition_variable done_cv_;  ///< signalled on task completion
+  /// Signalled after a completion that can satisfy a waiter's predicate
+  /// (tasks made ready, a parent's children drained, the barrier reached),
+  /// and only when some thread is parked on it.
+  std::condition_variable done_cv_;
+  unsigned waiters_ = 0;  ///< threads parked on done_cv_ (graph mutex)
   DependenceRegistry registry_;
-  std::deque<std::unique_ptr<detail::TaskBlock>> tasks_;  // stable addresses
+  std::deque<detail::TaskBlock> tasks_;  ///< emplace_back: stable addresses
+  std::vector<TaskId> preds_;  ///< spawn's reused predecessor scratch list
+  /// Placeholder node costs (cost_hint or 1); graph() fills in the
+  /// measured durations of finished tasks from their trace records.
   tdg::Graph captured_;
-  std::vector<std::pair<TaskId, TaskId>> captured_edges_;
-  std::vector<TraceRecord> trace_;
   std::uint64_t spawned_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t ready_count_ = 0;  ///< tasks inside the scheduler
+  /// Tasks inside the scheduler. Incremented under the graph mutex before
+  /// the push, decremented without it after the pop: a decrement can only
+  /// falsify a waiter's `ready_count_ > 0`, so it never owes a wakeup.
+  std::atomic<std::uint64_t> ready_count_{0};
 
   /// Registry external-gauge handles ("rt.tasks_spawned" /
   /// "rt.tasks_executed"): the counters above stay the single source of

@@ -9,6 +9,7 @@
 /// runtime derives a Task Dependency Graph (TDG) and executes tasks
 /// out-of-order, "in the same way as superscalar processors manage ILP".
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -103,6 +104,8 @@ namespace detail {
 /// where noted; task bodies execute outside any lock.
 struct TaskBlock {
   TaskId id = kNoTask;
+  /// Written at spawn; afterwards touched only by the executing thread,
+  /// which also releases it after the run, outside the lock.
   std::function<void()> body;
   TaskAttrs attrs;
 
@@ -110,16 +113,20 @@ struct TaskBlock {
   std::uint32_t pending_preds = 0;
   /// Direct successors discovered at their spawn time.
   std::vector<TaskBlock*> successors;
+  /// Set under the graph mutex at completion; `trace` is final once set.
   bool finished = false;
 
   /// Nested-spawn linkage (Runtime::silent_async): the task whose body
   /// spawned this one, and the count of this task's own live children.
-  /// Both guarded by the graph mutex; a task completes only after its
-  /// children count has drained back to zero (implicit join).
+  /// `children` is incremented at the child's spawn and decremented
+  /// (release) at its completion, both under the graph mutex; the parent's
+  /// join reads it with acquire loads and locks only to park. A task
+  /// completes only after its children count has drained back to zero
+  /// (implicit join).
   TaskBlock* parent = nullptr;
-  std::uint32_t children = 0;
+  std::atomic<std::uint32_t> children{0};
 
-  /// Filled after execution.
+  /// Written by the executing thread just before completion.
   TraceRecord trace;
 };
 

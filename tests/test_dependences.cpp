@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -209,6 +213,62 @@ TEST(Dependences, RandomizedMatchesByteOracle) {
       const auto want = oracle.add(t, lo, lo + len, mode);
       ASSERT_EQ(got, want) << "trial " << trial << " task " << t;
     }
+  }
+}
+
+// Most accesses hit one of a few fixed ranges exactly, as a task touching a
+// whole object does (the registry's exact-match fast path); the rest
+// overlap them partially or span several (the split path). Tasks carry one
+// or two accesses. Re-registering a range that is exactly one tracked
+// segment must not add segments.
+TEST(Dependences, PooledRangesMatchByteOracle) {
+  using Range = std::pair<std::uintptr_t, std::size_t>;
+  constexpr std::array<Range, 4> kPool = {{{8, 8}, {16, 8}, {32, 4},
+                                           {40, 16}}};
+  raa::Rng rng{4242};
+  for (int trial = 0; trial < 20; ++trial) {
+    DependenceRegistry r;
+    Oracle oracle;
+    std::set<Range> registered;  // pool ranges seen, in phase 1
+    // Phase 1 registers only pool ranges (disjoint, so each stays exactly
+    // one segment); phase 2 mixes in partial overlaps.
+    for (TaskId t = 0; t < 120; ++t) {
+      const bool phase1 = t < 40;
+      std::vector<Dep> deps;
+      for (std::size_t a = 1 + rng.below(2); a > 0; --a) {
+        const auto mode = static_cast<AccessMode>(rng.below(3));
+        if (phase1 || rng.below(4) != 0) {
+          const auto [base, bytes] = kPool[rng.below(kPool.size())];
+          deps.push_back(dep(base, bytes, mode));
+        } else {
+          deps.push_back(dep(1 + rng.below(64), 1 + rng.below(16), mode));
+        }
+      }
+      std::vector<TaskId> want;
+      for (const Dep& d : deps) {
+        const auto w = oracle.add(t, d.base, d.base + d.bytes, d.mode);
+        want.insert(want.end(), w.begin(), w.end());
+      }
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+
+      const bool re_registration =
+          phase1 && std::all_of(deps.begin(), deps.end(), [&](const Dep& d) {
+            return registered.contains({d.base, d.bytes});
+          });
+      const std::size_t segments = r.segment_count();
+      std::vector<TaskId> got;
+      r.register_task(t, deps, got);
+      ASSERT_EQ(got, want) << "trial " << trial << " task " << t;
+      if (re_registration) {
+        ASSERT_EQ(r.segment_count(), segments)
+            << "trial " << trial << " task " << t;
+      }
+      if (phase1) {
+        for (const Dep& d : deps) registered.insert({d.base, d.bytes});
+      }
+    }
+    EXPECT_EQ(registered.size(), kPool.size()) << "trial " << trial;
   }
 }
 

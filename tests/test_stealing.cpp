@@ -10,6 +10,8 @@
 //  * Runtime nested spawn: silent_async() children join implicitly at
 //    body end, corun() joins cooperatively mid-body, recursive
 //    divide-and-conquer (fib) is correct across policies/worker counts.
+//  * RuntimeLifecycleStress: nested fib beside a dependence wavefront on
+//    3 workers, against serial references, RAA_STRESS_ITERS rounds.
 //  * StealEquivalence: the captured TDG — and every simulated metric
 //    raa::sim::replay derives from it (the fig5/ablation_scheduler
 //    pipeline) — is field-identical no matter how many host workers or
@@ -21,6 +23,7 @@
 // in CI).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <cstring>
@@ -362,6 +365,79 @@ TEST(NestedSpawn, RecursiveFibAcrossPoliciesAndWorkers) {
       rt.taskwait();
       EXPECT_EQ(got, want) << to_string(policy) << " workers=" << workers;
     }
+  }
+}
+
+// --- Runtime lifecycle stress ----------------------------------------------
+//
+// The runtime's lock-light paths under contention: the unlocked pop
+// bookkeeping, a join's acquire fast check of its children count, and
+// parking on done_cv_ only when nothing is ready. Each round runs a
+// nested fib beside a dependence wavefront on 3 workers plus the caller,
+// both checked against serial references; the policy rotates per round.
+// The runtime_stress CTest entry raises the round count (RAA_STRESS_ITERS)
+// for the TSan job.
+
+constexpr std::size_t kWaveGrid = 64;  // 64 x 64 cells, one task each
+
+std::uint64_t wave_cell(std::uint64_t up, std::uint64_t left,
+                        std::uint64_t self) {
+  return (up * 0x9e3779b97f4a7c15ULL) ^ (left + 0x632be59bd9b4e019ULL) ^
+         (self * 31);
+}
+
+/// Cell (i,j) updates itself from its upper and left neighbours.
+void wave_serial(std::vector<std::uint64_t>& g) {
+  for (std::size_t i = 0; i < kWaveGrid; ++i)
+    for (std::size_t j = 0; j < kWaveGrid; ++j)
+      g[i * kWaveGrid + j] =
+          wave_cell(i ? g[(i - 1) * kWaveGrid + j] : 0,
+                    j ? g[i * kWaveGrid + j - 1] : 0, g[i * kWaveGrid + j]);
+}
+
+/// The same sweep as inout(cell) / in(up) / in(left) tasks (no taskwait).
+void wave_spawn(Runtime& rt, std::vector<std::uint64_t>& g) {
+  for (std::size_t i = 0; i < kWaveGrid; ++i)
+    for (std::size_t j = 0; j < kWaveGrid; ++j) {
+      std::uint64_t* c = &g[i * kWaveGrid + j];
+      const std::uint64_t* up = i ? c - kWaveGrid : nullptr;
+      const std::uint64_t* left = j ? c - 1 : nullptr;
+      std::vector<raa::rt::Dep> deps{raa::rt::inout(*c)};
+      if (up) deps.push_back(raa::rt::in(*up));
+      if (left) deps.push_back(raa::rt::in(*left));
+      rt.spawn(std::move(deps), [c, up, left] {
+        *c = wave_cell(up ? *up : 0, left ? *left : 0, *c);
+      });
+    }
+}
+
+TEST(RuntimeLifecycleStress, FibAndWavefrontMatchSerialReferences) {
+  const unsigned rounds = stress_iters(3);
+  constexpr unsigned kFibN = 16;  // ~3200 nested tasks
+  const std::uint64_t fib_want = fib_reference(kFibN);
+  std::vector<std::uint64_t> grid0(kWaveGrid * kWaveGrid);
+  std::iota(grid0.begin(), grid0.end(), std::uint64_t{1});
+  std::vector<std::uint64_t> grid_want = grid0;
+  wave_serial(grid_want);
+  constexpr std::array kPolicies = {
+      SchedulerPolicy::work_stealing, SchedulerPolicy::fifo,
+      SchedulerPolicy::lifo, SchedulerPolicy::criticality_first};
+  for (unsigned r = 0; r < rounds; ++r) {
+    const SchedulerPolicy policy = kPolicies[r % kPolicies.size()];
+    Runtime rt{{.num_workers = 3, .policy = policy, .seed = r + 1}};
+    std::uint64_t fib = 0;
+    rt.spawn([&] { fib = fib_nested(rt, kFibN); });
+    std::vector<std::uint64_t> grid = grid0;
+    wave_spawn(rt, grid);
+    rt.taskwait();
+    ASSERT_EQ(fib, fib_want) << "round " << r << " " << to_string(policy);
+    ASSERT_EQ(grid, grid_want) << "round " << r << " " << to_string(policy);
+    const auto st = rt.stats();
+    ASSERT_EQ(st.tasks_executed, st.tasks_spawned) << "round " << r;
+    ASSERT_EQ(rt.trace().size(), st.tasks_spawned) << "round " << r;
+    // A cell's task waits on the tasks of its upper and left neighbours
+    // only (the cell itself has no earlier writer in a fresh runtime).
+    ASSERT_EQ(st.edges, 2 * kWaveGrid * (kWaveGrid - 1)) << "round " << r;
   }
 }
 

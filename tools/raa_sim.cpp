@@ -26,7 +26,7 @@
 //                exit 2)
 //
 //   --fail-on-marker  test hook for the fuzz suite: exit 1 when the
-//                scenario declares a __diverge_marker region (the
+//                scenario or trace has a __diverge_marker region (the
 //                synthetic divergence the shrinker tests inject), so a
 //                shrunken repro can be shown to reproduce end to end
 //
@@ -75,7 +75,7 @@ int usage(const char* argv0) {
       "       %s --replay=TRACE [--mode=cache_only|hybrid] "
       "[--backend=flat|banked] [--mapping=block|xor] "
       "[--json=PATH] [--trace-out=PATH] [--trace-clock=sim|host|dual] "
-      "[--quiet]\n",
+      "[--fail-on-marker] [--quiet]\n",
       argv0, argv0);
   return raa::kExitUsage;
 }
@@ -196,12 +196,19 @@ int main(int argc, char** argv) try {
     scenario.seed = static_cast<std::uint64_t>(
         cli.get_int("seed", static_cast<std::int64_t>(scenario.seed)));
   if (cli.get_bool("fail-on-marker", false)) {
-    for (const auto& r : scenario.regions)
-      if (r.name.rfind(raa::fuzz::kMarkerRegionName, 0) == 0) {
+    // A scenario declares its regions; a trace carries the regions it
+    // was recorded with (scenario.regions is empty for a --replay input).
+    std::vector<std::string> region_names;
+    for (const auto& r : scenario.regions) region_names.push_back(r.name);
+    if (trace)
+      for (const auto& r : trace->regions) region_names.push_back(r.name);
+    for (const std::string& r : region_names)
+      if (r.rfind(raa::fuzz::kMarkerRegionName, 0) == 0) {
         std::fprintf(stderr,
                      "marker divergence reproduced: region '%s' present "
                      "in %s\n",
-                     r.name.c_str(), scenario_path.c_str());
+                     r.c_str(),
+                     (trace ? replay_path : scenario_path).c_str());
         return raa::kExitFailure;
       }
   }
