@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Line coverage of the JSON binding, the two parsers built on it, the
-RAAT trace codec (it decodes files from outside), and the memsim line
-table and protocol paths.
+"""Line coverage of the JSON binding, the parsers built on it (scenario,
+manifest, benchmark report and baseline comparison), the RAAT trace codec
+(it decodes files from outside), and the memsim line table and protocol
+paths.
 
 Usage: parser_coverage.py BUILD_DIR OUT_DIR
 
@@ -9,9 +10,9 @@ BUILD_DIR is a `-DCMAKE_CXX_FLAGS=--coverage` build whose tests have run.
 For each object below this runs gcov in a directory of its own under
 OUT_DIR (the .gcov files CI uploads), then prints the line coverage of
 each file in FILES. A header counts a line as run when any object that
-compiles it ran it: src/report/json_bind.hpp over the scenario and
-manifest objects, src/memsim/linetable.hpp over the linetable and system
-objects. The numbers are informational, not a gate.
+compiles it ran it: src/report/json_bind.hpp over the scenario,
+manifest and report objects, src/memsim/linetable.hpp over the linetable
+and system objects. The numbers are informational, not a gate.
 """
 import pathlib
 import subprocess
@@ -21,11 +22,14 @@ OBJECTS = {
     "scenario": "src/CMakeFiles/raa_scenario.dir/scenario/scenario.cpp.gcda",
     "trace": "src/CMakeFiles/raa_scenario.dir/scenario/trace.cpp.gcda",
     "manifest": "src/CMakeFiles/raa_fleet.dir/fleet/manifest.cpp.gcda",
+    "report": "src/CMakeFiles/raa_report.dir/report/report.cpp.gcda",
+    "compare": "src/CMakeFiles/raa_report.dir/report/compare.cpp.gcda",
     "linetable": "src/CMakeFiles/raa_memsim.dir/memsim/linetable.cpp.gcda",
     "system": "src/CMakeFiles/raa_memsim.dir/memsim/system.cpp.gcda",
 }
 FILES = ["src/scenario/scenario.cpp", "src/scenario/trace.cpp",
-         "src/fleet/manifest.cpp", "src/report/json_bind.hpp",
+         "src/fleet/manifest.cpp", "src/report/report.cpp",
+         "src/report/compare.cpp", "src/report/json_bind.hpp",
          "src/memsim/linetable.hpp", "src/memsim/linetable.cpp",
          "src/memsim/system.cpp"]
 

@@ -16,6 +16,7 @@
 //   --wall-summary     print the informational host-throughput metrics
 //                      (wall_seconds, accesses_per_second, tasks_per_second)
 //                      found in the results file; these are never gated
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -24,6 +25,8 @@
 #include "common/exit_codes.hpp"
 #include "common/table.hpp"
 #include "report/compare.hpp"
+#include "report/json_bind.hpp"
+#include "report/report.hpp"
 
 namespace {
 
@@ -46,27 +49,16 @@ std::string fmt(double v, const char* spec = "%.6g") {
 
 /// Print one "[throughput] bench: wall 1.2s, 3.4e+06 accesses/s" line per
 /// benchmark that recorded informational host metrics.
-void print_wall_summary(const raa::json::Value& results) {
-  const auto* benches = results.find("benchmarks");
-  if (!benches || !benches->is_array()) return;
-  for (const auto& b : benches->as_array()) {
-    const auto* name = b.find("name");
-    const auto* metrics = b.find("metrics");
-    if (!name || !name->is_string() || !metrics || !metrics->is_array())
-      continue;
+void print_wall_summary(const raa::report::RunReport& results) {
+  for (const auto& b : results.benchmarks()) {
     double wall = -1.0, aps = -1.0, tps = -1.0;
-    for (const auto& m : metrics->as_array()) {
-      const auto* mn = m.find("name");
-      const auto* median = m.find("median");
-      if (!mn || !mn->is_string() || !median || !median->is_number())
-        continue;
-      if (mn->as_string() == "wall_seconds") wall = median->as_number();
-      if (mn->as_string() == "accesses_per_second")
-        aps = median->as_number();
-      if (mn->as_string() == "tasks_per_second") tps = median->as_number();
+    for (const auto& m : b.metrics()) {
+      if (m.name == "wall_seconds") wall = m.median();
+      if (m.name == "accesses_per_second") aps = m.median();
+      if (m.name == "tasks_per_second") tps = m.median();
     }
     if (wall < 0.0 && aps < 0.0 && tps < 0.0) continue;
-    std::printf("[throughput] %s:", name->as_string().c_str());
+    std::printf("[throughput] %s:", b.name().c_str());
     if (wall >= 0.0) std::printf(" wall %.3gs", wall);
     if (aps >= 0.0) std::printf(", %.3g accesses/s", aps);
     if (tps >= 0.0) std::printf(", %.3g tasks/s", tps);
@@ -90,13 +82,22 @@ int main(int argc, char** argv) {
   const bool verbose = cli.get_bool("verbose", false);
   const bool wall_summary = cli.get_bool("wall-summary", false);
 
+  // --tolerance gets the baseline's [0, 1] check; malformed reads as NaN.
+  raa::report::CompareOptions options;
+  std::string error;
+  if (cli.has("tolerance"))
+    raa::json::bind::convert({&error}, cli.get_double("tolerance", NAN),
+                             "--tolerance", raa::json::bind::fraction, 0,
+                             options.default_tolerance);
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return raa::kExitUsage;
+  }
+
   raa::json::Value results, baseline;
   if (!load_json(results_path, results) ||
       !load_json(baseline_path, baseline))
     return raa::kExitUsage;
-
-  raa::report::CompareOptions options;
-  options.default_tolerance = cli.get_double("tolerance", 0.05);
 
   raa::report::CompareResult cmp;
   try {
@@ -118,7 +119,8 @@ int main(int argc, char** argv) {
   }
   if (table.rows() > 0) table.print(std::cout);
 
-  if (wall_summary) print_wall_summary(results);
+  if (wall_summary)  // compare() has read it already
+    print_wall_summary(*raa::report::RunReport::parse(results));
 
   const std::size_t violations = cmp.violations();
   std::printf(

@@ -132,7 +132,7 @@ int harness_main(int argc, char** argv) {
   }
   const int reps = static_cast<int>(reps_flag);
   const int jobs = static_cast<int>(jobs_flag);
-  report::RunReport run{reps};
+  report::RunReport run{static_cast<unsigned>(reps_flag)};
   const auto run_start = clock::now();
 
   // Scenario units: every (benchmark, repetition) pair, spec-major. Unit

@@ -8,10 +8,6 @@
 
 namespace raa::apps {
 
-const char* to_string(Style s) noexcept {
-  return s == Style::forkjoin ? "forkjoin" : "dataflow";
-}
-
 namespace {
 
 /// Deterministic "pixel" of a synthetic frame.

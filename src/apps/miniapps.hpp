@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "runtime/graph.hpp"
 #include "runtime/runtime.hpp"
 
@@ -33,7 +34,12 @@ namespace raa::apps {
 /// Parallelisation structure of the original vs the OmpSs port.
 enum class Style { forkjoin, dataflow };
 
-const char* to_string(Style s) noexcept;
+inline EnumNames<Style> enum_names(Style) {
+  static constexpr EnumName<Style> kNames[] = {
+      {"forkjoin", Style::forkjoin}, {"dataflow", Style::dataflow}};
+  return {"style", kNames};
+}
+using raa::to_string;
 
 // --- bodytrack-like particle filter --------------------------------------
 

@@ -20,6 +20,8 @@
 ///
 /// Keep this list append-only: downstream scripts switch on the numbers.
 
+#include "common/enum_names.hpp"
+
 namespace raa {
 
 enum ExitCode : int {
@@ -30,16 +32,12 @@ enum ExitCode : int {
   kExitPartialFleet = 4,
 };
 
-/// Human-readable name for diagnostics and the fleet index.
-constexpr const char* to_string(ExitCode code) noexcept {
-  switch (code) {
-    case kExitOk: return "ok";
-    case kExitFailure: return "failure";
-    case kExitUsage: return "usage";
-    case kExitBadScenario: return "bad-scenario";
-    case kExitPartialFleet: return "partial-fleet";
-  }
-  return "unknown";
+/// Names for diagnostics and the fleet index (to_string, enum_names.hpp).
+inline EnumNames<ExitCode> enum_names(ExitCode) {
+  static constexpr EnumName<ExitCode> kNames[] = {
+      {"ok", kExitOk}, {"failure", kExitFailure}, {"usage", kExitUsage},
+      {"bad-scenario", kExitBadScenario}, {"partial-fleet", kExitPartialFleet}};
+  return {"exit code", kNames};
 }
 
 }  // namespace raa

@@ -13,7 +13,6 @@ namespace raa::fleet {
 namespace {
 
 using namespace json::bind;
-using json::Value;
 namespace bind = json::bind;
 
 constexpr Field<JobLimits> kLimitFields[] = {
@@ -36,13 +35,15 @@ constexpr Field<JobSpec> kJobFields[] = {
     field<&JobSpec::limits, &JobLimits::retries>("retries"),
 };
 
+/// "schema" and "schema_version" are optional, but when present they must
+/// name this schema.
 constexpr Field<Manifest> kManifestFields[] = {
-    key<Manifest>("schema"),
-    key<Manifest>("schema_version"),
+    constant<Manifest, report::kFleetManifestSchemaName>("schema"),
+    constant<Manifest, report::kFleetManifestSchemaVersion>("schema_version"),
     field<&Manifest::name>("name"),
     field<&Manifest::seed>("seed"),
     object<kLimitFields, &Manifest::defaults>("defaults", omit_empty),
-    key<Manifest>("jobs", required),
+    object<kJobFields, &Manifest::jobs>("jobs", required),
 };
 
 bool filesystem_safe_id(const std::string& id) {
@@ -53,21 +54,26 @@ bool filesystem_safe_id(const std::string& id) {
   });
 }
 
-/// "schema" and "schema_version" are optional, but when present they must
-/// name this schema.
-bool check_header(const Ctx& c, const Value& doc) {
-  if (const Value* v = doc.find("schema");
-      v != nullptr && !(*v == Value{report::kFleetManifestSchemaName}))
-    return c.fail("manifest.schema",
-                  "expected \"" +
-                      std::string{report::kFleetManifestSchemaName} +
-                      "\", got " + v->dump());
-  if (const Value* v = doc.find("schema_version");
-      v != nullptr && !(*v == Value{report::kFleetManifestSchemaVersion}))
-    return c.fail("manifest.schema_version",
-                  "expected " +
-                      std::to_string(report::kFleetManifestSchemaVersion) +
-                      ", got " + v->dump());
+/// The checks the job table cannot make: at least one job, file-safe and
+/// unique ids, exactly one input per job.
+bool check_jobs(const Ctx& c, const std::vector<JobSpec>& jobs) {
+  if (jobs.empty())
+    return c.fail("manifest.jobs", "expected a non-empty job array (a fleet "
+                                   "needs at least one job)");
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobSpec& job = jobs[i];
+    const std::string path = "manifest.jobs[" + std::to_string(i) + "]";
+    if (!filesystem_safe_id(job.id))
+      return c.fail(path + ".id",
+                    "id '" + job.id +
+                        "' must be 1-128 chars of [A-Za-z0-9._-] (it names "
+                        "the per-job result file)");
+    if (job.scenario.empty() == job.trace.empty())
+      return c.fail(path, "give exactly one of \"scenario\" or \"trace\"");
+    for (std::size_t j = 0; j < i; ++j)
+      if (jobs[j].id == job.id)
+        return c.fail(path + ".id", "duplicate job id '" + job.id + "'");
+  }
   return true;
 }
 
@@ -86,27 +92,8 @@ std::optional<Manifest> Manifest::parse(const json::Value& doc,
                                         std::string* error) {
   const Ctx c{error};
   Manifest m;
-  const auto parse_job = [&](const Value& jv, const std::string& path) {
-    JobSpec job;
-    if (!bind::read(c, jv, path, kJobFields, job)) return false;
-    if (!filesystem_safe_id(job.id))
-      return c.fail(path + ".id",
-                    "id '" + job.id +
-                        "' must be 1-128 chars of [A-Za-z0-9._-] (it names "
-                        "the per-job result file)");
-    if (job.scenario.empty() == job.trace.empty())
-      return c.fail(path, "give exactly one of \"scenario\" or \"trace\"");
-    for (const JobSpec& seen : m.jobs)
-      if (seen.id == job.id)
-        return c.fail(path + ".id", "duplicate job id '" + job.id + "'");
-    m.jobs.push_back(std::move(job));
-    return true;
-  };
   if (!bind::read(c, doc, "manifest", kManifestFields, m) ||
-      !check_header(c, doc) ||
-      !each(c, *doc.find("jobs"), "manifest.jobs",
-            "expected a non-empty job array (a fleet needs at least one job)",
-            parse_job))
+      !check_jobs(c, m.jobs))
     return std::nullopt;
   return m;
 }
@@ -165,19 +152,7 @@ std::optional<Manifest> Manifest::from_directory(const std::string& dir,
 }
 
 json::Value Manifest::to_json() const {
-  return bind::write(kManifestFields, *this, [&](std::string_view key,
-                                                 Value& doc) {
-    if (key == "schema") {
-      doc.set("schema", report::kFleetManifestSchemaName);
-    } else if (key == "schema_version") {
-      doc.set("schema_version", report::kFleetManifestSchemaVersion);
-    } else {
-      Value arr{json::Array{}};
-      for (const JobSpec& job : jobs)
-        arr.push_back(bind::write(kJobFields, job));
-      doc.set("jobs", std::move(arr));
-    }
-  });
+  return bind::write(kManifestFields, *this);
 }
 
 std::uint64_t derive_job_seed(std::uint64_t fleet_seed, std::string_view id) {

@@ -83,6 +83,7 @@ struct Region {
   bool contains(std::uint64_t addr) const noexcept {
     return addr >= base && addr < base + bytes;
   }
+  friend bool operator==(const Region&, const Region&) = default;
 };
 
 /// A complete multi-core workload: one program per core plus the region

@@ -2,14 +2,15 @@
 /// \file compare.hpp
 /// Baseline comparison for benchmark reports: diff a BENCH_results.json
 /// against a checked-in bench/baselines/*.json with a per-metric relative
-/// tolerance. Both files use the RunReport schema; the baseline may add a
-/// "tolerance" field on any metric to override the default. The compared
-/// value is the per-metric "median".
+/// tolerance. Both files are read strictly (RunReport::parse); the baseline
+/// may set a "tolerance" in [0, 1] on any metric to override the default.
+/// The compared value is the per-metric median.
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "report/json.hpp"
 
 namespace raa::report {
@@ -26,7 +27,13 @@ enum class DeltaKind {
   missing,     ///< metric present in the baseline, absent from the results
 };
 
-const char* to_string(DeltaKind k) noexcept;
+inline EnumNames<DeltaKind> enum_names(DeltaKind) {
+  static constexpr EnumName<DeltaKind> kNames[] = {
+      {"ok", DeltaKind::ok}, {"REGRESSION", DeltaKind::regression},
+      {"MISSING", DeltaKind::missing}};
+  return {"verdict", kNames};
+}
+using raa::to_string;
 
 /// One baseline metric's verdict.
 struct MetricDelta {
@@ -51,8 +58,8 @@ struct CompareResult {
   bool ok() const noexcept { return violations() == 0; }
 };
 
-/// Diff `results` against `baseline`. Throws std::runtime_error when either
-/// document is not a schema-versioned RunReport.
+/// Diff `results` against `baseline`. Throws std::runtime_error with a JSON
+/// path rooted at "baseline" or "results" when either does not read.
 CompareResult compare(const json::Value& baseline, const json::Value& results,
                       const CompareOptions& options = {});
 

@@ -11,12 +11,15 @@
 /// Conversions by member type:
 ///   * unsigned / uint64: exact integers up to 2^53 (unsigned must also fit
 ///     32 bits); `positive` rejects 0, a row's `max` caps the value;
-///   * double: non-negative, or with `fraction` inside [0, 1];
+///   * double: non-negative, `fraction` in [0, 1], `any_sign` any finite;
 ///   * bool; std::string (`positive` rejects "");
 ///   * enums, through their name table (common/enum_names.hpp);
 ///   * std::optional of any of these: absent stays nullopt, and to_json
 ///     emits the key only when set;
-///   * nested structs, through their own table (object()).
+///   * nested structs, through their own table (object());
+///   * std::vector of any of these (a list row): a JSON array whose
+///     elements get the row's flags, element paths `key[i]`;
+///   * no member: constant() schema markers and computed() values.
 
 #include <algorithm>
 #include <cmath>
@@ -28,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "common/enum_names.hpp"
 #include "report/json.hpp"
@@ -55,6 +59,8 @@ enum Flag : unsigned {
   fraction = 1u << 2,    ///< doubles: [0, 1] instead of [0, inf)
   omit_empty = 1u << 3,  ///< to_json skips a value equal to T{}
   parse_only = 1u << 4,  ///< an accepted alias that to_json never emits
+  any_sign = 1u << 5,    ///< doubles: any finite number, negatives too
+  derived = 1u << 6,     ///< computed() only: reading checks the value too
 };
 
 /// One row of a struct's table. Rows built by key() have neither reader
@@ -90,15 +96,17 @@ bool convert(const Ctx& c, const Value& v, const std::string& path,
   return true;
 }
 
+/// !(in range), so that NaN (a command-line strtod can produce it) fails.
 inline bool convert(const Ctx& c, const Value& v, const std::string& path,
                     unsigned flags, std::uint64_t, double& out) {
-  if (flags & fraction) {
-    if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 1.0)
-      return c.fail(path, "expected a number in [0, 1]");
-  } else if (!v.is_number() || v.as_number() < 0.0) {
+  const double x = v.is_number() ? v.as_number() : NAN;
+  if ((flags & fraction) && !(x >= 0.0 && x <= 1.0))
+    return c.fail(path, "expected a number in [0, 1]");
+  if ((flags & any_sign) && !std::isfinite(x))
+    return c.fail(path, "expected a number");
+  if (!(flags & (fraction | any_sign)) && !(x >= 0.0))
     return c.fail(path, "expected a non-negative number");
-  }
-  out = v.as_number();
+  out = x;
   return true;
 }
 
@@ -162,6 +170,16 @@ bool read(const Ctx& c, const Value& obj, const std::string& path,
     if (f.read != nullptr && !f.read(c, *v, path + "." + f.key, f, out))
       return false;
   }
+  for (const Field<S>& f : rows) {  // derived rows, against what was read
+    if (!(f.flags & derived)) continue;
+    Value want{Object{}};
+    f.write(f, out, want);
+    const Value &v = *obj.find(f.key), &w = *want.find(f.key);
+    if (!(v == w))
+      return c.fail(path + "." + f.key, "expected " + w.dump() +
+                                            " (derived from the other keys), "
+                                            "got " + v.dump());
+  }
   return true;
 }
 
@@ -209,60 +227,112 @@ template <class T>
 inline constexpr bool is_optional = false;
 template <class T>
 inline constexpr bool is_optional<std::optional<T>> = true;
+template <class T>
+inline constexpr bool is_vector = false;
+template <class T>
+inline constexpr bool is_vector<std::vector<T>> = true;
 
-template <auto... Path>
-bool read_field(const Ctx& c, const Value& v, const std::string& path,
-                const Field<owner_t<Path...>>& f, owner_t<Path...>& s) {
-  return convert(c, v, path, f.flags, f.max, (s .* ... .* Path));
-}
-
-template <auto... Path>
-void write_field(const Field<owner_t<Path...>>& f, const owner_t<Path...>& s,
-                 Value& obj) {
-  const auto emit = [&](const auto& x) {
-    if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(x)>>)
-      obj.set(f.key, enum_names(x).name(x));
-    else
-      obj.set(f.key, Value{x});
-  };
-  const auto& x = (s .* ... .* Path);
-  using T = std::remove_cvref_t<decltype(x)>;
-  if constexpr (is_optional<T>) {
-    if (x) emit(*x);
-  } else if (!(f.flags & omit_empty) || !(x == T{})) {
-    emit(x);
+/// One value: a std::vector of values, or else a scalar (`Table` is
+/// nullptr) or a struct through *Table.
+template <auto Table, class S, class T>
+bool read_value(const Ctx& c, const Value& v, const std::string& path,
+                const Field<S>& f, T& x) {
+  if constexpr (is_vector<T>) {
+    if (!v.is_array())
+      return c.fail(path, std::string{"expected an array of "} + f.key);
+    T xs(v.as_array().size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      if (!read_value<Table>(c, v.as_array()[i],
+                             path + "[" + std::to_string(i) + "]", f, xs[i]))
+        return false;
+    x = std::move(xs);
+    return true;
+  } else if constexpr (std::is_null_pointer_v<decltype(Table)>) {
+    return convert(c, v, path, f.flags, f.max, x);
+  } else {
+    return read(c, v, path, *Table, x);
   }
 }
 
-template <const auto& Table, auto... Path>
-bool read_object(const Ctx& c, const Value& v, const std::string& path,
-                 const Field<owner_t<Path...>>&, owner_t<Path...>& s) {
-  return read(c, v, path, Table, (s .* ... .* Path));
+template <auto Table, class T>
+Value write_value(const T& x) {
+  if constexpr (is_vector<T>) {
+    Array out;
+    for (const auto& e : x) out.push_back(write_value<Table>(e));
+    return Value{std::move(out)};
+  } else if constexpr (!std::is_null_pointer_v<decltype(Table)>) {
+    return write(*Table, x);
+  } else if constexpr (std::is_enum_v<T>) {
+    return Value{enum_names(x).name(x)};
+  } else {
+    return Value{x};
+  }
 }
 
-template <const auto& Table, auto... Path>
-void write_object(const Field<owner_t<Path...>>& f, const owner_t<Path...>& s,
-                  Value& obj) {
+template <auto Table, auto... Path>
+bool read_field(const Ctx& c, const Value& v, const std::string& path,
+                const Field<owner_t<Path...>>& f, owner_t<Path...>& s) {
+  return read_value<Table>(c, v, path, f, (s .* ... .* Path));
+}
+
+template <auto Table, auto... Path>
+void write_field(const Field<owner_t<Path...>>& f, const owner_t<Path...>& s,
+                 Value& obj) {
   const auto& x = (s .* ... .* Path);
   using T = std::remove_cvref_t<decltype(x)>;
-  if (!(f.flags & omit_empty) || !(x == T{}))
-    obj.set(f.key, write(Table, x));
+  if constexpr (is_optional<T>) {
+    if (x) obj.set(f.key, write_value<Table>(*x));
+  } else if (!(f.flags & omit_empty) || !(x == T{})) {
+    obj.set(f.key, write_value<Table>(x));
+  }
 }
 
-/// A scalar row (see the file comment for the member types it takes).
-/// The member is a path: field<&A::b, &B::c> binds a.b.c.
+/// A scalar row (see the file comment for the member types it takes), or
+/// a list row of them. The member is a path: field<&A::b, &B::c> binds
+/// a.b.c.
 template <auto... Path>
 constexpr Field<owner_t<Path...>> field(const char* key, unsigned flags = 0,
                                         std::uint64_t max = 0) {
-  return {key, flags, max, &read_field<Path...>, &write_field<Path...>};
+  return {key, flags, max, &read_field<nullptr, Path...>,
+          &write_field<nullptr, Path...>};
 }
 
-/// A nested-object row read and written through `Table`.
+/// A nested-object row, or a list row of objects, through `Table`.
 template <const auto& Table, auto... Path>
 constexpr Field<owner_t<Path...>> object(const char* key,
                                          unsigned flags = 0) {
-  return {key, flags, 0, &read_object<Table, Path...>,
-          &write_object<Table, Path...>};
+  return {key, flags, 0, &read_field<&Table, Path...>,
+          &write_field<&Table, Path...>};
+}
+
+/// A schema marker: to_json emits `V`, and a present key must equal it.
+template <class S, const auto& V>
+constexpr Field<S> constant(const char* key, unsigned flags = 0) {
+  return {key, flags, 0,
+          [](const Ctx& c, const Value& v, const std::string& path,
+             const Field<S>&, S&) {
+            return v == Value{V} || c.fail(path, "expected " + Value{V}.dump() +
+                                                     ", got " + v.dump());
+          },
+          [](const Field<S>& f, const S&, Value& obj) {
+            obj.set(f.key, Value{V});
+          }};
+}
+
+/// A required row that to_json fills with Get(s). Reading checks the type
+/// and bounds of Get's result; with `derived` the value must also equal
+/// Get of the struct as read.
+template <class S, auto Get>
+constexpr Field<S> computed(const char* key, unsigned flags = 0) {
+  return {key, flags | required, 0,
+          [](const Ctx& c, const Value& v, const std::string& path,
+             const Field<S>& f, S& s) {
+            std::remove_cvref_t<decltype(Get(s))> x{};
+            return convert(c, v, path, f.flags, f.max, x);
+          },
+          [](const Field<S>& f, const S& s, Value& obj) {
+            obj.set(f.key, write_value<nullptr>(Get(s)));
+          }};
 }
 
 /// A key the caller reads and emits itself.

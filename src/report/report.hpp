@@ -4,8 +4,9 @@
 /// its headline numbers into a BenchReport; a RunReport aggregates all
 /// benchmarks of one invocation plus the environment (build type, compiler,
 /// git sha) and serialises to the BENCH_results.json schema documented in
-/// docs/BENCHMARKS.md. Repetition statistics (min/median/mean/stddev) reuse
-/// common/stats.
+/// docs/BENCHMARKS.md, whose keys only the field tables in report.cpp spell
+/// (they write it and read it back, RunReport::parse). Repetition
+/// statistics (min/median/mean/stddev) reuse common/stats.
 
 #include <optional>
 #include <string>
@@ -40,6 +41,8 @@ inline constexpr const char* kFleetIndexSchemaName = "raa-fleet-index";
 bool write_json_file(const json::Value& v, const std::string& path,
                      std::string* error = nullptr);
 
+struct ReportTables;  // report.cpp: the report schema's field tables
+
 /// Build/toolchain provenance embedded in every report.
 struct Environment {
   std::string build_type;  ///< CMake config (Release, Debug, ...)
@@ -48,7 +51,7 @@ struct Environment {
   std::string os;          ///< "linux", "darwin", ...
 
   static Environment capture();
-  json::Value to_json() const;
+  friend bool operator==(const Environment&, const Environment&) = default;
 };
 
 /// One metric: a named series of per-repetition samples plus metadata.
@@ -56,40 +59,24 @@ struct Environment {
 /// accesses/sec): they are serialized like any other metric so trends
 /// accumulate, but the baseline comparison never gates on them (host noise
 /// must not fail CI — see docs/BENCHMARKS.md).
-class Metric {
- public:
-  Metric(std::string name, std::string unit, std::optional<double> paper_value,
-         bool informational = false)
-      : name_(std::move(name)),
-        unit_(std::move(unit)),
-        paper_value_(paper_value),
-        informational_(informational) {}
-
-  const std::string& name() const noexcept { return name_; }
-  const std::string& unit() const noexcept { return unit_; }
-  std::optional<double> paper_value() const noexcept { return paper_value_; }
-  bool informational() const noexcept { return informational_; }
-  const std::vector<double>& samples() const noexcept { return samples_; }
-
-  void add_sample(double v) { samples_.push_back(v); }
+struct Metric {
+  std::string name;
+  std::string unit;
+  std::optional<double> paper_value;
+  bool informational = false;
+  std::vector<double> samples;
+  std::optional<double> tolerance;  ///< a baseline's override, in [0, 1]
 
   /// count/mean/stddev/min/max over the samples (common/stats Welford).
   Summary summary() const noexcept;
   double median() const;
-
-  json::Value to_json() const;
-
- private:
-  std::string name_;
-  std::string unit_;
-  std::optional<double> paper_value_;
-  bool informational_ = false;
-  std::vector<double> samples_;
+  friend bool operator==(const Metric&, const Metric&) = default;
 };
 
 /// Per-benchmark aggregation: parameters + metrics.
 class BenchReport {
  public:
+  BenchReport() = default;  ///< for RunReport::parse
   BenchReport(std::string name, std::string paper_ref)
       : name_(std::move(name)), paper_ref_(std::move(paper_ref)) {}
 
@@ -106,7 +93,7 @@ class BenchReport {
                  std::optional<double> paper_value = std::nullopt,
                  bool informational = false);
 
-  /// Shorthand: metric(...).add_sample(value).
+  /// Shorthand: metric(...).samples.push_back(value).
   void record(const std::string& name, double value,
               const std::string& unit = "",
               std::optional<double> paper_value = std::nullopt);
@@ -126,8 +113,10 @@ class BenchReport {
   const std::vector<Metric>& metrics() const noexcept { return metrics_; }
 
   json::Value to_json() const;
+  friend bool operator==(const BenchReport&, const BenchReport&) = default;
 
  private:
+  friend struct ReportTables;
   std::string name_;
   std::string paper_ref_;
   std::vector<std::pair<std::string, std::string>> params_;
@@ -137,7 +126,14 @@ class BenchReport {
 /// Whole-run aggregation: environment + repetition count + all benchmarks.
 class RunReport {
  public:
-  explicit RunReport(int reps) : reps_(reps), env_(Environment::capture()) {}
+  explicit RunReport(unsigned reps)
+      : reps_(reps), env_(Environment::capture()) {}
+
+  /// Read a BENCH_results document strictly through the report tables;
+  /// on any mismatch: nullopt, and "root.path: reason" in `error`.
+  static std::optional<RunReport> parse(const json::Value& doc,
+                                        std::string* error = nullptr,
+                                        const std::string& root = "report");
 
   /// Total host wall-clock of the run (informational; serialized as a
   /// top-level "wall_seconds" field, never compared against baselines).
@@ -164,7 +160,8 @@ class RunReport {
   bool write_file(const std::string& path, std::string* error = nullptr) const;
 
  private:
-  int reps_;
+  friend struct ReportTables;
+  unsigned reps_;
   Environment env_;
   std::optional<double> wall_seconds_;
   std::optional<json::Value> obs_;

@@ -4,16 +4,6 @@
 
 namespace raa::rt {
 
-const char* to_string(SchedulerPolicy p) noexcept {
-  switch (p) {
-    case SchedulerPolicy::fifo: return "fifo";
-    case SchedulerPolicy::lifo: return "lifo";
-    case SchedulerPolicy::work_stealing: return "work_stealing";
-    case SchedulerPolicy::criticality_first: return "criticality_first";
-  }
-  return "?";
-}
-
 Scheduler::Scheduler(SchedulerPolicy policy, unsigned num_workers,
                      std::uint64_t seed, RunFn run)
     : policy_(policy),

@@ -19,6 +19,7 @@
 #include <functional>
 #include <mutex>
 
+#include "common/enum_names.hpp"
 #include "exec/stealing.hpp"
 #include "runtime/task.hpp"
 
@@ -32,7 +33,14 @@ enum class SchedulerPolicy : std::uint8_t {
   criticality_first  ///< central queues; critical-annotated tasks first
 };
 
-const char* to_string(SchedulerPolicy p) noexcept;
+inline EnumNames<SchedulerPolicy> enum_names(SchedulerPolicy) {
+  static constexpr EnumName<SchedulerPolicy> kNames[] = {
+      {"fifo", SchedulerPolicy::fifo}, {"lifo", SchedulerPolicy::lifo},
+      {"work_stealing", SchedulerPolicy::work_stealing},
+      {"criticality_first", SchedulerPolicy::criticality_first}};
+  return {"scheduler policy", kNames};
+}
+using raa::to_string;
 
 /// Ready-queue + worker threads. push()/pop() are thread-safe and
 /// non-blocking; push() wakes a parked worker. The `run` callback is

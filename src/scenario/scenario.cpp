@@ -210,7 +210,7 @@ constexpr Field<TraceData> kTraceHeaderFields[] = {
     object<kConfigFields, &TraceData::config>("config", required),
     object<kMemoryFields, &TraceData::config, &SystemConfig::memory>(
         "memory", required),
-    key<TraceData>("regions", required),
+    object<kTraceRegionFields, &TraceData::regions>("regions", required),
 };
 
 // --- plain checks after the table pass ------------------------------------
@@ -552,34 +552,15 @@ json::Value Scenario::to_json() const {
 }
 
 json::Value trace_header_json(const TraceData& trace) {
-  return bind::write(kTraceHeaderFields, trace, [&](std::string_view,
-                                                    Value& doc) {
-    Value list{json::Array{}};
-    for (const mem::Region& r : trace.regions)
-      list.push_back(bind::write(kTraceRegionFields, r));
-    doc.set("regions", std::move(list));
-  });
+  return bind::write(kTraceHeaderFields, trace);
 }
 
 bool read_trace_header(const json::Value& doc, TraceData& trace,
                        std::string* error) {
   const Ctx c{error};
   const std::string root = "header";
-  if (!bind::read(c, doc, root, kTraceHeaderFields, trace) ||
-      !check_config(c, root + ".config", trace.config))
-    return false;
-  const Value& list = *doc.find("regions");
-  if (!list.is_array())
-    return c.fail(root + ".regions", "expected an array of regions");
-  for (std::size_t i = 0; i < list.as_array().size(); ++i) {
-    mem::Region r;
-    if (!bind::read(c, list.as_array()[i],
-                    root + ".regions[" + std::to_string(i) + "]",
-                    kTraceRegionFields, r))
-      return false;
-    trace.regions.push_back(std::move(r));
-  }
-  return true;
+  return bind::read(c, doc, root, kTraceHeaderFields, trace) &&
+         check_config(c, root + ".config", trace.config);
 }
 
 std::optional<std::size_t> Scenario::first_unreferenced_region() const {

@@ -7,17 +7,6 @@
 
 namespace raa::solver {
 
-const char* to_string(Recovery r) noexcept {
-  switch (r) {
-    case Recovery::none: return "ideal";
-    case Recovery::checkpoint: return "checkpoint";
-    case Recovery::lossy_restart: return "lossy_restart";
-    case Recovery::feir: return "feir";
-    case Recovery::afeir: return "afeir";
-  }
-  return "?";
-}
-
 std::size_t inner_cg(const Csr& a, std::span<const double> b,
                      std::span<double> x, double rel_tol,
                      std::size_t max_iters) {

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "solver/csr.hpp"
 
 namespace raa::solver {
@@ -33,7 +34,14 @@ namespace raa::solver {
 /// Recovery scheme selector (see file comment).
 enum class Recovery { none, checkpoint, lossy_restart, feir, afeir };
 
-const char* to_string(Recovery r) noexcept;
+inline EnumNames<Recovery> enum_names(Recovery) {
+  static constexpr EnumName<Recovery> kNames[] = {
+      {"ideal", Recovery::none}, {"checkpoint", Recovery::checkpoint},
+      {"lossy_restart", Recovery::lossy_restart}, {"feir", Recovery::feir},
+      {"afeir", Recovery::afeir}};
+  return {"recovery", kNames};
+}
+using raa::to_string;
 
 /// Which vector the DUE hits.
 enum class FaultTarget { x, r, p };

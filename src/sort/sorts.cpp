@@ -46,16 +46,6 @@ void bitonic_in_register(Vpu& vpu, Vreg& v) {
 
 }  // namespace
 
-const char* to_string(Algorithm a) noexcept {
-  switch (a) {
-    case Algorithm::vsr: return "vsr";
-    case Algorithm::vector_radix: return "vector_radix";
-    case Algorithm::vector_quicksort: return "vector_quicksort";
-    case Algorithm::bitonic: return "bitonic";
-  }
-  return "?";
-}
-
 SortStats vsr_sort(Vpu& vpu, std::vector<Elem>& data) {
   const std::size_t n = data.size();
   const unsigned mvl = vpu.mvl();

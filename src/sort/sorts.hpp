@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "vector/scalar_core.hpp"
 #include "vector/vpu.hpp"
 
@@ -58,7 +59,14 @@ enum class Algorithm {
   bitonic,
 };
 
-const char* to_string(Algorithm a) noexcept;
+inline EnumNames<Algorithm> enum_names(Algorithm) {
+  static constexpr EnumName<Algorithm> kNames[] = {
+      {"vsr", Algorithm::vsr}, {"vector_radix", Algorithm::vector_radix},
+      {"vector_quicksort", Algorithm::vector_quicksort},
+      {"bitonic", Algorithm::bitonic}};
+  return {"sort algorithm", kNames};
+}
+using raa::to_string;
 
 /// Run `algorithm` on a fresh VPU with `config`; returns the stats.
 SortStats run_vector_sort(Algorithm algorithm, const vec::VpuConfig& config,

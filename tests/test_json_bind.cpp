@@ -1,7 +1,8 @@
 // The declarative JSON binding (src/report/json_bind.hpp) and the two
 // schemas built on it: the scenario file and the fleet manifest.
 //   * Binding: each converter's bounds and messages, strict keys, row-order
-//     emission, optional and parse-only rows, nested-object paths.
+//     emission, optional and parse-only rows, nested-object paths, list,
+//     constant and computed rows.
 //   * Golden: to_json() of every corpus scenario and of the smoke manifest
 //     is pinned byte for byte (tests/data/to_json.golden.txt), so the tables
 //     hold the emission order the hand-written serializers had.
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -165,6 +167,81 @@ TEST(JsonBind, DiagnosticsCarryTheJsonPath) {
             "rec.inner.weight: expected a number in [0, 1]");
   EXPECT_EQ(reject(R"({"name": "a", "inner": {"mass": 2}})"),
             "rec.inner.mass: unknown key");
+}
+
+constexpr int kBagVersion = 2;
+
+struct Bag {
+  std::vector<double> xs;
+  std::vector<Inner> inners;
+};
+
+std::uint64_t bag_size(const Bag& b) { return b.xs.size(); }
+
+constexpr bind::Field<Bag> kBagFields[] = {
+    bind::constant<Bag, kBagVersion>("version", bind::required),
+    bind::field<&Bag::xs>("xs", bind::any_sign),
+    bind::object<kInnerFields, &Bag::inners>("inners"),
+    bind::computed<Bag, &bag_size>("size", bind::derived),
+};
+
+std::string read_bag(const std::string& text, Bag& out) {
+  std::string error;
+  const auto doc = Value::parse(text, &error);
+  EXPECT_TRUE(doc) << error;
+  if (doc) bind::read(bind::Ctx{&error}, *doc, "bag", kBagFields, out);
+  return error;
+}
+
+TEST(JsonBind, ListConstantAndComputedRows) {
+  Bag b;
+  ASSERT_EQ(read_bag(R"({"version": 2, "xs": [-1.5, 0, 2], "size": 3,
+      "inners": [{"weight": 0.25}, {}]})",
+                     b),
+            "");
+  EXPECT_EQ(b.xs, (std::vector<double>{-1.5, 0.0, 2.0}));
+  ASSERT_EQ(b.inners.size(), 2u);
+  EXPECT_EQ(b.inners[0].weight, 0.25);
+  EXPECT_EQ(b.inners[1].weight, 0.5);  // the element's default
+  EXPECT_EQ(bind::write(kBagFields, b).dump(),
+            R"({"version":2,"xs":[-1.5,0,2],"inners":[{"weight":0.25},)"
+            R"({"weight":0.5}],"size":3})");
+  EXPECT_EQ(bind::write(kBagFields, Bag{}).dump(),
+            R"({"version":2,"xs":[],"inners":[],"size":0})");
+
+  const auto reject = [](const std::string& text) {
+    Bag x;
+    return read_bag(text, x);
+  };
+  EXPECT_EQ(reject(R"({"xs": [], "size": 0})"),
+            "bag: missing required key \"version\"");
+  EXPECT_EQ(reject(R"({"version": "2", "size": 0})"),
+            "bag.version: expected 2, got \"2\"");
+  EXPECT_EQ(reject(R"({"version": 2, "xs": 1, "size": 0})"),
+            "bag.xs: expected an array of xs");
+  EXPECT_EQ(reject(R"({"version": 2, "xs": [1, null], "size": 2})"),
+            "bag.xs[1]: expected a number");
+  EXPECT_EQ(reject(R"({"version": 2, "inners": [{}, {"weight": 2}],
+                       "size": 0})"),
+            "bag.inners[1].weight: expected a number in [0, 1]");
+  EXPECT_EQ(reject(R"({"version": 2})"), "bag: missing required key \"size\"");
+  EXPECT_EQ(reject(R"({"version": 2, "size": -1})"),
+            "bag.size: expected a non-negative integer");
+  EXPECT_EQ(reject(R"({"version": 2, "xs": [1], "size": 2})"),
+            "bag.size: expected 1 (derived from the other keys), got 2");
+}
+
+TEST(JsonBind, RangeChecksRejectNaN) {
+  // A command-line strtod can produce NaN; every double bound refuses it.
+  for (const unsigned flags : {0u, unsigned{bind::fraction},
+                               unsigned{bind::any_sign}}) {
+    std::string error;
+    double out = 7.0;
+    EXPECT_FALSE(bind::convert(bind::Ctx{&error}, Value{std::nan("")},
+                               "--x", flags, 0, out));
+    EXPECT_EQ(out, 7.0);
+    EXPECT_EQ(error.rfind("--x: expected a ", 0), 0u) << error;
+  }
 }
 
 TEST(JsonBind, EnumNameTablesServeBothDirections) {

@@ -1,12 +1,16 @@
 // Tests for the benchmark report layer (src/report/): JSON writer
-// escaping and round-trips, BenchReport statistics across repetitions, and
-// the baseline-comparison tolerance logic that gates the perf-trend CI.
+// escaping and round-trips, BenchReport statistics across repetitions, the
+// report tables' pinned bytes and strict read-back, and the
+// baseline-comparison tolerance logic that gates the perf-trend CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/stats.hpp"
+#include "golden_testing.hpp"
 #include "report/compare.hpp"
 #include "report/json.hpp"
 #include "report/report.hpp"
@@ -177,9 +181,9 @@ TEST(BenchReport, AggregatesSamplesAcrossReps) {
   r.record("speedup", 3.0);
   ASSERT_EQ(r.metrics().size(), 1u);
   const auto& m = r.metrics().front();
-  EXPECT_EQ(m.unit(), "x");
-  ASSERT_TRUE(m.paper_value().has_value());
-  EXPECT_DOUBLE_EQ(*m.paper_value(), 3.4);
+  EXPECT_EQ(m.unit, "x");
+  ASSERT_TRUE(m.paper_value.has_value());
+  EXPECT_DOUBLE_EQ(*m.paper_value, 3.4);
   const auto s = m.summary();
   EXPECT_EQ(s.count, 3u);
   EXPECT_DOUBLE_EQ(s.mean, 3.0);
@@ -222,9 +226,9 @@ TEST(BenchReport, AbsorbKeepsInformationalFlagAndUnitFromFirstSeen) {
   b.record_info("wall_seconds", 0.7, "s");
   a.absorb(b);
   ASSERT_EQ(a.metrics().size(), 1u);
-  EXPECT_TRUE(a.metrics().front().informational());
-  EXPECT_EQ(a.metrics().front().unit(), "s");
-  EXPECT_EQ(a.metrics().front().samples().size(), 2u);
+  EXPECT_TRUE(a.metrics().front().informational);
+  EXPECT_EQ(a.metrics().front().unit, "s");
+  EXPECT_EQ(a.metrics().front().samples.size(), 2u);
 }
 
 TEST(BenchReport, MetricJsonShape) {
@@ -268,6 +272,43 @@ TEST(RunReport, BenchmarkIsGetOrCreate) {
   auto& b = run.benchmark("b", "§1");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(run.benchmarks().size(), 1u);
+}
+
+/// A report that sets every optional key the writer emits: wall_seconds,
+/// params, paper_value, informational, obs, and metrics with several
+/// samples, one of them negative.
+raa::report::RunReport full_report() {
+  raa::report::RunReport run{3};
+  run.set_wall_seconds(12.5);
+  auto& fig = run.benchmark("fig_full", "§3 Figure 3");
+  fig.set_param("tiles", "64");
+  fig.set_param("mode", "hybrid");
+  for (const double x : {1.25, 1.5, 1.0}) fig.record("speedup", x, "x", 1.147);
+  for (const double x : {-0.5, 0.1, 0.25}) fig.record("delta", x, "frac");
+  fig.record_info("wall_seconds", 0.75, "s");
+  run.benchmark("bare", "§0").record("count", 7.0);
+  Value obs{raa::json::Object{}};
+  obs.set("events", 42);
+  obs.set("spans", raa::json::Array{Value{"commit"}, Value{"fill"}});
+  run.set_obs(std::move(obs));
+  return run;
+}
+
+/// The writer's bytes are pinned (the environment varies by host), and
+/// reading them back through the tables and writing again changes nothing.
+TEST(RunReportGolden, WriterMatchesCheckedInGoldenAndReadsBack) {
+  const Value doc = full_report().to_json();
+  Value pinned = doc;
+  std::erase_if(pinned.as_object(), [](const raa::json::Member& m) {
+    return m.first == "environment";
+  });
+  raa::test_util::expect_matches_golden(pinned.dump(2) + "\n",
+                                        "run_report.golden.json",
+                                        "run_report.actual.json");
+  std::string error;
+  const auto back = raa::report::RunReport::parse(doc, &error);
+  ASSERT_TRUE(back) << error;
+  EXPECT_EQ(back->to_json().dump(2), doc.dump(2));
 }
 
 // --------------------------------------------------------------------------
@@ -385,6 +426,53 @@ TEST(Compare, MalformedBaselineMetricFailsLoudly) {
                std::runtime_error);
 }
 
+/// A hand edit that would loosen or drop the gate without a word (a
+/// misspelt key, a string or out-of-range tolerance, a median that
+/// disagrees with its samples) is an error naming the JSON path.
+TEST(Compare, BaselineIsReadStrictlyWithJsonPaths) {
+  const auto expect_error = [](const auto& edit, const std::string& want) {
+    Value baseline = report_json(100.0, 0.25);
+    edit(baseline.find("benchmarks")
+             ->as_array()[0]
+             .find("metrics")
+             ->as_array()[0]);
+    try {
+      raa::report::compare(baseline, report_json(100.0));
+      ADD_FAILURE() << "accepted; want " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, want);
+    }
+  };
+  const std::string metric = "baseline.benchmarks[0].metrics[0]";
+  expect_error(
+      [](Value& m) {
+        std::erase_if(m.as_object(), [](const raa::json::Member& kv) {
+          return kv.first == "tolerance";
+        });
+        m.set("tolerence", 0.5);
+      },
+      metric + ".tolerence: unknown key");
+  expect_error([](Value& m) { m.set("tolerance", "0.5"); },
+               metric + ".tolerance: expected a number in [0, 1]");
+  expect_error([](Value& m) { m.set("tolerance", 1e300); },
+               metric + ".tolerance: expected a number in [0, 1]");
+  expect_error([](Value& m) { m.set("median", 90.0); },
+               metric + ".median: expected 100 (derived from the other "
+                        "keys), got 90");
+  expect_error([](Value& m) { m.set("samples", 100.0); },
+               metric + ".samples: expected an array of samples");
+
+  Value results = report_json(100.0);
+  results.set("schema_version", 2);
+  try {
+    raa::report::compare(report_json(100.0), results);
+    ADD_FAILURE() << "accepted schema_version 2";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "results.schema_version: expected 1, got 2");
+  }
+}
+
 TEST(Compare, RejectsNonSchemaDocuments) {
   const auto not_a_report = *Value::parse(R"({"benchmarks": []})");
   EXPECT_THROW(raa::report::compare(not_a_report, report_json(1.0)),
@@ -448,6 +536,19 @@ TEST(Compare, InformationalMetricsAreExemptFromTheGate) {
       raa::report::compare(make(100.0, 1.0), no_wall.to_json());
   EXPECT_TRUE(cmp2.ok());
   EXPECT_EQ(cmp2.informational_skipped, 1u);
+}
+
+/// An informational metric present in both files is not "only in the
+/// results": a report compared with itself has no extra metrics.
+TEST(Compare, InformationalMetricInBothFilesIsNotExtra) {
+  raa::report::RunReport run{1};
+  auto& b = run.benchmark("bench", "§1");
+  b.record("metric", 100.0);
+  b.record_info("wall_seconds", 1.0, "s");
+  const auto cmp = raa::report::compare(run.to_json(), run.to_json());
+  EXPECT_TRUE(cmp.ok());
+  EXPECT_EQ(cmp.informational_skipped, 1u);
+  EXPECT_EQ(cmp.extra_metrics, 0u);
 }
 
 }  // namespace
