@@ -11,11 +11,9 @@
 #include "solver/cg.hpp"
 
 RAA_BENCHMARK("ablation_ckpt_interval", "§4 checkpoint-interval ablation") {
-  const raa::Cli& cli = ctx.cli;
-  const auto scale =
-      std::max<std::size_t>(1, static_cast<std::size_t>(cli.get_int("scale", 1)));
+  const auto scale = ctx.flag<std::uint64_t>("scale", 1, raa::bench::kMaxScale);
   const auto grid =
-      static_cast<std::size_t>(cli.get_int("grid", 192)) * scale;
+      ctx.flag<std::uint64_t>("grid", 192, raa::bench::kMaxGrid) * scale;
   ctx.report.set_param("grid", std::to_string(grid));
   ctx.report.set_param("scale", std::to_string(scale));
   const auto a = raa::solver::laplacian_2d(grid, grid);

@@ -19,8 +19,7 @@
 
 RAA_BENCHMARK("ablation_scheduler", "§3.1 scheduling-policy ablation") {
   using raa::tdg::Synthetic;
-  const auto scale = static_cast<unsigned>(
-      std::max<std::int64_t>(1, ctx.cli.get_int("scale", 1)));
+  const auto scale = ctx.flag("scale", 1u, raa::bench::kMaxScale);
   ctx.report.set_param("scale", std::to_string(scale));
   const double c = 1.0e6;
   struct W {

@@ -14,10 +14,9 @@
 #include "memsim/system.hpp"
 
 RAA_BENCHMARK("ablation_spm_size", "§2 SPM-size ablation") {
-  const raa::Cli& cli = ctx.cli;
   raa::mem::SystemConfig base_cfg;
-  base_cfg.tiles = static_cast<unsigned>(cli.get_int("tiles", 64));
-  const auto scale = static_cast<unsigned>(cli.get_int("scale", 1));
+  base_cfg.tiles = ctx.flag("tiles", 64u, raa::bench::kMaxTiles);
+  const auto scale = ctx.flag("scale", 1u, raa::bench::kMaxScale);
   ctx.report.set_param("tiles", std::to_string(base_cfg.tiles));
   ctx.report.set_param("scale", std::to_string(scale));
 

@@ -12,10 +12,9 @@
 #include "sort/sorts.hpp"
 
 RAA_BENCHMARK("ablation_vpi_variant", "§3.2 VPI/VLU-variant ablation") {
-  const raa::Cli& cli = ctx.cli;
-  const auto scale = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cli.get_int("scale", 1)));
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 65536)) * scale;
+  const auto scale = ctx.flag<std::uint64_t>("scale", 1, raa::bench::kMaxScale);
+  const auto n =
+      ctx.flag<std::uint64_t>("n", 65536, raa::bench::kMaxKeys) * scale;
   ctx.report.set_param("n", std::to_string(n));
   ctx.report.set_param("scale", std::to_string(scale));
 

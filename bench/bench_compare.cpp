@@ -70,12 +70,20 @@ void print_wall_summary(const raa::report::RunReport& results) {
 
 int main(int argc, char** argv) {
   const raa::Cli cli{argc, argv};
+  if (const std::string bad =
+          cli.unknown_flag({"results", "baseline", "tolerance", "report-only",
+                            "verbose", "wall-summary"});
+      !bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
+    return raa::kExitUsage;
+  }
   const std::string results_path = cli.get_string("results", "");
   const std::string baseline_path = cli.get_string("baseline", "");
   if (results_path.empty() || baseline_path.empty()) {
     std::fprintf(stderr,
                  "usage: bench_compare --results=PATH --baseline=PATH "
-                 "[--tolerance=F] [--report-only] [--verbose]\n");
+                 "[--tolerance=F] [--report-only] [--verbose] "
+                 "[--wall-summary]\n");
     return raa::kExitUsage;
   }
   const bool report_only = cli.get_bool("report-only", false);
@@ -85,10 +93,9 @@ int main(int argc, char** argv) {
   // --tolerance gets the baseline's [0, 1] check; malformed reads as NaN.
   raa::report::CompareOptions options;
   std::string error;
-  if (cli.has("tolerance"))
-    raa::json::bind::convert({&error}, cli.get_double("tolerance", NAN),
-                             "--tolerance", raa::json::bind::fraction, 0,
-                             options.default_tolerance);
+  raa::json::bind::convert_flag({&error}, cli, "tolerance",
+                                raa::json::bind::fraction, 0,
+                                options.default_tolerance);
   if (!error.empty()) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return raa::kExitUsage;

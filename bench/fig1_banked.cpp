@@ -23,12 +23,11 @@
 #include "memsim/system.hpp"
 
 RAA_BENCHMARK("fig1_banked", "§2 Figure 1 (banked-DRAM row locality)") {
-  const raa::Cli& cli = ctx.cli;
   raa::mem::SystemConfig cfg;
-  cfg.tiles = static_cast<unsigned>(cli.get_int("tiles", 16));
+  cfg.tiles = ctx.flag("tiles", 16u, raa::bench::kMaxTiles);
   cfg.mesh_x = cfg.tiles >= 64 ? 8 : 4;
   cfg.mesh_y = cfg.tiles / cfg.mesh_x;
-  const unsigned scale = static_cast<unsigned>(cli.get_int("scale", 1));
+  const unsigned scale = ctx.flag("scale", 1u, raa::bench::kMaxScale);
   ctx.report.set_param("tiles", std::to_string(cfg.tiles));
   ctx.report.set_param("scale", std::to_string(scale));
 

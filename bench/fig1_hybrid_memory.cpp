@@ -98,8 +98,8 @@ void run_fig1(raa::bench::Context& ctx, unsigned tiles, unsigned scale) {
 }  // namespace
 
 RAA_BENCHMARK("fig1_hybrid_memory", "§2 Figure 1") {
-  run_fig1(ctx, static_cast<unsigned>(ctx.cli.get_int("tiles", 64)),
-           static_cast<unsigned>(ctx.cli.get_int("scale", 1)));
+  run_fig1(ctx, ctx.flag("tiles", 64u, raa::bench::kMaxTiles),
+           ctx.flag("scale", 1u, raa::bench::kMaxScale));
 }
 
 // Paper-scale configuration: the full 64-tile chip with 8x the per-core
@@ -107,6 +107,5 @@ RAA_BENCHMARK("fig1_hybrid_memory", "§2 Figure 1") {
 // NAS class sizes). The flat-line fast path is what lets this fit in the
 // bench-smoke CI budget.
 RAA_BENCHMARK("fig1_paper_scale", "§2 Figure 1 (paper-scale working sets)") {
-  run_fig1(ctx, 64,
-           static_cast<unsigned>(ctx.cli.get_int("paper-scale", 8)));
+  run_fig1(ctx, 64, ctx.flag("paper-scale", 8u, raa::bench::kMaxScale));
 }

@@ -19,9 +19,8 @@
 #include "runtime/graph.hpp"
 
 RAA_BENCHMARK("fig2_criticality_rsu", "§3.1 Figure 2") {
-  const raa::Cli& cli = ctx.cli;
-  const auto cores = static_cast<unsigned>(cli.get_int("cores", 32));
-  const double c = cli.get_double("task-cycles", 1.0e6);  // ~500us tasks
+  const auto cores = ctx.flag("cores", 32u, raa::bench::kMaxCores);
+  const double c = ctx.flag("task-cycles", 1.0e6, 0, 0);  // ~500us tasks
   ctx.report.set_param("cores", std::to_string(cores));
 
   using raa::tdg::Graph;

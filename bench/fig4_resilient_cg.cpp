@@ -44,10 +44,11 @@ raa::solver::CgResult run(const raa::solver::Csr& a,
 
 RAA_BENCHMARK("fig4_resilient_cg", "§4 Figure 4") {
   const raa::Cli& cli = ctx.cli;
-  const auto grid = static_cast<std::size_t>(cli.get_int("grid", 256));
-  const double inject_frac = cli.get_double("inject-frac", 0.5);
-  const auto ckpt_interval =
-      static_cast<std::size_t>(cli.get_int("ckpt-interval", 1000));
+  const auto grid = ctx.flag<std::uint64_t>("grid", 256, raa::bench::kMaxGrid);
+  const double inject_frac =
+      ctx.flag("inject-frac", 0.5, 0, raa::json::bind::fraction);
+  const auto ckpt_interval = ctx.flag<std::uint64_t>(
+      "ckpt-interval", 1000, raa::bench::kMaxCkptInterval);
   const bool series = cli.get_bool("series", false);
   ctx.report.set_param("grid", std::to_string(grid));
   ctx.report.set_param("ckpt_interval", std::to_string(ckpt_interval));

@@ -17,12 +17,10 @@
 #include "harness.hpp"
 
 RAA_BENCHMARK("fig5_task_scalability", "§5 Figure 5") {
-  const raa::Cli& cli = ctx.cli;
-  const auto cores = static_cast<unsigned>(cli.get_int("cores", 16));
-  const auto scale = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cli.get_int("scale", 1)));
+  const auto cores = ctx.flag("cores", 16u, raa::bench::kMaxCores);
+  const auto scale = ctx.flag<std::uint64_t>("scale", 1, raa::bench::kMaxScale);
   const auto frames =
-      static_cast<std::size_t>(cli.get_int("frames", 30)) * scale;
+      ctx.flag<std::uint64_t>("frames", 30, raa::bench::kMaxFrames) * scale;
   ctx.report.set_param("cores", std::to_string(cores));
   ctx.report.set_param("frames", std::to_string(frames));
   ctx.report.set_param("scale", std::to_string(scale));

@@ -36,7 +36,7 @@ UnitResult run_unit(const Spec& spec, const raa::Cli& cli, int rep, int reps,
   ctx.pool = pool;
   ctx.quiet = quiet;
   if (cli.has("seed")) {
-    ctx.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0));
+    ctx.seed = ctx.flag<std::uint64_t>("seed", 0, 0, 0);
     // Surface the override in the report: results under a non-default
     // seed are a different experiment than the checked-in baseline.
     unit.report.set_param("seed", std::to_string(*ctx.seed));
@@ -111,21 +111,15 @@ int harness_main(int argc, char** argv) {
 
   // --reps and --jobs go through the manifest's checked converters: a
   // value that is not a positive integer within its bound exits 2 before
-  // any unit runs (a malformed number reads as -1 and fails too). The
-  // bounds keep the unit list's allocation and the int casts sane.
+  // any unit runs. The bounds keep the unit list's allocation and the int
+  // casts sane.
   std::uint64_t reps_flag = 1;
   std::uint64_t jobs_flag = 1;
   std::string error;
-  const auto number = [&](const char* name, std::uint64_t max,
-                          std::uint64_t& out) {
-    if (cli.has(name))
-      json::bind::convert({&error},
-                          static_cast<double>(cli.get_int(name, -1)),
-                          std::string{"--"} + name, json::bind::positive, max,
-                          out);
-  };
-  number("reps", kMaxReps, reps_flag);
-  number("jobs", kMaxJobs, jobs_flag);
+  json::bind::convert_flag({&error}, cli, "reps", json::bind::positive,
+                           kMaxReps, reps_flag);
+  json::bind::convert_flag({&error}, cli, "jobs", json::bind::positive,
+                           kMaxJobs, jobs_flag);
   if (!error.empty()) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return raa::kExitUsage;
@@ -215,5 +209,11 @@ int harness_main(int argc, char** argv) {
 }  // namespace raa::bench
 
 int main(int argc, char** argv) {
-  return raa::bench::harness_main(argc, argv);
+  // A bad bench flag (or --seed) throws from the unit that reads it.
+  try {
+    return raa::bench::harness_main(argc, argv);
+  } catch (const raa::bench::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return raa::kExitUsage;
+  }
 }

@@ -25,6 +25,10 @@
 ///                  non-default seed will legitimately differ from the
 ///                  checked-in baseline.
 ///
+/// Every numeric flag, shared or bench-specific (bodies read theirs with
+/// ctx.flag()), is checked like its JSON twin (json::bind::convert_flag):
+/// a malformed or out-of-range value exits 2 with a `--flag: ...` message.
+///
 /// Single-figure binaries register exactly one benchmark; raa_bench_all
 /// links all bench sources and therefore registers all of them. Table
 /// output goes to stdout on the first repetition only (guard any direct
@@ -32,14 +36,33 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "exec/pool.hpp"
+#include "report/json_bind.hpp"
 #include "report/report.hpp"
 
 namespace raa::bench {
+
+/// Ceilings of the bench size flags: far above any documented run, low
+/// enough that a typo cannot ask for more memory than a host has.
+inline constexpr std::uint64_t kMaxKeys = std::uint64_t{1} << 24;  ///< --n
+inline constexpr std::uint64_t kMaxScale = 64;  ///< --scale, --paper-scale
+inline constexpr std::uint64_t kMaxGrid = 2048;  ///< --grid (per side)
+/// --tiles: the memsim directory keeps sharers in a 64-bit mask.
+inline constexpr std::uint64_t kMaxTiles = 64;
+inline constexpr std::uint64_t kMaxCores = 1024;  ///< --cores (modelled)
+inline constexpr std::uint64_t kMaxFrames = 100000;  ///< --frames
+inline constexpr std::uint64_t kMaxCkptInterval = 1000000;  ///< iterations
+
+/// A bench flag with a bad value (Context::flag); the harness prints it
+/// and exits 2.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Passed to every benchmark body.
 struct Context {
@@ -67,6 +90,18 @@ struct Context {
 
   /// True on the repetition whose tables should be printed.
   bool printing() const noexcept { return rep == 0 && !quiet; }
+
+  /// A numeric bench flag (a size, count or scale by default: a positive
+  /// integer of at most `max`, 0 = no ceiling), `fallback` when absent.
+  /// A bad value throws FlagError naming the flag.
+  template <class T>
+  T flag(const char* name, T fallback, std::uint64_t max,
+         unsigned flags = json::bind::positive) const {
+    std::string error;
+    if (!json::bind::convert_flag({&error}, cli, name, flags, max, fallback))
+      throw FlagError{error};
+    return fallback;
+  }
 
   /// Tell the harness how many simulated memory accesses this repetition
   /// drove; it derives the informational `accesses_per_second` metric

@@ -1,7 +1,7 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <string_view>
 
 namespace raa {
 
@@ -50,5 +50,17 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
 }
 
 bool Cli::has(const std::string& name) const { return flags_.contains(name); }
+
+std::string Cli::unknown_flag(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string accepted;
+    for (const std::string_view k : known)
+      accepted += (accepted.empty() ? "--" : ", --") + std::string{k};
+    return "unknown flag --" + name + " (accepted: " + accepted + ")";
+  }
+  return "";
+}
 
 }  // namespace raa

@@ -5,9 +5,11 @@
 /// (sizes, seeds, core counts) without external dependencies.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace raa {
 
@@ -26,6 +28,12 @@ class Cli {
 
   /// True when the flag appeared on the command line.
   bool has(const std::string& name) const;
+
+  /// "unknown flag --x (accepted: --a, --b)" for the first flag given
+  /// that `known` does not name, or "" when every flag is known. A tool
+  /// that names its flags this way turns a misspelt one into a usage
+  /// error instead of a silently kept default.
+  std::string unknown_flag(std::initializer_list<std::string_view> known) const;
 
   /// An enum flag parsed through its name table (common/enum_names.hpp):
   /// nullopt when absent, or when the value is no name, which also sets

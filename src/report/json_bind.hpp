@@ -33,6 +33,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/enum_names.hpp"
 #include "report/json.hpp"
 
@@ -145,6 +146,22 @@ bool convert(const Ctx& c, const Value& v, const std::string& path,
   if (!convert(c, v, path, flags, max, x)) return false;
   out = x;
   return true;
+}
+
+/// A numeric command-line flag through the converter of its JSON twin, so
+/// `--name=V` is checked exactly like `"name": V` and a failure names
+/// `--name`. An absent flag leaves `out` unchanged; a malformed number
+/// reads as -1 (integers) or NaN (doubles) and fails like one. `out` is
+/// an integer, a double or an optional of one.
+template <class T>
+bool convert_flag(const Ctx& c, const Cli& cli, const std::string& name,
+                  unsigned flags, std::uint64_t max, T& out) {
+  if (!cli.has(name)) return true;
+  constexpr bool real = std::is_same_v<T, double> ||
+                        std::is_same_v<T, std::optional<double>>;
+  const double v = real ? cli.get_double(name, NAN)
+                        : static_cast<double>(cli.get_int(name, -1));
+  return convert(c, v, "--" + name, flags, max, out);
 }
 
 // --- tables -------------------------------------------------------------

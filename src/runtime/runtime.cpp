@@ -60,23 +60,9 @@ std::uint64_t Runtime::now_ns() const {
           .count());
 }
 
-TaskId Runtime::spawn(std::function<void()> body, TaskAttrs attrs) {
-  return spawn_impl({}, std::move(body), std::move(attrs), /*nested=*/false);
-}
-
-TaskId Runtime::spawn(std::vector<Dep> deps, std::function<void()> body,
-                      TaskAttrs attrs) {
-  return spawn_impl(std::move(deps), std::move(body), std::move(attrs),
-                    /*nested=*/false);
-}
-
-TaskId Runtime::silent_async(std::function<void()> body, TaskAttrs attrs) {
-  return spawn_impl({}, std::move(body), std::move(attrs), /*nested=*/true);
-}
-
-TaskId Runtime::spawn_impl(std::vector<Dep> deps, std::function<void()> body,
-                           TaskAttrs attrs, bool nested) {
-  RAA_CHECK(body != nullptr);
+TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
+                           TaskAttrs&& attrs, bool nested) {
+  RAA_CHECK(body);
   // Spawns from a worker thread go to that worker's own deque (lock-free
   // owner push under work stealing); external threads use the shared slot.
   const unsigned hint = scheduler_.current_worker();
@@ -95,20 +81,20 @@ TaskId Runtime::spawn_impl(std::vector<Dep> deps, std::function<void()> body,
   preds_.clear();
   registry_.register_task(id, deps, preds_);
 
-  if (options_.capture_graph) {
-    const double cost = t.attrs.cost_hint > 0.0 ? t.attrs.cost_hint : 1.0;
-    const tdg::NodeId node = captured_.add_node(
-        cost, t.attrs.label, t.attrs.criticality == Criticality::critical);
-    RAA_CHECK(node == id);  // ids are dense and aligned with the graph
-    for (const TaskId p : preds_) captured_.add_edge(p, id);
-  }
-
+  // Log every edge; an unfinished predecessor also gets the edge on the
+  // tail of its release chain, so completion releases in spawn order.
+  RAA_CHECK(preds_.size() < detail::kNoEdge - edges_.size());  // ids fit
   for (const TaskId p : preds_) {
+    const auto e = static_cast<detail::EdgeId>(edges_.size());
+    edges_.push_back({p, id, detail::kNoEdge});
     detail::TaskBlock& pred = tasks_[p];
-    if (!pred.finished) {
-      pred.successors.push_back(&t);
-      ++t.pending_preds;
-    }
+    if (pred.finished) continue;
+    if (pred.succ_tail == detail::kNoEdge)
+      pred.succ_head = e;
+    else
+      edges_[pred.succ_tail].next = e;
+    pred.succ_tail = e;
+    ++t.pending_preds;
   }
   if (t.pending_preds == 0) {
     // Count before the push: once pushed, a worker may pop and decrement.
@@ -138,18 +124,20 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
   rec.end_ns = now_ns();
   RAA_OBS_HOST_EVENT(rt, task_run, complete, rec.end_ns - rec.start_ns,
                      static_cast<std::uint64_t>(task->id));
-  task->body = nullptr;  // release captured state before completing
+  task->body.reset();  // release captured state before completing
 
   bool wake = false;
   {
     const std::scoped_lock lock{graph_mutex_};
     task->finished = true;  // publishes `rec` to trace() and graph()
     ++executed_;
-    for (detail::TaskBlock* succ : task->successors) {
-      RAA_CHECK(succ->pending_preds > 0);
-      if (--succ->pending_preds == 0) {
+    for (detail::EdgeId e = task->succ_head; e != detail::kNoEdge;
+         e = edges_[e].next) {
+      detail::TaskBlock& succ = tasks_[edges_[e].to];
+      RAA_CHECK(succ.pending_preds > 0);
+      if (--succ.pending_preds == 0) {
         ready_count_.fetch_add(1, std::memory_order_relaxed);
-        scheduler_.push(succ, worker_id);
+        scheduler_.push(&succ, worker_id);
       }
     }
     bool joined = false;
@@ -240,14 +228,20 @@ void Runtime::taskwait() {
 
 tdg::Graph Runtime::graph() const {
   const std::scoped_lock lock{graph_mutex_};
-  tdg::Graph g = captured_;
-  if (options_.capture_graph)
-    for (const detail::TaskBlock& t : tasks_)
-      if (t.finished && t.attrs.cost_hint <= 0.0)
-        // The measured duration replaces the placeholder cost (>= 1 ns so
-        // graph analyses never see zero-cost nodes).
-        g.node(t.id).cost = std::max<double>(
-            1.0, static_cast<double>(t.trace.end_ns - t.trace.start_ns));
+  tdg::Graph g;
+  for (const detail::TaskBlock& t : tasks_) {
+    double cost = t.attrs.cost_hint;
+    if (cost <= 0.0)
+      // The measured duration once finished (>= 1 ns so graph analyses
+      // never see zero-cost nodes), else a placeholder of 1.
+      cost = t.finished ? std::max<double>(1.0, static_cast<double>(
+                                                    t.trace.end_ns -
+                                                    t.trace.start_ns))
+                        : 1.0;
+    g.add_node(cost, t.attrs.label,
+               t.attrs.criticality == Criticality::critical);
+  }
+  for (const detail::Edge& e : edges_) g.add_edge(e.from, e.to);
   return g;
 }
 
@@ -266,7 +260,7 @@ std::vector<TraceRecord> Runtime::trace() const {
 
 RuntimeStats Runtime::stats() const {
   const std::scoped_lock lock{graph_mutex_};
-  return RuntimeStats{spawned_, executed_, captured_.edge_count(),
+  return RuntimeStats{spawned_, executed_, edges_.size(),
                       scheduler_.steal_count()};
 }
 

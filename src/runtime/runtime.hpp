@@ -3,8 +3,11 @@
 /// Public facade of the RAA tasking runtime (the paper's OmpSs/Nanos-like
 /// layer): spawn tasks with data-region annotations, let the runtime build
 /// the Task Dependency Graph and execute tasks out-of-order on a
-/// work-stealing worker pool, then inspect the captured TDG and execution
-/// trace.
+/// work-stealing worker pool, then inspect the TDG and execution trace.
+/// A task body is any callable taking no arguments; one of at most 48
+/// bytes whose move cannot throw (a lambda capturing up to six pointers,
+/// say) is stored in the task's own block, so spawning it allocates
+/// nothing. Larger bodies are stored on the heap.
 ///
 /// Example:
 /// \code
@@ -36,6 +39,8 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "runtime/dependences.hpp"
@@ -52,9 +57,6 @@ struct RuntimeOptions {
   /// num_workers == 0 gives a valid serial runtime.
   unsigned num_workers = 0;
   SchedulerPolicy policy = SchedulerPolicy::work_stealing;
-  /// Capture the TDG and execution trace (cheap; on by default — the whole
-  /// point of a runtime-aware architecture is that this graph exists).
-  bool capture_graph = true;
   std::uint64_t seed = 1;
 };
 
@@ -81,12 +83,22 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Submit a task. `deps` lists the byte ranges the task reads/writes;
-  /// the runtime orders it after every conflicting earlier task.
-  TaskId spawn(std::vector<Dep> deps, std::function<void()> body,
-               TaskAttrs attrs = {});
+  /// the runtime orders it after every conflicting earlier task. `body`
+  /// is any callable taking no arguments (a lambda, a std::function, a
+  /// function pointer); a null std::function or pointer is rejected
+  /// (RAA_CHECK). Bodies of at most 48 bytes are stored in place.
+  template <TaskCallable F>
+  TaskId spawn(std::vector<Dep> deps, F&& body, TaskAttrs attrs = {}) {
+    return spawn_impl(deps, detail::TaskBody{std::forward<F>(body)},
+                      std::move(attrs), /*nested=*/false);
+  }
 
   /// Convenience overload without dependences (embarrassingly parallel).
-  TaskId spawn(std::function<void()> body, TaskAttrs attrs = {});
+  template <TaskCallable F>
+  TaskId spawn(F&& body, TaskAttrs attrs = {}) {
+    return spawn_impl({}, detail::TaskBody{std::forward<F>(body)},
+                      std::move(attrs), /*nested=*/false);
+  }
 
   /// Nested spawn: a dependence-free child task. When called from inside
   /// a task body of this runtime, the child is linked to the running task
@@ -94,7 +106,11 @@ class Runtime {
   /// released) until the child has finished, joined either cooperatively
   /// via corun() or implicitly when the body returns. From any other
   /// thread this is equivalent to spawn() with no dependences.
-  TaskId silent_async(std::function<void()> body, TaskAttrs attrs = {});
+  template <TaskCallable F>
+  TaskId silent_async(F&& body, TaskAttrs attrs = {}) {
+    return spawn_impl({}, detail::TaskBody{std::forward<F>(body)},
+                      std::move(attrs), /*nested=*/true);
+  }
 
   /// Cooperative join: from inside a task body of this runtime, run/steal
   /// ready tasks until every child the current task spawned so far via
@@ -107,10 +123,11 @@ class Runtime {
   /// called from inside a task body of this runtime (use corun() there).
   void taskwait();
 
-  /// Snapshot of the captured TDG. A node's cost is its task's cost_hint
-  /// when one was given, else the measured execution time in nanoseconds
-  /// (at least 1) once the task has finished, and 1 before. Call after
-  /// taskwait() for a stable view.
+  /// The TDG of every task spawned so far, built from the task blocks and
+  /// the edge log: node ids are task ids, edges are added in spawn order.
+  /// A node's cost is its task's cost_hint when one was given, else the
+  /// measured execution time in nanoseconds (at least 1) once the task has
+  /// finished, and 1 before. Call after taskwait() for a stable view.
   tdg::Graph graph() const;
 
   /// Execution trace (one record per finished task), ordered by end time.
@@ -121,8 +138,8 @@ class Runtime {
   unsigned num_workers() const noexcept { return options_.num_workers; }
 
  private:
-  TaskId spawn_impl(std::vector<Dep> deps, std::function<void()> body,
-                    TaskAttrs attrs, bool nested);
+  TaskId spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
+                    TaskAttrs&& attrs, bool nested);
 
   /// Run one ready task if available. Returns false when no task was ready.
   bool run_one(unsigned worker_id);
@@ -140,7 +157,7 @@ class Runtime {
   RuntimeOptions options_;
 
   /// Graph mutex: guards task-block state transitions, the dependence
-  /// registry, the captured graph and the spawn/execute counters. A spawn
+  /// registry, the edge log and the spawn/execute counters. A spawn
   /// and a completion each take it once; task bodies, the pop bookkeeping
   /// and a join's fast check run unlocked (see ready_count_ and
   /// TaskBlock::children).
@@ -153,9 +170,10 @@ class Runtime {
   DependenceRegistry registry_;
   std::deque<detail::TaskBlock> tasks_;  ///< emplace_back: stable addresses
   std::vector<TaskId> preds_;  ///< spawn's reused predecessor scratch list
-  /// Placeholder node costs (cost_hint or 1); graph() fills in the
-  /// measured durations of finished tasks from their trace records.
-  tdg::Graph captured_;
+  /// Every dependence edge in spawn order (one spawn's edges by ascending
+  /// predecessor id). It is both the TDG's edge list (graph()) and the
+  /// storage of the release chains (TaskBlock::succ_head).
+  std::vector<detail::Edge> edges_;
   std::uint64_t spawned_ = 0;
   std::uint64_t executed_ = 0;
   /// Tasks inside the scheduler. Incremented under the graph mutex before

@@ -10,12 +10,15 @@
 /// out-of-order, "in the same way as superscalar processors manage ILP".
 
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 namespace raa::rt {
 
@@ -98,23 +101,150 @@ struct TraceRecord {
   std::uint64_t end_ns = 0;
 };
 
+/// What spawn() and silent_async() accept as a task body: any callable a
+/// task can store and call with no arguments (its result is discarded).
+template <class F>
+concept TaskCallable = std::constructible_from<std::decay_t<F>, F> &&
+                       std::invocable<std::decay_t<F>&>;
+
 namespace detail {
 
+/// Callables that can be null: spawning one that is null is an error.
+template <class T>
+inline constexpr bool kNullableBody = std::is_pointer_v<T>;
+template <class R, class... A>
+inline constexpr bool kNullableBody<std::function<R(A...)>> = true;
+
+/// A task body: any TaskCallable, type-erased without std::function. A
+/// callable of at most kInlineBytes bytes and at most pointer alignment
+/// whose move cannot throw is stored in the body itself, and so in its
+/// task block; any other is stored on the heap. Move-only. An empty
+/// std::function or a null function pointer gives an empty body.
+class TaskBody {
+ public:
+  static constexpr std::size_t kInlineBytes = 48;
+
+  TaskBody() noexcept = default;
+
+  template <TaskCallable F>
+    requires(!std::same_as<std::remove_cvref_t<F>, TaskBody>)
+  explicit TaskBody(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (kNullableBody<std::remove_cvref_t<F>>)
+      if (!f) return;
+    if constexpr (kInline<Fn>)
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    else
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+    ops_ = &kOps<Fn>;
+  }
+
+  TaskBody(TaskBody&& other) noexcept { take(other); }
+  TaskBody& operator=(TaskBody&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  ~TaskBody() { reset(); }
+
+  explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  /// Calls the stored callable; the body must not be empty.
+  void operator()() { ops_->invoke(storage_); }
+
+  /// Destroys the stored callable, releasing what it captured.
+  void reset() noexcept {
+    if (ops_ == nullptr) return;
+    ops_->destroy(storage_);
+    ops_ = nullptr;
+  }
+
+ private:
+  template <class Fn>
+  static constexpr bool kInline = sizeof(Fn) <= kInlineBytes &&
+                                  alignof(Fn) <= alignof(void*) &&
+                                  std::is_nothrow_move_constructible_v<Fn>;
+
+  /// Per-type operations on `storage_`, which holds the callable itself
+  /// (inline) or a pointer to it (heap). `relocate` moves it into empty
+  /// storage and leaves the source storage empty.
+  struct Ops {
+    void (*invoke)(void*);
+    void (*relocate)(void* to, void* from) noexcept;
+    void (*destroy)(void*) noexcept;
+  };
+
+  template <class Fn>
+  static Fn& get(void* s) noexcept {
+    if constexpr (kInline<Fn>)
+      return *std::launder(static_cast<Fn*>(s));
+    else
+      return **std::launder(static_cast<Fn**>(s));
+  }
+
+  template <class Fn>
+  static constexpr Ops kOps = {
+      [](void* s) { std::invoke(get<Fn>(s)); },
+      [](void* to, void* from) noexcept {
+        if constexpr (kInline<Fn>) {
+          Fn& f = get<Fn>(from);
+          ::new (to) Fn(std::move(f));
+          f.~Fn();
+        } else {
+          ::new (to) Fn*(&get<Fn>(from));
+        }
+      },
+      [](void* s) noexcept {
+        if constexpr (kInline<Fn>)
+          get<Fn>(s).~Fn();
+        else
+          delete &get<Fn>(s);
+      }};
+
+  void take(TaskBody& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(storage_, other.storage_);
+    ops_ = std::exchange(other.ops_, nullptr);
+  }
+
+  alignas(void*) unsigned char storage_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+/// Index of an edge in the runtime's edge log.
+using EdgeId = std::uint32_t;
+inline constexpr EdgeId kNoEdge = static_cast<EdgeId>(-1);
+
+/// One dependence edge of the runtime's edge log: `to` waits for `from`.
+/// Edges are logged in spawn order; `next` chains the edges of one
+/// predecessor that still had to release their successor when it was
+/// spawned (the release chain, see TaskBlock::succ_head).
+struct Edge {
+  TaskId from = kNoTask;
+  TaskId to = kNoTask;
+  EdgeId next = kNoEdge;
+};
+
 /// Internal task control block. Guarded by the runtime's graph mutex except
-/// where noted; task bodies execute outside any lock.
+/// where noted; task bodies execute outside any lock. The members are
+/// ordered to leave no padding: three blocks fit in a 512-byte deque node.
 struct TaskBlock {
   TaskId id = kNoTask;
-  /// Written at spawn; afterwards touched only by the executing thread,
-  /// which also releases it after the run, outside the lock.
-  std::function<void()> body;
-  TaskAttrs attrs;
-
   /// Number of not-yet-finished predecessors. Guarded by the graph mutex.
   std::uint32_t pending_preds = 0;
-  /// Direct successors discovered at their spawn time.
-  std::vector<TaskBlock*> successors;
-  /// Set under the graph mutex at completion; `trace` is final once set.
-  bool finished = false;
+  /// Written at spawn; afterwards touched only by the executing thread,
+  /// which also releases it after the run, outside the lock.
+  TaskBody body;
+  TaskAttrs attrs;
+
+  /// Release chain: the first and last edge-log entries whose successor
+  /// was spawned while this task was unfinished, linked through
+  /// Edge::next in spawn order. Completion walks it; guarded by the graph
+  /// mutex.
+  EdgeId succ_head = kNoEdge;
+  EdgeId succ_tail = kNoEdge;
 
   /// Nested-spawn linkage (Runtime::silent_async): the task whose body
   /// spawned this one, and the count of this task's own live children.
@@ -125,6 +255,9 @@ struct TaskBlock {
   /// (implicit join).
   TaskBlock* parent = nullptr;
   std::atomic<std::uint32_t> children{0};
+
+  /// Set under the graph mutex at completion; `trace` is final once set.
+  bool finished = false;
 
   /// Written by the executing thread just before completion.
   TraceRecord trace;

@@ -158,6 +158,18 @@ TEST(Cli, MalformedValueFallsBack) {
   EXPECT_EQ(cli.get_int("n", 9), 9);
 }
 
+TEST(Cli, UnknownFlagNamesTheFirstOneAndTheAcceptedSet) {
+  const char* argv[] = {"prog", "--results=r.json", "--tolerence=0.5",
+                        "file.json"};
+  const raa::Cli cli{4, argv};
+  EXPECT_EQ(cli.unknown_flag({"results", "tolerance"}),
+            "unknown flag --tolerence (accepted: --results, --tolerance)");
+  EXPECT_EQ(cli.unknown_flag({"results", "tolerence"}), "");
+  // Positional arguments are not flags.
+  const char* files[] = {"prog", "a.json", "b.json"};
+  EXPECT_EQ(raa::Cli(3, files).unknown_flag({}), "");
+}
+
 TEST(ExitCodes, NumericValuesAreAFrozenContract) {
   // Downstream scripts and the CI shell tests switch on these numbers
   // (docs in common/exit_codes.hpp). Changing any value is a breaking

@@ -244,6 +244,37 @@ TEST(JsonBind, RangeChecksRejectNaN) {
   }
 }
 
+TEST(JsonBind, CommandLineFlagsGetTheirJsonTwinsChecks) {
+  namespace bind = raa::json::bind;
+  const char* argv[] = {"prog",      "--n=64",   "--bad=abc", "--neg=-5",
+                        "--zero=0",  "--big=65", "--frac=0.25",
+                        "--nan=nan"};
+  const raa::Cli cli{8, argv};
+  const auto check = [&](const char* name, unsigned flags, std::uint64_t max,
+                         auto out) {
+    std::string error;
+    bind::convert_flag({&error}, cli, name, flags, max, out);
+    return std::pair{out, error};
+  };
+  EXPECT_EQ(check("n", bind::positive, 64, std::uint64_t{7}),
+            std::pair(std::uint64_t{64}, std::string{}));
+  EXPECT_EQ(check("absent", bind::positive, 0, 7u), std::pair(7u, std::string{}));
+  EXPECT_EQ(check("bad", 0, 0, 7u).second,
+            "--bad: expected a non-negative integer");
+  EXPECT_EQ(check("neg", 0, 0, std::uint64_t{7}).second,
+            "--neg: expected a non-negative integer");
+  EXPECT_EQ(check("zero", bind::positive, 0, 7u).second,
+            "--zero: must be positive");
+  EXPECT_EQ(check("big", bind::positive, 64, 7u).second,
+            "--big: must be at most 64");
+  EXPECT_EQ(check("frac", bind::fraction, 0, 0.5),
+            std::pair(0.25, std::string{}));
+  EXPECT_EQ(check("nan", bind::fraction, 0, 0.5).second,
+            "--nan: expected a number in [0, 1]");
+  EXPECT_EQ(check("n", 0, 0, std::optional<unsigned>{}).first,
+            std::optional<unsigned>{64u});
+}
+
 TEST(JsonBind, EnumNameTablesServeBothDirections) {
   const auto names = enum_names(Color{});
   EXPECT_STREQ(raa::to_string(Color::green), "green");

@@ -16,7 +16,9 @@
 //    raa::sim::replay derives from it (the fig5/ablation_scheduler
 //    pipeline) — is field-identical no matter how many host workers or
 //    which scheduling policy executed the tasks. Host scheduling decides
-//    wall-clock only; simulated numbers must not move.
+//    wall-clock only; simulated numbers must not move. The graphs of the
+//    mixed program and of a fan-out/fan-in program are also pinned as
+//    text against a checked-in golden.
 //
 // Stress iteration counts scale with RAA_STRESS_ITERS (see the
 // stealing_stress CTest entry in tests/CMakeLists.txt, run under TSan
@@ -26,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <barrier>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -34,6 +37,7 @@
 #include "apps/miniapps.hpp"
 #include "exec/stealing.hpp"
 #include "exec/wsq.hpp"
+#include "golden_testing.hpp"
 #include "runtime/runtime.hpp"
 #include "simcore/tdg_sim.hpp"
 #include "stress_budget.hpp"
@@ -536,6 +540,69 @@ TEST(StealEquivalence, CapturedGraphAndReplayInvariantAcrossHosts) {
       expect_graphs_identical(ref, g, what);
       expect_replays_identical(ref, g, what);
     }
+  }
+}
+
+/// Text form of a captured graph: every node's cost (hexfloat), hint and
+/// label, then its successors and predecessors in the graph's own order.
+std::string graph_text(const raa::tdg::Graph& g) {
+  std::string out = "# nodes " + std::to_string(g.node_count()) +
+                    " edges " + std::to_string(g.edge_count()) + "\n";
+  const auto ids = [](const std::vector<raa::tdg::NodeId>& v) {
+    std::string s;
+    for (const raa::tdg::NodeId id : v) s += " " + std::to_string(id);
+    return s;
+  };
+  for (raa::tdg::NodeId v = 0; v < g.node_count(); ++v) {
+    const raa::tdg::Node& n = g.node(v);
+    char cost[64];
+    std::snprintf(cost, sizeof cost, "%a", n.cost);
+    out += std::to_string(v) + " cost=" + cost +
+           " critical=" + (n.critical_hint ? "1" : "0") + " label=" +
+           n.label + "\n  succ:" + ids(g.successors(v)) +
+           "\n  pred:" + ids(g.predecessors(v)) + "\n";
+  }
+  return out;
+}
+
+/// Fan-out and fan-in around one object, with a barrier in the middle: a
+/// writer's successor list holds several readers in spawn order, a later
+/// writer waits on all of them, and tasks spawned after the barrier get
+/// edges to predecessors that had already finished.
+raa::tdg::Graph fan_graph(unsigned workers, SchedulerPolicy policy) {
+  Runtime rt{{.num_workers = workers, .policy = policy, .seed = 9}};
+  double x = 0.0, y = 0.0;
+  const auto attrs = [](const std::string& label, double cost) {
+    return raa::rt::TaskAttrs{.label = label, .cost_hint = cost};
+  };
+  rt.spawn({raa::rt::out(x)}, [&x] { x = 1.0; }, attrs("w0", 3.0e4));
+  for (int i = 0; i < 4; ++i)
+    rt.spawn({raa::rt::in(x), raa::rt::inout(y)}, [&x, &y] { y += x; },
+             attrs("r" + std::to_string(i), 1.0e4 * (1 + i)));
+  rt.taskwait();
+  for (int i = 4; i < 7; ++i)
+    rt.spawn({raa::rt::in(x)}, [&x] { (void)x; },
+             attrs("r" + std::to_string(i), 1.0e4 * (1 + i)));
+  rt.spawn({raa::rt::out(x), raa::rt::in(y)}, [&] { x = y; },
+           attrs("w1", 2.0e4));
+  rt.spawn({raa::rt::inout(x), raa::rt::inout(y)}, [&] { y += x; },
+           attrs("w2", 5.0e4));
+  rt.taskwait();
+  return rt.graph();
+}
+
+// graph() must rebuild exactly the TDG the runtime has always produced:
+// node costs, labels and hints, and the order of every successor and
+// predecessor list, pinned as text in tests/data/runtime_graph.golden.txt.
+TEST(StealEquivalence, CapturedGraphMatchesCheckedInGolden) {
+  for (const unsigned workers : {0u, 4u}) {
+    const auto policy =
+        workers ? SchedulerPolicy::work_stealing : SchedulerPolicy::fifo;
+    raa::test_util::expect_matches_golden(
+        graph_text(captured_graph(workers, policy)) +
+            graph_text(fan_graph(workers, policy)),
+        "runtime_graph.golden.txt",
+        "runtime_graph_w" + std::to_string(workers) + ".txt");
   }
 }
 

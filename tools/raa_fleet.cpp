@@ -76,6 +76,15 @@ int main(int argc, char** argv) {
   const raa::Cli cli{argc, argv};
   using raa::fleet::FleetOptions;
   using raa::fleet::Manifest;
+  if (const std::string bad = cli.unknown_flag(
+          {"manifest", "scenarios", "out", "jobs", "mode", "backend",
+           "timeout-ms", "retries", "backoff-ms", "backoff-cap-ms", "seed",
+           "fail-fast", "quiet", "trace-out", "inject-fail", "inject-flaky",
+           "inject-hang"});
+      !bad.empty()) {
+    std::fprintf(stderr, "raa_fleet: %s\n", bad.c_str());
+    return usage(argv[0]);
+  }
 
   const std::string manifest_path = cli.get_string("manifest", "");
   const std::string scenarios_dir = cli.get_string("scenarios", "");
@@ -95,10 +104,7 @@ int main(int argc, char** argv) {
       cli.get_enum<raa::mem::MemBackendKind>("backend", error);
   const auto number = [&](const char* name, auto& out, unsigned flags,
                           std::uint64_t max) {
-    if (cli.has(name))
-      raa::json::bind::convert(
-          {&error}, static_cast<double>(cli.get_int(name, -1)),
-          std::string{"--"} + name, flags, max, out);
+    raa::json::bind::convert_flag({&error}, cli, name, flags, max, out);
   };
   number("jobs", opt.jobs, raa::json::bind::positive, 0);
   number("timeout-ms", opt.fallback.timeout_ms, 0, raa::fleet::kMaxTimeoutMs);

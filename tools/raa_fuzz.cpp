@@ -34,6 +34,7 @@
 #include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "fuzz/fuzz.hpp"
+#include "report/json_bind.hpp"
 #include "report/report.hpp"
 
 namespace {
@@ -56,21 +57,26 @@ int main(int argc, char** argv) try {
     return raa::kExitOk;
   }
 
-  raa::fuzz::FuzzOptions opt;
-  const std::int64_t seed = cli.get_int("seed", 1);
-  const std::int64_t budget = cli.get_int("budget-runs", 25);
-  const std::int64_t max_accesses =
-      cli.get_int("max-accesses",
-                  static_cast<std::int64_t>(opt.limits.max_accesses));
-  if (seed < 0 || budget < 1 || max_accesses < 1) {
-    std::fprintf(stderr,
-                 "error: need --seed >= 0, --budget-runs >= 1 and "
-                 "--max-accesses >= 1\n");
+  if (const std::string bad = cli.unknown_flag(
+          {"seed", "budget-runs", "out", "json", "max-accesses",
+           "inject-divergence", "emit-manifest", "quiet", "help"});
+      !bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
     return usage(argv[0]);
   }
-  opt.seed = static_cast<std::uint64_t>(seed);
-  opt.budget_runs = static_cast<std::uint64_t>(budget);
-  opt.limits.max_accesses = static_cast<std::uint64_t>(max_accesses);
+
+  raa::fuzz::FuzzOptions opt;
+  std::string error;
+  using raa::json::bind::convert_flag;
+  using raa::json::bind::positive;
+  convert_flag({&error}, cli, "seed", 0, 0, opt.seed);
+  convert_flag({&error}, cli, "budget-runs", positive, 0, opt.budget_runs);
+  convert_flag({&error}, cli, "max-accesses", positive, 0,
+               opt.limits.max_accesses);
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return usage(argv[0]);
+  }
   opt.out_dir = cli.get_string("out", "");
   opt.inject_marker = cli.get_bool("inject-divergence", false);
   opt.emit_manifest = cli.get_bool("emit-manifest", false);

@@ -124,6 +124,14 @@ int main(int argc, char** argv) try {
     usage(argv[0]);
     return raa::kExitOk;
   }
+  if (const std::string bad = cli.unknown_flag(
+          {"scenario", "replay", "record", "json", "selfcheck", "quiet",
+           "trace-out", "trace-clock", "mode", "backend", "mapping", "seed",
+           "fail-on-marker", "help"});
+      !bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
+    return usage(argv[0]);
+  }
 
   const std::string scenario_path = cli.get_string("scenario", "");
   const std::string replay_path = cli.get_string("replay", "");

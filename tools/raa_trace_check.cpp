@@ -24,6 +24,7 @@
 #include <string>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/exit_codes.hpp"
 #include "report/json.hpp"
 
@@ -149,6 +150,12 @@ bool check_file(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every argument is a file: a flag is a usage error, not a file name.
+  if (const std::string bad = raa::Cli{argc, argv}.unknown_flag({});
+      !bad.empty()) {
+    std::fprintf(stderr, "raa_trace_check: %s\n", bad.c_str());
+    return raa::kExitUsage;
+  }
   if (argc < 2) {
     std::fprintf(stderr, "usage: %s FILE.json [FILE2.json ...]\n", argv[0]);
     return raa::kExitUsage;
