@@ -10,7 +10,8 @@
 #include "harness.hpp"
 #include "solver/cg.hpp"
 
-RAA_BENCHMARK("ablation_ckpt_interval", "§4 checkpoint-interval ablation") {
+RAA_BENCHMARK("ablation_ckpt_interval", "§4 checkpoint-interval ablation",
+              "grid", "scale") {
   const auto scale = ctx.flag<std::uint64_t>("scale", 1, raa::bench::kMaxScale);
   const auto grid =
       ctx.flag<std::uint64_t>("grid", 192, raa::bench::kMaxGrid) * scale;

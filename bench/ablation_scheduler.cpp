@@ -17,7 +17,8 @@
 #include "runtime/runtime.hpp"
 #include "simcore/tdg_sim.hpp"
 
-RAA_BENCHMARK("ablation_scheduler", "§3.1 scheduling-policy ablation") {
+RAA_BENCHMARK("ablation_scheduler", "§3.1 scheduling-policy ablation",
+              "scale") {
   using raa::tdg::Synthetic;
   const auto scale = ctx.flag("scale", 1u, raa::bench::kMaxScale);
   ctx.report.set_param("scale", std::to_string(scale));

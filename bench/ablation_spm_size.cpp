@@ -13,7 +13,7 @@
 #include "kernels/nas.hpp"
 #include "memsim/system.hpp"
 
-RAA_BENCHMARK("ablation_spm_size", "§2 SPM-size ablation") {
+RAA_BENCHMARK("ablation_spm_size", "§2 SPM-size ablation", "scale", "tiles") {
   raa::mem::SystemConfig base_cfg;
   base_cfg.tiles = ctx.flag("tiles", 64u, raa::bench::kMaxTiles);
   const auto scale = ctx.flag("scale", 1u, raa::bench::kMaxScale);

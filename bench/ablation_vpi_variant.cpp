@@ -11,7 +11,8 @@
 #include "harness.hpp"
 #include "sort/sorts.hpp"
 
-RAA_BENCHMARK("ablation_vpi_variant", "§3.2 VPI/VLU-variant ablation") {
+RAA_BENCHMARK("ablation_vpi_variant", "§3.2 VPI/VLU-variant ablation",
+              "n", "scale") {
   const auto scale = ctx.flag<std::uint64_t>("scale", 1, raa::bench::kMaxScale);
   const auto n =
       ctx.flag<std::uint64_t>("n", 65536, raa::bench::kMaxKeys) * scale;

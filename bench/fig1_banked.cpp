@@ -22,7 +22,8 @@
 #include "kernels/nas.hpp"
 #include "memsim/system.hpp"
 
-RAA_BENCHMARK("fig1_banked", "§2 Figure 1 (banked-DRAM row locality)") {
+RAA_BENCHMARK("fig1_banked", "§2 Figure 1 (banked-DRAM row locality)",
+              "scale", "tiles") {
   raa::mem::SystemConfig cfg;
   cfg.tiles = ctx.flag("tiles", 16u, raa::bench::kMaxTiles);
   cfg.mesh_x = cfg.tiles >= 64 ? 8 : 4;

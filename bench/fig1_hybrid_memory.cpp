@@ -97,7 +97,8 @@ void run_fig1(raa::bench::Context& ctx, unsigned tiles, unsigned scale) {
 
 }  // namespace
 
-RAA_BENCHMARK("fig1_hybrid_memory", "§2 Figure 1") {
+RAA_BENCHMARK("fig1_hybrid_memory", "§2 Figure 1",
+              "scale", "tiles", "verbose") {
   run_fig1(ctx, ctx.flag("tiles", 64u, raa::bench::kMaxTiles),
            ctx.flag("scale", 1u, raa::bench::kMaxScale));
 }
@@ -106,6 +107,7 @@ RAA_BENCHMARK("fig1_hybrid_memory", "§2 Figure 1") {
 // working sets (multi-hundred-KiB per-core partitions, as in the paper's
 // NAS class sizes). The flat-line fast path is what lets this fit in the
 // bench-smoke CI budget.
-RAA_BENCHMARK("fig1_paper_scale", "§2 Figure 1 (paper-scale working sets)") {
+RAA_BENCHMARK("fig1_paper_scale", "§2 Figure 1 (paper-scale working sets)",
+              "paper-scale", "verbose") {
   run_fig1(ctx, 64, ctx.flag("paper-scale", 8u, raa::bench::kMaxScale));
 }

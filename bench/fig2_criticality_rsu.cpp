@@ -18,7 +18,7 @@
 #include "rsu/rsu.hpp"
 #include "runtime/graph.hpp"
 
-RAA_BENCHMARK("fig2_criticality_rsu", "§3.1 Figure 2") {
+RAA_BENCHMARK("fig2_criticality_rsu", "§3.1 Figure 2", "cores", "task-cycles") {
   const auto cores = ctx.flag("cores", 32u, raa::bench::kMaxCores);
   const double c = ctx.flag("task-cycles", 1.0e6, 0, 0);  // ~500us tasks
   ctx.report.set_param("cores", std::to_string(cores));

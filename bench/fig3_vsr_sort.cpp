@@ -26,7 +26,7 @@ std::vector<raa::vec::Elem> make_keys(std::size_t n, std::uint64_t seed) {
 
 }  // namespace
 
-RAA_BENCHMARK("fig3_vsr_sort", "§3.2 Figure 3") {
+RAA_BENCHMARK("fig3_vsr_sort", "§3.2 Figure 3", "n") {
   const auto n = ctx.flag<std::uint64_t>("n", 65536, raa::bench::kMaxKeys);
   ctx.report.set_param("n", std::to_string(n));
   // Every key array below derives from this seed (--seed overrides).

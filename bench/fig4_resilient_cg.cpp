@@ -42,7 +42,8 @@ raa::solver::CgResult run(const raa::solver::Csr& a,
 
 }  // namespace
 
-RAA_BENCHMARK("fig4_resilient_cg", "§4 Figure 4") {
+RAA_BENCHMARK("fig4_resilient_cg", "§4 Figure 4",
+              "ckpt-interval", "grid", "inject-frac", "series") {
   const raa::Cli& cli = ctx.cli;
   const auto grid = ctx.flag<std::uint64_t>("grid", 256, raa::bench::kMaxGrid);
   const double inject_frac =

@@ -16,7 +16,8 @@
 #include "common/table.hpp"
 #include "harness.hpp"
 
-RAA_BENCHMARK("fig5_task_scalability", "§5 Figure 5") {
+RAA_BENCHMARK("fig5_task_scalability", "§5 Figure 5",
+              "cores", "frames", "scale") {
   const auto cores = ctx.flag("cores", 16u, raa::bench::kMaxCores);
   const auto scale = ctx.flag<std::uint64_t>("scale", 1, raa::bench::kMaxScale);
   const auto frames =

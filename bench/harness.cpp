@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/check.hpp"
 #include "common/exit_codes.hpp"
 #include "exec/parallel.hpp"
 #include "report/json_bind.hpp"
@@ -96,6 +97,16 @@ int harness_main(int argc, char** argv) {
         "[--only=NAME] [--list] [bench-specific flags]\n",
         argc > 0 ? argv[0] : "bench");
     return raa::kExitOk;
+  }
+
+  // The shared flags plus every registered body's own.
+  std::vector<std::string_view> known = {"reps", "json", "only", "list",
+                                         "help", "jobs", "seed"};
+  for (const Spec& s : specs)
+    known.insert(known.end(), s.flags.begin(), s.flags.end());
+  if (const std::string bad = cli.unknown_flag(known); !bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
+    return raa::kExitUsage;
   }
 
   const std::string only = cli.get_string("only", "");
@@ -209,10 +220,14 @@ int harness_main(int argc, char** argv) {
 }  // namespace raa::bench
 
 int main(int argc, char** argv) {
-  // A bad bench flag (or --seed) throws from the unit that reads it.
+  // A bad bench flag (or --seed) throws from the unit that reads it, and
+  // a value within its flag's range can still fail a model check.
   try {
     return raa::bench::harness_main(argc, argv);
   } catch (const raa::bench::FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return raa::kExitUsage;
+  } catch (const raa::CheckError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return raa::kExitUsage;
   }

@@ -28,6 +28,10 @@
 /// Every numeric flag, shared or bench-specific (bodies read theirs with
 /// ctx.flag()), is checked like its JSON twin (json::bind::convert_flag):
 /// a malformed or out-of-range value exits 2 with a `--flag: ...` message.
+/// A flag that neither the harness nor a registered body reads exits 2
+/// with `unknown flag --x (accepted: ...)`, and a model check a flag value
+/// fails (raa::CheckError, e.g. a tile count no mesh has) exits 2 with its
+/// message.
 ///
 /// Single-figure binaries register exactly one benchmark; raa_bench_all
 /// links all bench sources and therefore registers all of them. Table
@@ -38,6 +42,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -117,6 +122,10 @@ struct Spec {
   std::string name;       ///< binary-style name, e.g. "fig1_hybrid_memory"
   std::string paper_ref;  ///< e.g. "§2 Figure 1"
   BenchFn fn = nullptr;
+  /// The bench-specific flags the body reads. A binary accepts the shared
+  /// flags plus those of every benchmark it registers, and exits 2 on any
+  /// other.
+  std::vector<std::string_view> flags;
 };
 
 /// Registration order across translation units is unspecified; the harness
@@ -132,15 +141,16 @@ int harness_main(int argc, char** argv);
 #define RAA_BENCH_CONCAT_(a, b) a##b
 #define RAA_BENCH_CONCAT(a, b) RAA_BENCH_CONCAT_(a, b)
 
-/// Defines and registers a benchmark body:
-///   RAA_BENCHMARK("fig1_hybrid_memory", "§2 Figure 1") { ... use ctx ... }
-#define RAA_BENCHMARK(name_str, paper_ref_str)                            \
+/// Defines and registers a benchmark body, naming the bench-specific flags
+/// it reads:
+///   RAA_BENCHMARK("fig3_vsr_sort", "§3.2 Figure 3", "n") { ... use ctx ... }
+#define RAA_BENCHMARK(name_str, paper_ref_str, ...)                       \
   static void RAA_BENCH_CONCAT(raa_bench_body_, __LINE__)(                \
       raa::bench::Context&);                                              \
   [[maybe_unused]] static const int RAA_BENCH_CONCAT(raa_bench_reg_,      \
                                                      __LINE__) =          \
       raa::bench::register_bench(                                        \
           {name_str, paper_ref_str,                                      \
-           &RAA_BENCH_CONCAT(raa_bench_body_, __LINE__)});               \
+           &RAA_BENCH_CONCAT(raa_bench_body_, __LINE__), {__VA_ARGS__}}); \
   static void RAA_BENCH_CONCAT(raa_bench_body_, __LINE__)(                \
       raa::bench::Context& ctx)

@@ -53,6 +53,10 @@ bool Cli::has(const std::string& name) const { return flags_.contains(name); }
 
 std::string Cli::unknown_flag(
     std::initializer_list<std::string_view> known) const {
+  return unknown_flag(std::span{known.begin(), known.size()});
+}
+
+std::string Cli::unknown_flag(std::span<const std::string_view> known) const {
   for (const auto& [name, value] : flags_) {
     if (std::find(known.begin(), known.end(), name) != known.end()) continue;
     std::string accepted;

@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -34,6 +35,7 @@ class Cli {
   /// that names its flags this way turns a misspelt one into a usage
   /// error instead of a silently kept default.
   std::string unknown_flag(std::initializer_list<std::string_view> known) const;
+  std::string unknown_flag(std::span<const std::string_view> known) const;
 
   /// An enum flag parsed through its name table (common/enum_names.hpp):
   /// nullopt when absent, or when the value is no name, which also sets

@@ -150,6 +150,13 @@ class StealingExecutor {
   void notify_one() { notifier_.notify_one(); }
   void notify_all() { notifier_.notify_all(); }
 
+  /// The notifier the workers park on. Every submit() notifies it, so a
+  /// thread outside the worker set that waits for work or for its own
+  /// condition may park on it too: prepare_wait(), re-check the queues
+  /// (try_pop) and the condition, then commit_wait(); whoever makes the
+  /// condition true notifies after publishing it.
+  Notifier& notifier() noexcept { return notifier_; }
+
   /// Stop and join the workers. Idempotent; called by the destructor.
   /// Items still queued are NOT run — drain before shutting down.
   void shutdown();

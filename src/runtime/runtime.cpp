@@ -1,6 +1,8 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "obs/counters.hpp"
@@ -24,23 +26,19 @@ thread_local CurrentTask t_current;
 
 Runtime::Runtime(RuntimeOptions options)
     : options_(options),
+      executed_(std::make_unique<ExecutedSlot[]>(options.num_workers + 1)),
       epoch_(std::chrono::steady_clock::now()),
       scheduler_(options.policy, options.num_workers, options.seed,
-                 [this](detail::TaskBlock* t, unsigned w) {
-                   run_popped(t, w);
-                 }) {
+                 [this](detail::TaskBlock* t, unsigned w) { execute(t, w); }) {
   // Expose the per-runtime task counters through the obs registry as
   // external gauges (summed across live runtimes) so ablation_scheduler
   // and RuntimeStats read the very same cells — no duplicated counts.
   auto& reg = obs::Registry::instance();
   obs_spawned_token_ = reg.attach_external("rt.tasks_spawned", [this] {
-    const std::scoped_lock lock{graph_mutex_};
-    return spawned_;
+    return std::uint64_t{next_id_.load(std::memory_order_relaxed)};
   });
-  obs_executed_token_ = reg.attach_external("rt.tasks_executed", [this] {
-    const std::scoped_lock lock{graph_mutex_};
-    return executed_;
-  });
+  obs_executed_token_ =
+      reg.attach_external("rt.tasks_executed", [this] { return executed(); });
 }
 
 Runtime::~Runtime() {
@@ -60,49 +58,86 @@ std::uint64_t Runtime::now_ns() const {
           .count());
 }
 
+detail::TaskBlock& Runtime::new_block(detail::TaskBody&& body,
+                                      TaskAttrs&& attrs) {
+  const TaskId id = next_id_.fetch_add(1, std::memory_order_seq_cst);
+  RAA_CHECK(id != kNoTask);  // ids fit
+  return tasks_.emplace(id, id, std::move(body), std::move(attrs));
+}
+
 TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
                            TaskAttrs&& attrs, bool nested) {
   RAA_CHECK(body);
   // Spawns from a worker thread go to that worker's own deque (lock-free
   // owner push under work stealing); external threads use the shared slot.
   const unsigned hint = scheduler_.current_worker();
-  const std::scoped_lock lock{graph_mutex_};
-  const auto id = static_cast<TaskId>(tasks_.size());
-  detail::TaskBlock& t = tasks_.emplace_back();
-  t.id = id;
-  t.body = std::move(body);
-  t.attrs = std::move(attrs);
-  if (nested && t_current.rt == this && t_current.task != nullptr) {
-    t.parent = t_current.task;
-    t.parent->children.fetch_add(1, std::memory_order_relaxed);
+  // Ranges are checked before an id is reserved: a spawn that throws must
+  // leave no task behind for taskwait() to wait on forever.
+  constexpr auto kTop = std::numeric_limits<std::uintptr_t>::max();
+  bool dependent = false;
+  for (const Dep& d : deps) {
+    RAA_CHECK_MSG(d.bytes <= kTop - d.base,
+                  "dependence range wraps around the address space");
+    dependent = dependent || d.bytes != 0;
   }
-  ++spawned_;
+  if (!dependent) {
+    // Nothing to register and no edges: ready at once, no lock.
+    detail::TaskBlock& t = new_block(std::move(body), std::move(attrs));
+    if (nested && t_current.rt == this && t_current.task != nullptr) {
+      t.parent = t_current.task;
+      const std::uint32_t before =
+          t.parent->children.fetch_add(1, std::memory_order_relaxed);
+      RAA_CHECK((before & detail::TaskBlock::kJoinParked) == 0 &&
+                before + 1 < detail::TaskBlock::kJoinParked);
+    }
+    const TaskId id = t.id;
+    scheduler_.push(&t, hint);  // push wakes a parked thread itself
+    RAA_OBS_HOST_EVENT(rt, task_spawn, instant, static_cast<std::uint64_t>(id),
+                       0);
+    return id;
+  }
 
+  std::unique_lock lock{graph_mutex_};
+  detail::TaskBlock& t = new_block(std::move(body), std::move(attrs));
+  const TaskId id = t.id;
   preds_.clear();
   registry_.register_task(id, deps, preds_);
+  const std::size_t npreds = preds_.size();
 
-  // Log every edge; an unfinished predecessor also gets the edge on the
-  // tail of its release chain, so completion releases in spawn order.
-  RAA_CHECK(preds_.size() < detail::kNoEdge - edges_.size());  // ids fit
+  // Log every edge, and link it onto the release chain of its predecessor
+  // unless that one has finished (closed its chain). The guard keeps
+  // pending_preds above zero until the links are counted below.
+  RAA_CHECK(npreds < detail::kClosed - edge_count_);  // ids fit
+  t.pending_preds.store(static_cast<std::uint32_t>(npreds) + 1,
+                        std::memory_order_relaxed);
+  std::uint32_t settled = 1;  // the guard, plus every finished predecessor
   for (const TaskId p : preds_) {
-    const auto e = static_cast<detail::EdgeId>(edges_.size());
-    edges_.push_back({p, id, detail::kNoEdge});
-    detail::TaskBlock& pred = tasks_[p];
-    if (pred.finished) continue;
-    if (pred.succ_tail == detail::kNoEdge)
-      pred.succ_head = e;
-    else
-      edges_[pred.succ_tail].next = e;
-    pred.succ_tail = e;
-    ++t.pending_preds;
+    const detail::EdgeId e = edge_count_++;
+    detail::Edge& edge = edges_.emplace(e, detail::Edge{p, id});
+    // Acquire on reading kClosed: this task is ordered after the
+    // predecessor's body even when this spawn is what pushes it.
+    std::atomic<detail::EdgeId>& head = tasks_[p].succ_head;
+    detail::EdgeId next = head.load(std::memory_order_acquire);
+    if (next != detail::kClosed) {
+      edge.next = next;
+      // Release: the completion that detaches the edge sees `t` and `edge`.
+      // Only that completion can change `head` meanwhile, so a failed CAS
+      // means the predecessor just finished.
+      if (head.compare_exchange_strong(next, e, std::memory_order_release,
+                                       std::memory_order_acquire))
+        continue;
+      RAA_CHECK(next == detail::kClosed);
+    }
+    ++settled;
   }
-  if (t.pending_preds == 0) {
-    // Count before the push: once pushed, a worker may pop and decrement.
-    ready_count_.fetch_add(1, std::memory_order_relaxed);
-    scheduler_.push(&t, hint);  // push wakes a parked worker itself
-  }
+  lock.unlock();
+
+  const std::uint32_t before =
+      t.pending_preds.fetch_sub(settled, std::memory_order_acq_rel);
+  RAA_CHECK(before >= settled);
+  if (before == settled) scheduler_.push(&t, hint);
   RAA_OBS_HOST_EVENT(rt, task_spawn, instant, static_cast<std::uint64_t>(id),
-                     preds_.size());
+                     npreds);
   return id;
 }
 
@@ -126,50 +161,44 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
                      static_cast<std::uint64_t>(task->id));
   task->body.reset();  // release captured state before completing
 
-  bool wake = false;
-  {
-    const std::scoped_lock lock{graph_mutex_};
-    task->finished = true;  // publishes `rec` to trace() and graph()
-    ++executed_;
-    for (detail::EdgeId e = task->succ_head; e != detail::kNoEdge;
-         e = edges_[e].next) {
-      detail::TaskBlock& succ = tasks_[edges_[e].to];
-      RAA_CHECK(succ.pending_preds > 0);
-      if (--succ.pending_preds == 0) {
-        ready_count_.fetch_add(1, std::memory_order_relaxed);
-        scheduler_.push(&succ, worker_id);
-      }
-    }
-    bool joined = false;
-    if (task->parent != nullptr) {
-      // Release: the parent's acquire load of 0 sees this body's writes.
-      const std::uint32_t before =
-          task->parent->children.fetch_sub(1, std::memory_order_release);
-      RAA_CHECK(before > 0);
-      joined = before == 1;  // may unblock the parent's corun/join
-    }
-    // Workers park inside the executor and are woken by scheduler_.push();
-    // done_cv_ wakes threads blocked in taskwait()/corun(), and only when
-    // one of their predicates holds: a wakeup that would find none true
-    // just parks again.
-    wake = waiters_ > 0 &&
-           (joined || executed_ == spawned_ ||
-            ready_count_.load(std::memory_order_relaxed) > 0);
+  // Close the release chain (publishing `rec` to trace() and graph()) and
+  // detach it. It lists the successors newest first: reverse it in place
+  // to release them in spawn order.
+  detail::EdgeId e =
+      task->succ_head.exchange(detail::kClosed, std::memory_order_acq_rel);
+  detail::EdgeId spawn_order = detail::kNoEdge;
+  while (e != detail::kNoEdge) {
+    const detail::EdgeId older = std::exchange(edges_[e].next, spawn_order);
+    spawn_order = e;
+    e = older;
   }
-  if (wake) done_cv_.notify_all();
-}
+  for (e = spawn_order; e != detail::kNoEdge; e = edges_[e].next) {
+    detail::TaskBlock& succ = tasks_[edges_[e].to];
+    const std::uint32_t before =
+        succ.pending_preds.fetch_sub(1, std::memory_order_acq_rel);
+    RAA_CHECK(before > 0);
+    if (before == 1) scheduler_.push(&succ, worker_id);
+  }
 
-void Runtime::run_popped(detail::TaskBlock* task, unsigned worker_id) {
-  const std::uint64_t before =
-      ready_count_.fetch_sub(1, std::memory_order_relaxed);
-  RAA_CHECK(before > 0);
-  execute(task, worker_id);
+  exec::Notifier& notifier = scheduler_.notifier();
+  if (task->parent != nullptr) {
+    // Release: the parent's acquire load of 0 sees this body's writes.
+    const std::uint32_t before =
+        task->parent->children.fetch_sub(1, std::memory_order_acq_rel);
+    RAA_CHECK((before & ~detail::TaskBlock::kJoinParked) > 0);
+    // The last child of a parked join wakes it.
+    if (before == (detail::TaskBlock::kJoinParked | 1)) notifier.notify_all();
+  }
+  executed_[worker_id].n.fetch_add(1, std::memory_order_seq_cst);
+  if (barrier_waiters_.load(std::memory_order_seq_cst) > 0 &&
+      barrier_reached())
+    notifier.notify_all();
 }
 
 bool Runtime::run_one(unsigned worker_id) {
   detail::TaskBlock* t = scheduler_.pop(worker_id);
   if (t == nullptr) return false;
-  run_popped(t, worker_id);
+  execute(t, worker_id);
   return true;
 }
 
@@ -182,23 +211,27 @@ void Runtime::corun() {
 }
 
 void Runtime::corun_children(detail::TaskBlock* task, unsigned worker_id) {
-  const auto drained = [task] {
-    return task->children.load(std::memory_order_acquire) == 0;
-  };
-  while (!drained()) {
+  exec::Notifier& notifier = scheduler_.notifier();
+  while (task->children.load(std::memory_order_acquire) != 0) {
     // Children outstanding: help run ready tasks (our children, or
     // anything else — stealing unrelated work is what keeps every
     // worker busy during a join).
     if (run_one(worker_id)) continue;
-    // Park. The last child's decrement happens under the graph mutex and
-    // reads waiters_ in the same hold, so it either sees this waiter and
-    // notifies, or has already drained the count this predicate reads.
-    std::unique_lock lock{graph_mutex_};
-    ++waiters_;
-    done_cv_.wait(lock, [&] {
-      return drained() || ready_count_.load(std::memory_order_relaxed) > 0;
-    });
-    --waiters_;
+    // Nothing ready: park until a push or the last child's completion.
+    // Setting kJoinParked after prepare_wait() makes the last child see
+    // it and notify, unless the count was already 0 when it was set.
+    const std::uint64_t epoch = notifier.prepare_wait();
+    const bool drained =
+        task->children.fetch_or(detail::TaskBlock::kJoinParked,
+                                std::memory_order_acq_rel) == 0;
+    detail::TaskBlock* t = drained ? nullptr : scheduler_.pop(worker_id);
+    if (drained || t != nullptr)
+      notifier.cancel_wait();
+    else
+      notifier.commit_wait(epoch);
+    task->children.fetch_and(~detail::TaskBlock::kJoinParked,
+                             std::memory_order_relaxed);
+    if (t != nullptr) execute(t, worker_id);
   }
 }
 
@@ -210,47 +243,77 @@ void Runtime::taskwait() {
   // The caller helps execute tasks (worker id = num_workers: the shared
   // "external" slot of the scheduler).
   const unsigned self = scheduler_.current_worker();
+  exec::Notifier& notifier = scheduler_.notifier();
   for (;;) {
     if (run_one(self)) continue;
-    std::unique_lock lock{graph_mutex_};
-    if (executed_ == spawned_) return;
-    // Nothing ready but tasks still in flight on workers: wait for a
-    // completion that reaches the barrier or makes new tasks ready.
-    ++waiters_;
-    done_cv_.wait(lock, [&] {
-      return executed_ == spawned_ ||
-             ready_count_.load(std::memory_order_relaxed) > 0;
-    });
-    --waiters_;
-    if (executed_ == spawned_) return;
+    // Nothing ready: park until a push or the completion that reaches the
+    // barrier. Counting ourselves in barrier_waiters_ first makes that
+    // completion check the barrier, unless this check sees it reached.
+    barrier_waiters_.fetch_add(1, std::memory_order_seq_cst);
+    const std::uint64_t epoch = notifier.prepare_wait();
+    const bool done = barrier_reached();
+    detail::TaskBlock* t = done ? nullptr : scheduler_.pop(self);
+    if (done || t != nullptr)
+      notifier.cancel_wait();
+    else
+      notifier.commit_wait(epoch);
+    barrier_waiters_.fetch_sub(1, std::memory_order_relaxed);
+    if (done) return;
+    if (t != nullptr) execute(t, self);
   }
+}
+
+std::uint64_t Runtime::executed() const noexcept {
+  std::uint64_t sum = 0;
+  for (unsigned w = 0; w <= options_.num_workers; ++w)
+    sum += executed_[w].n.load(std::memory_order_seq_cst);
+  return sum;
+}
+
+bool Runtime::barrier_reached() const noexcept {
+  // Executed counts first: a task is counted spawned before it can be
+  // counted executed, so equal sums read in this order mean every task
+  // spawned before the last read had finished by the first one.
+  const std::uint64_t done = executed();
+  return done == next_id_.load(std::memory_order_seq_cst);
 }
 
 tdg::Graph Runtime::graph() const {
   const std::scoped_lock lock{graph_mutex_};
   tdg::Graph g;
-  for (const detail::TaskBlock& t : tasks_) {
-    double cost = t.attrs.cost_hint;
+  const TaskId n = next_id_.load(std::memory_order_acquire);
+  for (TaskId id = 0; id < n; ++id) {
+    const detail::TaskBlock* t = tasks_.find(id);
+    if (t == nullptr) {
+      // Reserved by a dependence-free spawn still constructing its block.
+      g.add_node(1.0);
+      continue;
+    }
+    double cost = t->attrs.cost_hint;
     if (cost <= 0.0)
       // The measured duration once finished (>= 1 ns so graph analyses
       // never see zero-cost nodes), else a placeholder of 1.
-      cost = t.finished ? std::max<double>(1.0, static_cast<double>(
-                                                    t.trace.end_ns -
-                                                    t.trace.start_ns))
-                        : 1.0;
-    g.add_node(cost, t.attrs.label,
-               t.attrs.criticality == Criticality::critical);
+      cost = t->finished()
+                 ? std::max<double>(1.0, static_cast<double>(
+                                             t->trace.end_ns -
+                                             t->trace.start_ns))
+                 : 1.0;
+    g.add_node(cost, t->attrs.label,
+               t->attrs.criticality == Criticality::critical);
   }
-  for (const detail::Edge& e : edges_) g.add_edge(e.from, e.to);
+  for (detail::EdgeId e = 0; e < edge_count_; ++e)
+    g.add_edge(edges_[e].from, edges_[e].to);
   return g;
 }
 
 std::vector<TraceRecord> Runtime::trace() const {
-  const std::scoped_lock lock{graph_mutex_};
   std::vector<TraceRecord> out;
-  out.reserve(static_cast<std::size_t>(executed_));
-  for (const detail::TaskBlock& t : tasks_)
-    if (t.finished) out.push_back(t.trace);
+  out.reserve(static_cast<std::size_t>(executed()));
+  const TaskId n = next_id_.load(std::memory_order_acquire);
+  for (TaskId id = 0; id < n; ++id) {
+    const detail::TaskBlock* t = tasks_.find(id);
+    if (t != nullptr && t->finished()) out.push_back(t->trace);
+  }
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceRecord& a, const TraceRecord& b) {
                      return a.end_ns < b.end_ns;
@@ -259,8 +322,11 @@ std::vector<TraceRecord> Runtime::trace() const {
 }
 
 RuntimeStats Runtime::stats() const {
+  // Executed first, so a snapshot never shows more executed than spawned.
+  const std::uint64_t executed_tasks = executed();
+  const std::uint64_t spawned = next_id_.load(std::memory_order_seq_cst);
   const std::scoped_lock lock{graph_mutex_};
-  return RuntimeStats{spawned_, executed_, edges_.size(),
+  return RuntimeStats{spawned, executed_tasks, edge_count_,
                       scheduler_.steal_count()};
 }
 

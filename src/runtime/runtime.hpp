@@ -34,10 +34,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -46,6 +45,7 @@
 #include "runtime/dependences.hpp"
 #include "runtime/graph.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/segmented.hpp"
 #include "runtime/task.hpp"
 
 namespace raa::rt {
@@ -141,45 +141,58 @@ class Runtime {
   TaskId spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
                     TaskAttrs&& attrs, bool nested);
 
+  /// Reserves the next task id and constructs its block there.
+  detail::TaskBlock& new_block(detail::TaskBody&& body, TaskAttrs&& attrs);
+
   /// Run one ready task if available. Returns false when no task was ready.
   bool run_one(unsigned worker_id);
-
-  /// Scheduler callback: bookkeeping for a popped task, then execute().
-  void run_popped(detail::TaskBlock* task, unsigned worker_id);
 
   void execute(detail::TaskBlock* task, unsigned worker_id);
 
   /// Cooperatively run/steal until task->children == 0.
   void corun_children(detail::TaskBlock* task, unsigned worker_id);
 
+  /// Every task spawned so far has finished (seq_cst reads; see
+  /// docs/ARCHITECTURE.md "Why no wakeup is lost").
+  bool barrier_reached() const noexcept;
+
+  /// Tasks executed: the sum of the executed slots.
+  std::uint64_t executed() const noexcept;
+
   std::uint64_t now_ns() const;
 
   RuntimeOptions options_;
 
-  /// Graph mutex: guards task-block state transitions, the dependence
-  /// registry, the edge log and the spawn/execute counters. A spawn
-  /// and a completion each take it once; task bodies, the pop bookkeeping
-  /// and a join's fast check run unlocked (see ready_count_ and
-  /// TaskBlock::children).
+  /// Graph mutex: guards the dependence registry, the predecessor scratch
+  /// list, edge-log appends and the id order of dependent spawns (a
+  /// dependent spawn reserves its id under it, so its predecessors always
+  /// have smaller ids). Completions and dependence-free spawns never take
+  /// it.
   mutable std::mutex graph_mutex_;
-  /// Signalled after a completion that can satisfy a waiter's predicate
-  /// (tasks made ready, a parent's children drained, the barrier reached),
-  /// and only when some thread is parked on it.
-  std::condition_variable done_cv_;
-  unsigned waiters_ = 0;  ///< threads parked on done_cv_ (graph mutex)
   DependenceRegistry registry_;
-  std::deque<detail::TaskBlock> tasks_;  ///< emplace_back: stable addresses
   std::vector<TaskId> preds_;  ///< spawn's reused predecessor scratch list
+  /// Task blocks by id. Any thread constructs the block of the id it
+  /// reserved; graph() and trace() skip blocks still being constructed.
+  detail::SegmentedStore<detail::TaskBlock> tasks_;
   /// Every dependence edge in spawn order (one spawn's edges by ascending
   /// predecessor id). It is both the TDG's edge list (graph()) and the
-  /// storage of the release chains (TaskBlock::succ_head).
-  std::vector<detail::Edge> edges_;
-  std::uint64_t spawned_ = 0;
-  std::uint64_t executed_ = 0;
-  /// Tasks inside the scheduler. Incremented under the graph mutex before
-  /// the push, decremented without it after the pop: a decrement can only
-  /// falsify a waiter's `ready_count_ > 0`, so it never owes a wakeup.
-  std::atomic<std::uint64_t> ready_count_{0};
+  /// storage of the release chains (TaskBlock::succ_head). Appended under
+  /// the graph mutex; completions index the entries of their chains.
+  detail::SegmentedStore<detail::Edge> edges_;
+  detail::EdgeId edge_count_ = 0;  ///< graph mutex
+  /// The next task id. Ids are reserved with one fetch_add, so it is also
+  /// the count of tasks spawned.
+  std::atomic<TaskId> next_id_{0};
+  /// Tasks executed, one counter per scheduler slot (worker w, and slot
+  /// num_workers for every thread outside the worker set), each on its own
+  /// cache line.
+  struct alignas(64) ExecutedSlot {
+    std::atomic<std::uint64_t> n{0};
+  };
+  std::unique_ptr<ExecutedSlot[]> executed_;
+  /// Threads parked in taskwait(). A completion checks the barrier, and
+  /// wakes them, only while some thread is.
+  std::atomic<unsigned> barrier_waiters_{0};
 
   /// Registry external-gauge handles ("rt.tasks_spawned" /
   /// "rt.tasks_executed"): the counters above stay the single source of

@@ -76,6 +76,10 @@ class Scheduler {
   /// caller is not one of this scheduler's workers.
   unsigned current_worker() const noexcept;
 
+  /// The executor's notifier: push() notifies it, and the runtime's
+  /// taskwait()/corun() park on it (exec::StealingExecutor::notifier()).
+  exec::Notifier& notifier() noexcept { return executor_.notifier(); }
+
   SchedulerPolicy policy() const noexcept { return policy_; }
   unsigned num_workers() const noexcept { return num_workers_; }
 

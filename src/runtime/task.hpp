@@ -216,51 +216,67 @@ class TaskBody {
 /// Index of an edge in the runtime's edge log.
 using EdgeId = std::uint32_t;
 inline constexpr EdgeId kNoEdge = static_cast<EdgeId>(-1);
+/// TaskBlock::succ_head of a finished task: its release chain is closed.
+inline constexpr EdgeId kClosed = kNoEdge - 1;
 
 /// One dependence edge of the runtime's edge log: `to` waits for `from`.
-/// Edges are logged in spawn order; `next` chains the edges of one
-/// predecessor that still had to release their successor when it was
-/// spawned (the release chain, see TaskBlock::succ_head).
+/// Edges are logged in spawn order. `next` links the edge into the release
+/// chain of `from` when `from` was unfinished at the spawn (see
+/// TaskBlock::succ_head); it is written by the spawn before the edge joins
+/// the chain and afterwards only by the completion that detached it.
 struct Edge {
   TaskId from = kNoTask;
   TaskId to = kNoTask;
   EdgeId next = kNoEdge;
 };
 
-/// Internal task control block. Guarded by the runtime's graph mutex except
-/// where noted; task bodies execute outside any lock. The members are
-/// ordered to leave no padding: three blocks fit in a 512-byte deque node.
+/// Internal task control block. A block is written by its spawn before it
+/// is published (to the scheduler, to a predecessor's release chain, or to
+/// graph()/trace() through the task store); afterwards the members below
+/// say who touches them. Task bodies execute outside any lock.
 struct TaskBlock {
+  TaskBlock(TaskId task, TaskBody&& fn, TaskAttrs&& a) noexcept
+      : id(task), body(std::move(fn)), attrs(std::move(a)) {}
+
+  /// Bit of `children` set while the task's join is parked.
+  static constexpr std::uint32_t kJoinParked = std::uint32_t{1} << 31;
+
   TaskId id = kNoTask;
-  /// Number of not-yet-finished predecessors. Guarded by the graph mutex.
-  std::uint32_t pending_preds = 0;
-  /// Written at spawn; afterwards touched only by the executing thread,
-  /// which also releases it after the run, outside the lock.
+  /// Predecessors that have not released this task yet, plus one guard
+  /// that the spawn holds while it links the task onto their chains, so
+  /// no release can reach zero before the spawn is done. The decrement
+  /// that reaches zero pushes the task. Zero for dependence-free tasks.
+  std::atomic<std::uint32_t> pending_preds{0};
+  /// Once published, touched only by the executing thread, which releases
+  /// it after the run.
   TaskBody body;
   TaskAttrs attrs;
 
-  /// Release chain: the first and last edge-log entries whose successor
-  /// was spawned while this task was unfinished, linked through
-  /// Edge::next in spawn order. Completion walks it; guarded by the graph
-  /// mutex.
-  EdgeId succ_head = kNoEdge;
-  EdgeId succ_tail = kNoEdge;
+  /// Release chain: the newest edge-log entry whose successor still waits
+  /// for this task, linked through Edge::next newest first. A dependent
+  /// spawn links an edge on with a CAS (under the graph mutex, so the CAS
+  /// can only lose to the completion); the completion detaches the chain
+  /// and closes it with one exchange to kClosed, which also publishes
+  /// `trace`, and releases the successors in spawn order.
+  std::atomic<EdgeId> succ_head{kNoEdge};
 
-  /// Nested-spawn linkage (Runtime::silent_async): the task whose body
-  /// spawned this one, and the count of this task's own live children.
-  /// `children` is incremented at the child's spawn and decremented
-  /// (release) at its completion, both under the graph mutex; the parent's
-  /// join reads it with acquire loads and locks only to park. A task
-  /// completes only after its children count has drained back to zero
-  /// (implicit join).
-  TaskBlock* parent = nullptr;
+  /// Nested-spawn linkage (Runtime::silent_async): the count of this
+  /// task's live children, plus kJoinParked while its join is parked. It is
+  /// incremented at a child's spawn by the thread running this task and
+  /// decremented (release) at the child's completion; the join reads it
+  /// with acquire. A task completes only after its children count has
+  /// drained back to zero (implicit join).
   std::atomic<std::uint32_t> children{0};
-
-  /// Set under the graph mutex at completion; `trace` is final once set.
-  bool finished = false;
+  /// The task whose body spawned this one, or null.
+  TaskBlock* parent = nullptr;
 
   /// Written by the executing thread just before completion.
   TraceRecord trace;
+
+  /// True once the completion closed the release chain; `trace` is final.
+  bool finished() const noexcept {
+    return succ_head.load(std::memory_order_acquire) == kClosed;
+  }
 };
 
 }  // namespace detail

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -107,6 +109,22 @@ TEST(Runtime, TaskwaitInsideTaskBodyRejected) {
   });
   rt.taskwait();
   EXPECT_TRUE(threw.load());
+}
+
+// A dependence range that wraps past the end of the address space is
+// rejected before the spawn reserves a task id: the failed spawn leaves
+// nothing behind, so taskwait() and the destructor still return.
+TEST(Runtime, WrappingDependenceRangeLeavesNoTaskBehind) {
+  Runtime rt{{.num_workers = 1}};
+  const Dep wraps{std::numeric_limits<std::uintptr_t>::max() - 3, 8,
+                  raa::rt::AccessMode::write};
+  EXPECT_THROW(rt.spawn({wraps}, [] {}), std::logic_error);
+  int x = 0;
+  rt.spawn({raa::rt::out(x)}, [&] { x = 1; });
+  rt.taskwait();
+  EXPECT_EQ(x, 1);
+  EXPECT_EQ(rt.stats().tasks_spawned, 1u);
+  EXPECT_EQ(rt.stats().tasks_executed, 1u);
 }
 
 TEST(Runtime, CapturedGraphMatchesSpawns) {

@@ -12,6 +12,9 @@
 //    divide-and-conquer (fib) is correct across policies/worker counts.
 //  * RuntimeLifecycleStress: nested fib beside a dependence wavefront on
 //    3 workers, against serial references, RAA_STRESS_ITERS rounds.
+//  * RuntimeReleaseRace / RuntimeParking: lock-free releases against
+//    concurrent links, every edge checked against the trace; wakeups of
+//    parked joins and barriers; readers during lock-free spawns.
 //  * StealEquivalence: the captured TDG — and every simulated metric
 //    raa::sim::replay derives from it (the fig5/ablation_scheduler
 //    pipeline) — is field-identical no matter how many host workers or
@@ -25,9 +28,11 @@
 // in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -35,6 +40,7 @@
 #include <vector>
 
 #include "apps/miniapps.hpp"
+#include "common/rng.hpp"
 #include "exec/stealing.hpp"
 #include "exec/wsq.hpp"
 #include "golden_testing.hpp"
@@ -374,11 +380,12 @@ TEST(NestedSpawn, RecursiveFibAcrossPoliciesAndWorkers) {
 
 // --- Runtime lifecycle stress ----------------------------------------------
 //
-// The runtime's lock-light paths under contention: the unlocked pop
-// bookkeeping, a join's acquire fast check of its children count, and
-// parking on done_cv_ only when nothing is ready. Each round runs a
-// nested fib beside a dependence wavefront on 3 workers plus the caller,
-// both checked against serial references; the policy rotates per round.
+// The runtime's lock-free paths under contention: releases racing
+// dependent spawns, a join's acquire fast check of its children count,
+// and parking on the executor's notifier only when nothing is ready.
+// Each round runs a nested fib beside a dependence wavefront on 3 workers
+// plus the caller, both checked against serial references; the policy
+// rotates per round.
 // The runtime_stress CTest entry raises the round count (RAA_STRESS_ITERS)
 // for the TSan job.
 
@@ -443,6 +450,171 @@ TEST(RuntimeLifecycleStress, FibAndWavefrontMatchSerialReferences) {
     // only (the cell itself has no earlier writer in a fresh runtime).
     ASSERT_EQ(st.edges, 2 * kWaveGrid * (kWaveGrid - 1)) << "round " << r;
   }
+}
+
+// --- Release races and parking ---------------------------------------------
+//
+// Completions release their successors without a lock while dependent
+// spawns link onto the release chains of unfinished predecessors, and
+// taskwait()/corun() park on the executor's notifier. These tests aim at
+// the windows in between: a predecessor that finishes while a successor
+// links onto it, a push while every other thread is parked, and readers
+// of graph()/trace()/stats() while dependence-free spawns reserve ids.
+
+/// Byte ranges shared by the release-race tasks, with a per-slot count of
+/// the tasks writing it right now: a writer must find no other writer and
+/// no reader, a reader no writer.
+struct RaceSlots {
+  static constexpr std::size_t kSlots = 6;
+  std::array<std::uint64_t, kSlots> value{};
+  std::array<std::atomic<int>, kSlots> writers{};
+  std::array<std::atomic<int>, kSlots> readers{};
+  std::atomic<int> conflicts{0};
+};
+
+/// One tiny task: inout(slot a) and in(slots [b, b+2)), partly
+/// overlapping other tasks' ranges, so registration splits segments.
+void spawn_race_task(Runtime& rt, RaceSlots& s, std::size_t a,
+                     std::size_t b) {
+  const std::span<const std::uint64_t> reads{&s.value[b], 2};
+  rt.spawn({raa::rt::inout(s.value[a]), raa::rt::in(reads)}, [&s, a, b] {
+    if (s.writers[a].fetch_add(1) != 0 || s.readers[a].load() != 0)
+      s.conflicts.fetch_add(1);
+    for (std::size_t r = b; r < b + 2; ++r)
+      if (r != a) {
+        s.readers[r].fetch_add(1);
+        if (s.writers[r].load() != 0) s.conflicts.fetch_add(1);
+      }
+    ++s.value[a];
+    for (std::size_t r = b; r < b + 2; ++r)
+      if (r != a) s.readers[r].fetch_sub(1);
+    s.writers[a].fetch_sub(1);
+  });
+}
+
+/// Every edge of the captured graph is respected by the measured trace.
+void expect_trace_respects_edges(const Runtime& rt, const std::string& what) {
+  const auto g = rt.graph();
+  const auto trace = rt.trace();
+  ASSERT_EQ(trace.size(), g.node_count()) << what;
+  std::vector<std::uint64_t> start_ns(g.node_count());
+  std::vector<std::uint64_t> end_ns(g.node_count());
+  for (const auto& rec : trace) {
+    start_ns[rec.task] = rec.start_ns;
+    end_ns[rec.task] = rec.end_ns;
+  }
+  for (raa::tdg::NodeId v = 0; v < g.node_count(); ++v)
+    for (const auto succ : g.successors(v))
+      ASSERT_LE(end_ns[v], start_ns[succ]) << what << ": " << v << " -> "
+                                           << succ;
+}
+
+// Dependent tasks spawned from inside running tasks on 3 workers: eight
+// drivers each spawn 48 tiny tasks over six shared slots, so releases and
+// links interleave on the same chains. The release_race_stress CTest
+// entry raises the round count (RAA_STRESS_ITERS) under the TSan job.
+TEST(RuntimeReleaseRace, NestedDependentSpawnsRespectEveryEdge) {
+  const unsigned rounds = stress_iters(4);
+  constexpr unsigned kDrivers = 8;
+  constexpr unsigned kTasksPerDriver = 48;
+  for (unsigned r = 0; r < rounds; ++r) {
+    Runtime rt{{.num_workers = 3, .seed = r + 1}};
+    RaceSlots s;
+    for (unsigned d = 0; d < kDrivers; ++d)
+      rt.spawn([&rt, &s, seed = r * kDrivers + d] {
+        raa::Rng rng{seed};
+        for (unsigned i = 0; i < kTasksPerDriver; ++i)
+          spawn_race_task(rt, s, rng.below(RaceSlots::kSlots),
+                          rng.below(RaceSlots::kSlots - 1));
+      });
+    rt.taskwait();
+    const std::string what = "round " + std::to_string(r);
+    ASSERT_EQ(s.conflicts.load(), 0) << what;
+    std::uint64_t writes = 0;
+    for (const std::uint64_t v : s.value) writes += v;
+    ASSERT_EQ(writes, kDrivers * kTasksPerDriver) << what;
+    const auto st = rt.stats();
+    ASSERT_EQ(st.tasks_executed, st.tasks_spawned) << what;
+    ASSERT_EQ(st.tasks_spawned, kDrivers * (kTasksPerDriver + 1)) << what;
+    expect_trace_respects_edges(rt, what);
+  }
+}
+
+// More workers than the host has hardware threads. P's child C runs on
+// another thread (P waits until it started), so P's corun parks. C sleeps
+// until every other thread has had time to park, then pushes its own
+// child G to its deque and spins until G is done: only a parked thread
+// woken by that push can run G. Then C's implicit join, P's parked corun
+// and the caller's parked taskwait must all wake. A lost wakeup hangs
+// here, under the runtime_parking CTest timeout.
+TEST(RuntimeParking, LastTaskPushedWhileEveryoneElseIsParked) {
+  const unsigned workers =
+      std::clamp(std::thread::hardware_concurrency() + 4, 8u, 16u);
+  for (unsigned round = 0; round < stress_iters(3); ++round) {
+    Runtime rt{{.num_workers = workers, .seed = round + 1}};
+    std::atomic<bool> c_started{false};
+    std::atomic<bool> g_done{false};
+    bool p_joined = false;
+    rt.spawn([&] {
+      rt.silent_async([&] {
+        c_started.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        rt.silent_async([&] { g_done.store(true); });
+        spin_until([&] { return g_done.load(); });
+      });
+      spin_until([&] { return c_started.load(); });
+      rt.corun();
+      p_joined = g_done.load();
+    });
+    rt.taskwait();
+    EXPECT_TRUE(p_joined) << "round " << round;
+    EXPECT_EQ(rt.stats().tasks_executed, 3u) << "round " << round;
+  }
+}
+
+// graph(), trace() and stats() read the task store while dependence-free
+// spawns reserve ids and construct their blocks without the graph mutex
+// (and dependent spawns append edges under it). Every snapshot must be
+// consistent; under TSan this also checks the blocks' publication.
+TEST(RuntimeParking, ReadersStaySafeWhileSpawnsReserveIds) {
+  Runtime rt{{.num_workers = 2}};
+  constexpr unsigned kSpawns = 2000;
+  std::atomic<bool> spawning{true};
+  double chained = 0.0;
+  std::jthread spawner([&] {
+    for (unsigned i = 0; i < kSpawns; ++i) {
+      if (i % 8 == 0)
+        rt.spawn({raa::rt::inout(chained)}, [&chained] { chained += 1.0; });
+      else
+        rt.spawn([] {}, {.label = "free" + std::to_string(i)});
+    }
+    spawning.store(false);
+  });
+  unsigned snapshots = 0;
+  while (spawning.load() || snapshots < 3) {
+    const auto before = rt.stats();
+    const auto g = rt.graph();
+    const auto trace = rt.trace();
+    const auto after = rt.stats();
+    ASSERT_LE(before.tasks_executed, before.tasks_spawned);
+    ASSERT_LE(before.tasks_spawned, g.node_count());
+    ASSERT_LE(g.node_count(), after.tasks_spawned);
+    ASSERT_LE(before.edges, g.edge_count());
+    ASSERT_LE(g.edge_count(), after.edges);
+    // A task closes its release chain (and shows in trace()) just before
+    // it counts as executed.
+    ASSERT_LE(trace.size(), after.tasks_spawned);
+    for (const auto& rec : trace) ASSERT_LT(rec.task, after.tasks_spawned);
+    ++snapshots;
+  }
+  spawner.join();
+  rt.taskwait();
+  EXPECT_EQ(chained, kSpawns / 8.0);
+  EXPECT_EQ(rt.stats().tasks_executed, kSpawns);
+  const auto g = rt.graph();
+  EXPECT_EQ(g.node_count(), kSpawns);
+  EXPECT_EQ(g.edge_count(), kSpawns / 8 - 1);
+  EXPECT_EQ(g.node(1).label, "free1");
 }
 
 // --- StealEquivalence -----------------------------------------------------
