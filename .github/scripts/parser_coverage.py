@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Line coverage of the JSON binding, the parsers built on it (scenario,
 manifest, benchmark report and baseline comparison), the RAAT trace codec
-(it decodes files from outside), and the memsim line table and protocol
-paths.
+(it decodes files from outside), the memsim line table and protocol
+paths, the task runtime (spawn, dependences, graph capture) and the
+work-stealing executor with the pool on it.
 
 Usage: parser_coverage.py BUILD_DIR OUT_DIR
 
@@ -12,7 +13,9 @@ OUT_DIR (the .gcov files CI uploads), then prints the line coverage of
 each file in FILES. A header counts a line as run when any object that
 compiles it ran it: src/report/json_bind.hpp over the scenario,
 manifest and report objects, src/memsim/linetable.hpp over the linetable
-and system objects. The numbers are informational, not a gate.
+and system objects, the runtime and executor headers over the runtime,
+dependences, graph, stealing and pool objects. The numbers are
+informational, not a gate.
 """
 import pathlib
 import subprocess
@@ -26,12 +29,22 @@ OBJECTS = {
     "compare": "src/CMakeFiles/raa_report.dir/report/compare.cpp.gcda",
     "linetable": "src/CMakeFiles/raa_memsim.dir/memsim/linetable.cpp.gcda",
     "system": "src/CMakeFiles/raa_memsim.dir/memsim/system.cpp.gcda",
+    "runtime": "src/CMakeFiles/raa_runtime.dir/runtime/runtime.cpp.gcda",
+    "dependences":
+        "src/CMakeFiles/raa_runtime.dir/runtime/dependences.cpp.gcda",
+    "graph": "src/CMakeFiles/raa_runtime.dir/runtime/graph.cpp.gcda",
+    "stealing": "src/CMakeFiles/raa_exec.dir/exec/stealing.cpp.gcda",
+    "pool": "src/CMakeFiles/raa_exec.dir/exec/pool.cpp.gcda",
 }
 FILES = ["src/scenario/scenario.cpp", "src/scenario/trace.cpp",
          "src/fleet/manifest.cpp", "src/report/report.cpp",
          "src/report/compare.cpp", "src/report/json_bind.hpp",
          "src/memsim/linetable.hpp", "src/memsim/linetable.cpp",
-         "src/memsim/system.cpp"]
+         "src/memsim/system.cpp",
+         "src/runtime/runtime.cpp", "src/runtime/dependences.cpp",
+         "src/runtime/graph.cpp", "src/runtime/segmented.hpp",
+         "src/runtime/task.hpp", "src/exec/stealing.cpp",
+         "src/exec/stealing.hpp", "src/exec/wsq.hpp", "src/exec/pool.cpp"]
 
 
 def line_hits(gcov_file):

@@ -17,16 +17,20 @@ thread_local const StealingExecutor* t_exec = nullptr;
 thread_local unsigned t_worker = 0;
 
 /// Failed-acquire yields before a worker parks on the notifier. Short:
-/// parking is cheap (one mutex + condvar) and the single-hardware-thread
-/// CI container punishes spinning hard.
+/// parking is cheap (one mutex + condvar), and on a host with fewer
+/// hardware threads than runnable workers (shared vCPUs, or more workers
+/// than cores as in the parking tests) a spinning worker takes time from
+/// the thread that would produce its work.
 constexpr int kYieldRounds = 16;
+
+/// Full sweeps over every victim before a failed steal gives up.
+constexpr unsigned kStealRounds = 2;
 }  // namespace
 
-StealingExecutor::StealingExecutor(Options options, RunFn run, PollFn poll)
-    : options_(options), run_(std::move(run)), poll_(std::move(poll)) {
+StealingExecutor::StealingExecutor(Options options, RunFn run)
+    : options_(options), run_(std::move(run)) {
   RAA_CHECK(run_ != nullptr);
   const unsigned n = options_.num_workers;
-  if (options_.steal_rounds == 0) options_.steal_rounds = 1;
   deques_.reserve(n);
   rng_.reserve(n);
   std::uint64_t sm = options_.seed;
@@ -105,9 +109,7 @@ void* StealingExecutor::try_pop(unsigned worker) {
   const unsigned n = options_.num_workers;
   const unsigned self = worker <= n ? worker : n;
   if (void* item = pop_own(self)) return item;
-  if (void* item = steal_sweep(self)) return item;
-  if (poll_ != nullptr) return poll_(self);
-  return nullptr;
+  return steal_sweep(self);
 }
 
 void* StealingExecutor::steal_sweep(unsigned self) {
@@ -116,7 +118,7 @@ void* StealingExecutor::steal_sweep(unsigned self) {
   // Victim space: the n worker deques plus the injection queue as victim
   // index n (stolen FIFO — oldest external submission first).
   const unsigned victims = n + 1;
-  for (unsigned round = 0; round < options_.steal_rounds; ++round) {
+  for (unsigned round = 0; round < kStealRounds; ++round) {
     // Randomized start breaks convoys. Workers draw from their own
     // deterministic stream; external threads share a rotating counter
     // (their victim order is not part of any determinism contract).

@@ -7,9 +7,8 @@
 /// of spinning.
 ///
 /// The executor is payload-agnostic: it moves `void*` items and calls a
-/// user RunFn on each. The tasking runtime's Scheduler adapts its
-/// TaskBlock* queues onto it; policies that need central ordering
-/// (fifo/criticality) plug a PollFn in as an extra work source.
+/// user RunFn on each. The tasking runtime (rt::Runtime) submits its
+/// ready TaskBlock*s to it directly, and exec::Pool submits its jobs.
 ///
 /// Host-throughput disclaimer (why this cannot move simulated metrics):
 /// everything here decides only *which host thread* runs a task and
@@ -111,18 +110,13 @@ class StealingExecutor {
   /// Called with (item, worker) — worker == num_workers when an external
   /// thread ran the item through try_pop().
   using RunFn = std::function<void(void*, unsigned)>;
-  /// Optional extra work source consulted after the deques and the
-  /// injection queue are dry (central-queue policies). Must be
-  /// thread-safe and non-blocking; returns nullptr when empty.
-  using PollFn = std::function<void*(unsigned)>;
 
   struct Options {
     unsigned num_workers = 0;
-    std::uint64_t seed = 1;       ///< per-worker victim RNGs derive from it
-    unsigned steal_rounds = 2;    ///< full victim sweeps before giving up
+    std::uint64_t seed = 1;  ///< per-worker victim RNGs derive from it
   };
 
-  StealingExecutor(Options options, RunFn run, PollFn poll = nullptr);
+  StealingExecutor(Options options, RunFn run);
 
   /// shutdown() — safe if already shut down.
   ~StealingExecutor();
@@ -136,19 +130,14 @@ class StealingExecutor {
   void submit(void* item, unsigned hint);
 
   /// Non-blocking acquire for thread `worker` (external threads pass
-  /// num_workers): own source first, then steal sweep, then poll.
-  /// Returns nullptr when everything is dry.
+  /// num_workers): own source first, then a steal sweep. Returns nullptr
+  /// when everything is dry.
   void* try_pop(unsigned worker);
 
   /// try_pop()'s first step alone: worker `worker`'s own deque (LIFO), or
   /// for an external thread the newest injected item. Never steals. As
   /// with try_pop(), only worker w itself may pass w < num_workers.
   void* pop_own(unsigned worker);
-
-  /// Wake one parked worker / all parked workers (e.g. for shutdown or
-  /// after bulk submission).
-  void notify_one() { notifier_.notify_one(); }
-  void notify_all() { notifier_.notify_all(); }
 
   /// The notifier the workers park on. Every submit() notifies it, so a
   /// thread outside the worker set that waits for work or for its own
@@ -178,7 +167,6 @@ class StealingExecutor {
 
   Options options_;
   RunFn run_;
-  PollFn poll_;
 
   /// One deque per worker; slot w is owned by worker thread w.
   std::vector<std::unique_ptr<WorkStealingDeque<void*>>> deques_;

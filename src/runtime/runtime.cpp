@@ -28,8 +28,10 @@ Runtime::Runtime(RuntimeOptions options)
     : options_(options),
       executed_(std::make_unique<ExecutedSlot[]>(options.num_workers + 1)),
       epoch_(std::chrono::steady_clock::now()),
-      scheduler_(options.policy, options.num_workers, options.seed,
-                 [this](detail::TaskBlock* t, unsigned w) { execute(t, w); }) {
+      executor_({.num_workers = options.num_workers, .seed = options.seed},
+                [this](void* t, unsigned w) {
+                  execute(static_cast<detail::TaskBlock*>(t), w);
+                }) {
   // Expose the per-runtime task counters through the obs registry as
   // external gauges (summed across live runtimes) so ablation_scheduler
   // and RuntimeStats read the very same cells — no duplicated counts.
@@ -48,7 +50,7 @@ Runtime::~Runtime() {
   reg.detach_external(obs_executed_token_);
   // Stop + join the workers before any member is torn down; after this,
   // member destruction order is irrelevant.
-  scheduler_.shutdown();
+  executor_.shutdown();
 }
 
 std::uint64_t Runtime::now_ns() const {
@@ -69,8 +71,8 @@ TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
                            TaskAttrs&& attrs, bool nested) {
   RAA_CHECK(body);
   // Spawns from a worker thread go to that worker's own deque (lock-free
-  // owner push under work stealing); external threads use the shared slot.
-  const unsigned hint = scheduler_.current_worker();
+  // owner push); external threads use the injection queue.
+  const unsigned hint = executor_.current_worker();
   // Ranges are checked before an id is reserved: a spawn that throws must
   // leave no task behind for taskwait() to wait on forever.
   constexpr auto kTop = std::numeric_limits<std::uintptr_t>::max();
@@ -91,7 +93,7 @@ TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
                 before + 1 < detail::TaskBlock::kJoinParked);
     }
     const TaskId id = t.id;
-    scheduler_.push(&t, hint);  // push wakes a parked thread itself
+    executor_.submit(&t, hint);  // submit wakes a parked thread itself
     RAA_OBS_HOST_EVENT(rt, task_spawn, instant, static_cast<std::uint64_t>(id),
                        0);
     return id;
@@ -135,7 +137,7 @@ TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
   const std::uint32_t before =
       t.pending_preds.fetch_sub(settled, std::memory_order_acq_rel);
   RAA_CHECK(before >= settled);
-  if (before == settled) scheduler_.push(&t, hint);
+  if (before == settled) executor_.submit(&t, hint);
   RAA_OBS_HOST_EVENT(rt, task_spawn, instant, static_cast<std::uint64_t>(id),
                      npreds);
   return id;
@@ -177,10 +179,10 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
     const std::uint32_t before =
         succ.pending_preds.fetch_sub(1, std::memory_order_acq_rel);
     RAA_CHECK(before > 0);
-    if (before == 1) scheduler_.push(&succ, worker_id);
+    if (before == 1) executor_.submit(&succ, worker_id);
   }
 
-  exec::Notifier& notifier = scheduler_.notifier();
+  exec::Notifier& notifier = executor_.notifier();
   if (task->parent != nullptr) {
     // Release: the parent's acquire load of 0 sees this body's writes.
     const std::uint32_t before =
@@ -195,8 +197,12 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
     notifier.notify_all();
 }
 
+detail::TaskBlock* Runtime::try_pop(unsigned worker_id) {
+  return static_cast<detail::TaskBlock*>(executor_.try_pop(worker_id));
+}
+
 bool Runtime::run_one(unsigned worker_id) {
-  detail::TaskBlock* t = scheduler_.pop(worker_id);
+  detail::TaskBlock* t = try_pop(worker_id);
   if (t == nullptr) return false;
   execute(t, worker_id);
   return true;
@@ -207,11 +213,11 @@ void Runtime::corun() {
     taskwait();
     return;
   }
-  corun_children(t_current.task, scheduler_.current_worker());
+  corun_children(t_current.task, executor_.current_worker());
 }
 
 void Runtime::corun_children(detail::TaskBlock* task, unsigned worker_id) {
-  exec::Notifier& notifier = scheduler_.notifier();
+  exec::Notifier& notifier = executor_.notifier();
   while (task->children.load(std::memory_order_acquire) != 0) {
     // Children outstanding: help run ready tasks (our children, or
     // anything else — stealing unrelated work is what keeps every
@@ -224,7 +230,7 @@ void Runtime::corun_children(detail::TaskBlock* task, unsigned worker_id) {
     const bool drained =
         task->children.fetch_or(detail::TaskBlock::kJoinParked,
                                 std::memory_order_acq_rel) == 0;
-    detail::TaskBlock* t = drained ? nullptr : scheduler_.pop(worker_id);
+    detail::TaskBlock* t = drained ? nullptr : try_pop(worker_id);
     if (drained || t != nullptr)
       notifier.cancel_wait();
     else
@@ -241,9 +247,9 @@ void Runtime::taskwait() {
                 "covers all tasks and would deadlock — use corun() for a "
                 "nested join");
   // The caller helps execute tasks (worker id = num_workers: the shared
-  // "external" slot of the scheduler).
-  const unsigned self = scheduler_.current_worker();
-  exec::Notifier& notifier = scheduler_.notifier();
+  // "external" slot of the executor).
+  const unsigned self = executor_.current_worker();
+  exec::Notifier& notifier = executor_.notifier();
   for (;;) {
     if (run_one(self)) continue;
     // Nothing ready: park until a push or the completion that reaches the
@@ -252,7 +258,7 @@ void Runtime::taskwait() {
     barrier_waiters_.fetch_add(1, std::memory_order_seq_cst);
     const std::uint64_t epoch = notifier.prepare_wait();
     const bool done = barrier_reached();
-    detail::TaskBlock* t = done ? nullptr : scheduler_.pop(self);
+    detail::TaskBlock* t = done ? nullptr : try_pop(self);
     if (done || t != nullptr)
       notifier.cancel_wait();
     else
@@ -327,7 +333,7 @@ RuntimeStats Runtime::stats() const {
   const std::uint64_t spawned = next_id_.load(std::memory_order_seq_cst);
   const std::scoped_lock lock{graph_mutex_};
   return RuntimeStats{spawned, executed_tasks, edge_count_,
-                      scheduler_.steal_count()};
+                      executor_.steal_count()};
 }
 
 void parallel_for(Runtime& rt, std::size_t begin, std::size_t end,

@@ -4,6 +4,9 @@
 /// layer): spawn tasks with data-region annotations, let the runtime build
 /// the Task Dependency Graph and execute tasks out-of-order on a
 /// work-stealing worker pool, then inspect the TDG and execution trace.
+/// Ready tasks go straight to exec::StealingExecutor: a worker's releases
+/// and spawns land on its own deque, other threads' in the executor's
+/// injection queue, and idle workers steal.
 /// A task body is any callable taking no arguments; one of at most 48
 /// bytes whose move cannot throw (a lambda capturing up to six pointers,
 /// say) is stored in the task's own block, so spawning it allocates
@@ -42,9 +45,9 @@
 #include <utility>
 #include <vector>
 
+#include "exec/stealing.hpp"
 #include "runtime/dependences.hpp"
 #include "runtime/graph.hpp"
-#include "runtime/scheduler.hpp"
 #include "runtime/segmented.hpp"
 #include "runtime/task.hpp"
 
@@ -56,8 +59,7 @@ struct RuntimeOptions {
   /// executes tasks while blocked in taskwait() ("work helping"), so
   /// num_workers == 0 gives a valid serial runtime.
   unsigned num_workers = 0;
-  SchedulerPolicy policy = SchedulerPolicy::work_stealing;
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 1;  ///< seeds the executor's victim RNGs
 };
 
 /// Aggregate execution statistics.
@@ -144,6 +146,10 @@ class Runtime {
   /// Reserves the next task id and constructs its block there.
   detail::TaskBlock& new_block(detail::TaskBody&& body, TaskAttrs&& attrs);
 
+  /// The next ready task for `worker_id` (own deque, then a steal sweep),
+  /// or nullptr when none is ready.
+  detail::TaskBlock* try_pop(unsigned worker_id);
+
   /// Run one ready task if available. Returns false when no task was ready.
   bool run_one(unsigned worker_id);
 
@@ -183,7 +189,7 @@ class Runtime {
   /// The next task id. Ids are reserved with one fetch_add, so it is also
   /// the count of tasks spawned.
   std::atomic<TaskId> next_id_{0};
-  /// Tasks executed, one counter per scheduler slot (worker w, and slot
+  /// Tasks executed, one counter per executor slot (worker w, and slot
   /// num_workers for every thread outside the worker set), each on its own
   /// cache line.
   struct alignas(64) ExecutedSlot {
@@ -203,10 +209,10 @@ class Runtime {
 
   std::chrono::steady_clock::time_point epoch_;
 
-  /// Owns the worker threads (exec::StealingExecutor under the policy
-  /// facade). Declared last so everything it may touch outlives it; the
-  /// destructor additionally drains + shuts it down explicitly.
-  Scheduler scheduler_;
+  /// Owns the worker threads and the ready queues. Declared last so
+  /// everything it may touch outlives it; the destructor additionally
+  /// drains + shuts it down explicitly.
+  exec::StealingExecutor executor_;
 };
 
 /// Parallel-for convenience built on the runtime: splits [begin, end) into

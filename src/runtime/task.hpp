@@ -88,7 +88,9 @@ enum class Criticality : std::uint8_t { normal, critical };
 /// Optional per-task attributes.
 struct TaskAttrs {
   std::string label;                              ///< for traces / DOT dumps
-  Criticality criticality = Criticality::normal;  ///< scheduling hint
+  /// Exported as the TDG node's critical_hint (graph()), where the
+  /// criticality analysis behind the RSU governor reads it.
+  Criticality criticality = Criticality::normal;
   double cost_hint = 0.0;  ///< expected work (arbitrary units); 0 = unknown
 };
 
@@ -231,7 +233,7 @@ struct Edge {
 };
 
 /// Internal task control block. A block is written by its spawn before it
-/// is published (to the scheduler, to a predecessor's release chain, or to
+/// is published (to the executor, to a predecessor's release chain, or to
 /// graph()/trace() through the task store); afterwards the members below
 /// say who touches them. Task bodies execute outside any lock.
 struct TaskBlock {

@@ -128,18 +128,15 @@ TEST(Integration, TraceAndGraphAgree) {
       EXPECT_LE(end_ns[v], start_ns[s]) << v << " -> " << s;
 }
 
-TEST(Integration, SchedulerPoliciesAllRunTheApps) {
-  using raa::rt::SchedulerPolicy;
+TEST(Integration, AppsRunAtEveryWorkerCount) {
   const raa::apps::BodytrackParams p{.frames = 4, .particles = 32,
                                      .chunks = 4, .pixels = 256};
   const auto expect = raa::apps::bodytrack_serial(p);
-  for (const auto policy :
-       {SchedulerPolicy::fifo, SchedulerPolicy::lifo,
-        SchedulerPolicy::work_stealing, SchedulerPolicy::criticality_first}) {
-    Runtime rt{{.num_workers = 3, .policy = policy}};
+  for (const unsigned workers : {0u, 1u, 3u}) {
+    Runtime rt{{.num_workers = workers}};
     const auto got =
         raa::apps::bodytrack_parallel(p, rt, raa::apps::Style::dataflow);
-    EXPECT_EQ(got, expect) << raa::rt::to_string(policy);
+    EXPECT_EQ(got, expect) << "workers=" << workers;
   }
 }
 

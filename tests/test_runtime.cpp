@@ -1,6 +1,6 @@
 // Tests for the tasking runtime: dependence-ordered execution, taskwait
-// semantics, graph/trace capture, scheduler policies and a randomized
-// multi-worker stress test.
+// semantics, graph/trace capture and a randomized multi-worker stress
+// test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,7 +20,6 @@ using raa::rt::Criticality;
 using raa::rt::Dep;
 using raa::rt::Runtime;
 using raa::rt::RuntimeOptions;
-using raa::rt::SchedulerPolicy;
 using raa::rt::TaskAttrs;
 
 TEST(Runtime, RunsASingleTask) {
@@ -183,34 +181,6 @@ TEST(Runtime, StatsCountSpawnsAndEdges) {
   EXPECT_EQ(s.edges, 1u);
 }
 
-TEST(Runtime, SerialModeExecutesInSpawnOrderFifo) {
-  Runtime rt{{.num_workers = 0, .policy = SchedulerPolicy::fifo}};
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) rt.spawn([&order, i] { order.push_back(i); });
-  rt.taskwait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Runtime, SerialModeLifoReversesIndependentTasks) {
-  Runtime rt{{.num_workers = 0, .policy = SchedulerPolicy::lifo}};
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) rt.spawn([&order, i] { order.push_back(i); });
-  rt.taskwait();
-  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
-}
-
-TEST(Runtime, CriticalityFirstPolicyPrefersCriticalTasks) {
-  Runtime rt{{.num_workers = 0, .policy = SchedulerPolicy::criticality_first}};
-  std::vector<std::string> order;
-  rt.spawn([&] { order.push_back("n1"); });
-  rt.spawn([&] { order.push_back("n2"); });
-  rt.spawn([&] { order.push_back("crit"); },
-           {.criticality = Criticality::critical});
-  rt.taskwait();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], "crit");
-}
-
 TEST(Runtime, ParallelForCoversRangeExactlyOnce) {
   Runtime rt{{.num_workers = 3}};
   std::vector<std::atomic<int>> hits(1000);
@@ -230,14 +200,11 @@ TEST(Runtime, ParallelForEmptyRange) {
 }
 
 // Stress: random dependence patterns over a bank of slots; per-slot inout
-// chains must execute in spawn order regardless of workers/policy.
-class RuntimeStress
-    : public ::testing::TestWithParam<std::tuple<unsigned, SchedulerPolicy>> {
-};
+// chains must execute in spawn order whatever the worker count.
+class RuntimeStress : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RuntimeStress, PerSlotChainsExecuteInSpawnOrder) {
-  const auto [workers, policy] = GetParam();
-  Runtime rt{{.num_workers = workers, .policy = policy}};
+  Runtime rt{{.num_workers = GetParam()}};
   constexpr int kSlots = 16;
   constexpr int kTasks = 400;
   std::array<double, kSlots> slots{};
@@ -262,17 +229,11 @@ TEST_P(RuntimeStress, PerSlotChainsExecuteInSpawnOrder) {
   EXPECT_EQ(rt.stats().tasks_executed, static_cast<std::uint64_t>(kTasks));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    WorkersAndPolicies, RuntimeStress,
-    ::testing::Combine(::testing::Values(0u, 1u, 4u),
-                       ::testing::Values(SchedulerPolicy::fifo,
-                                         SchedulerPolicy::lifo,
-                                         SchedulerPolicy::work_stealing,
-                                         SchedulerPolicy::criticality_first)),
-    [](const auto& param_info) {
-      return "w" + std::to_string(std::get<0>(param_info.param)) + "_" +
-             raa::rt::to_string(std::get<1>(param_info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Workers, RuntimeStress,
+                         ::testing::Values(0u, 1u, 4u),
+                         [](const auto& param_info) {
+                           return "w" + std::to_string(param_info.param);
+                         });
 
 // Diamond joins: many fork-join diamonds; the join must observe both sides.
 TEST(Runtime, DiamondJoinSeesBothBranches) {

@@ -9,16 +9,17 @@
 //    nested submits from inside workers (owner-deque pushes) all run.
 //  * Runtime nested spawn: silent_async() children join implicitly at
 //    body end, corun() joins cooperatively mid-body, recursive
-//    divide-and-conquer (fib) is correct across policies/worker counts.
+//    divide-and-conquer (fib) is correct at every worker count.
 //  * RuntimeLifecycleStress: nested fib beside a dependence wavefront on
-//    3 workers, against serial references, RAA_STRESS_ITERS rounds.
+//    3 workers, against serial references, RAA_STRESS_ITERS rounds with a
+//    fresh executor seed each.
 //  * RuntimeReleaseRace / RuntimeParking: lock-free releases against
 //    concurrent links, every edge checked against the trace; wakeups of
 //    parked joins and barriers; readers during lock-free spawns.
 //  * StealEquivalence: the captured TDG — and every simulated metric
 //    raa::sim::replay derives from it (the fig5/ablation_scheduler
-//    pipeline) — is field-identical no matter how many host workers or
-//    which scheduling policy executed the tasks. Host scheduling decides
+//    pipeline) — is field-identical no matter how many host workers
+//    executed the tasks or who stole what. Host scheduling decides
 //    wall-clock only; simulated numbers must not move. The graphs of the
 //    mixed program and of a fan-out/fan-in program are also pinned as
 //    text against a checked-in golden.
@@ -54,7 +55,6 @@ using raa::exec::StealingExecutor;
 using raa::exec::WorkStealingDeque;
 using raa::rt::Runtime;
 using raa::rt::RuntimeOptions;
-using raa::rt::SchedulerPolicy;
 using raa::test_util::stress_iters;
 
 void spin_until(const std::function<bool()>& pred) {
@@ -363,18 +363,14 @@ std::uint64_t fib_nested(Runtime& rt, unsigned n) {
   return a + b;
 }
 
-TEST(NestedSpawn, RecursiveFibAcrossPoliciesAndWorkers) {
+TEST(NestedSpawn, RecursiveFibAcrossWorkerCounts) {
   const std::uint64_t want = fib_reference(14);  // 377; ~1200 tasks
-  for (const auto policy :
-       {SchedulerPolicy::work_stealing, SchedulerPolicy::fifo,
-        SchedulerPolicy::lifo, SchedulerPolicy::criticality_first}) {
-    for (const unsigned workers : {0u, 4u}) {
-      Runtime rt{{.num_workers = workers, .policy = policy}};
-      std::uint64_t got = 0;
-      rt.spawn([&] { got = fib_nested(rt, 14); });
-      rt.taskwait();
-      EXPECT_EQ(got, want) << to_string(policy) << " workers=" << workers;
-    }
+  for (const unsigned workers : {0u, 4u}) {
+    Runtime rt{{.num_workers = workers}};
+    std::uint64_t got = 0;
+    rt.spawn([&] { got = fib_nested(rt, 14); });
+    rt.taskwait();
+    EXPECT_EQ(got, want) << "workers=" << workers;
   }
 }
 
@@ -384,8 +380,8 @@ TEST(NestedSpawn, RecursiveFibAcrossPoliciesAndWorkers) {
 // dependent spawns, a join's acquire fast check of its children count,
 // and parking on the executor's notifier only when nothing is ready.
 // Each round runs a nested fib beside a dependence wavefront on 3 workers
-// plus the caller, both checked against serial references; the policy
-// rotates per round.
+// plus the caller, both checked against serial references; the executor
+// seed changes per round.
 // The runtime_stress CTest entry raises the round count (RAA_STRESS_ITERS)
 // for the TSan job.
 
@@ -430,19 +426,15 @@ TEST(RuntimeLifecycleStress, FibAndWavefrontMatchSerialReferences) {
   std::iota(grid0.begin(), grid0.end(), std::uint64_t{1});
   std::vector<std::uint64_t> grid_want = grid0;
   wave_serial(grid_want);
-  constexpr std::array kPolicies = {
-      SchedulerPolicy::work_stealing, SchedulerPolicy::fifo,
-      SchedulerPolicy::lifo, SchedulerPolicy::criticality_first};
   for (unsigned r = 0; r < rounds; ++r) {
-    const SchedulerPolicy policy = kPolicies[r % kPolicies.size()];
-    Runtime rt{{.num_workers = 3, .policy = policy, .seed = r + 1}};
+    Runtime rt{{.num_workers = 3, .seed = r + 1}};
     std::uint64_t fib = 0;
     rt.spawn([&] { fib = fib_nested(rt, kFibN); });
     std::vector<std::uint64_t> grid = grid0;
     wave_spawn(rt, grid);
     rt.taskwait();
-    ASSERT_EQ(fib, fib_want) << "round " << r << " " << to_string(policy);
-    ASSERT_EQ(grid, grid_want) << "round " << r << " " << to_string(policy);
+    ASSERT_EQ(fib, fib_want) << "round " << r;
+    ASSERT_EQ(grid, grid_want) << "round " << r;
     const auto st = rt.stats();
     ASSERT_EQ(st.tasks_executed, st.tasks_spawned) << "round " << r;
     ASSERT_EQ(rt.trace().size(), st.tasks_spawned) << "round " << r;
@@ -623,13 +615,13 @@ TEST(RuntimeParking, ReadersStaySafeWhileSpawnsReserveIds) {
 // function of the captured TDG, and the captured TDG is a pure function
 // of the spawn sequence (ids are assigned in spawn order, costs come
 // from cost_hints, edges from the dependence registry) — never of which
-// host worker ran what, how often work was stolen, or the policy.
+// host worker ran what or how often work was stolen.
 
 /// A deterministic mixed DAG: chains, a reduction fan-in, independent
 /// blocks, criticality annotations — spawned from the calling thread
 /// with fixed cost hints.
-raa::tdg::Graph captured_graph(unsigned workers, SchedulerPolicy policy) {
-  Runtime rt{{.num_workers = workers, .policy = policy, .seed = 5}};
+raa::tdg::Graph captured_graph(unsigned workers) {
+  Runtime rt{{.num_workers = workers, .seed = 5}};
   std::vector<double> cell(8, 0.0);
   double acc = 0.0;
   // Stage 1: producers.
@@ -700,18 +692,13 @@ void expect_replays_identical(const raa::tdg::Graph& a,
 }
 
 TEST(StealEquivalence, CapturedGraphAndReplayInvariantAcrossHosts) {
-  // Serial reference: no workers, central FIFO.
-  const raa::tdg::Graph ref = captured_graph(0, SchedulerPolicy::fifo);
-  for (const auto policy :
-       {SchedulerPolicy::fifo, SchedulerPolicy::lifo,
-        SchedulerPolicy::work_stealing, SchedulerPolicy::criticality_first}) {
-    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-      const std::string what = std::string{to_string(policy)} + "/w" +
-                               std::to_string(workers);
-      const raa::tdg::Graph g = captured_graph(workers, policy);
-      expect_graphs_identical(ref, g, what);
-      expect_replays_identical(ref, g, what);
-    }
+  // Serial reference: no workers, the caller runs every task.
+  const raa::tdg::Graph ref = captured_graph(0);
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    const std::string what = "w" + std::to_string(workers);
+    const raa::tdg::Graph g = captured_graph(workers);
+    expect_graphs_identical(ref, g, what);
+    expect_replays_identical(ref, g, what);
   }
 }
 
@@ -741,8 +728,8 @@ std::string graph_text(const raa::tdg::Graph& g) {
 /// writer's successor list holds several readers in spawn order, a later
 /// writer waits on all of them, and tasks spawned after the barrier get
 /// edges to predecessors that had already finished.
-raa::tdg::Graph fan_graph(unsigned workers, SchedulerPolicy policy) {
-  Runtime rt{{.num_workers = workers, .policy = policy, .seed = 9}};
+raa::tdg::Graph fan_graph(unsigned workers) {
+  Runtime rt{{.num_workers = workers, .seed = 9}};
   double x = 0.0, y = 0.0;
   const auto attrs = [](const std::string& label, double cost) {
     return raa::rt::TaskAttrs{.label = label, .cost_hint = cost};
@@ -768,11 +755,8 @@ raa::tdg::Graph fan_graph(unsigned workers, SchedulerPolicy policy) {
 // predecessor list, pinned as text in tests/data/runtime_graph.golden.txt.
 TEST(StealEquivalence, CapturedGraphMatchesCheckedInGolden) {
   for (const unsigned workers : {0u, 4u}) {
-    const auto policy =
-        workers ? SchedulerPolicy::work_stealing : SchedulerPolicy::fifo;
     raa::test_util::expect_matches_golden(
-        graph_text(captured_graph(workers, policy)) +
-            graph_text(fan_graph(workers, policy)),
+        graph_text(captured_graph(workers)) + graph_text(fan_graph(workers)),
         "runtime_graph.golden.txt",
         "runtime_graph_w" + std::to_string(workers) + ".txt");
   }
@@ -811,12 +795,11 @@ TEST(StealEquivalence, Fig5CurvesUnmovedByConcurrentStealingRuntime) {
 // replay its captured graph; steal counts may be anything, simulated
 // makespans may not change.
 TEST(StealEquivalence, StealsHappenButSimulatedMetricsHoldStill) {
-  const raa::tdg::Graph ref = captured_graph(0, SchedulerPolicy::fifo);
-  const raa::tdg::Graph g =
-      captured_graph(8, SchedulerPolicy::work_stealing);
-  expect_replays_identical(ref, g, "ws/w8");
+  const raa::tdg::Graph ref = captured_graph(0);
+  const raa::tdg::Graph g = captured_graph(8);
+  expect_replays_identical(ref, g, "w8");
   // (No assertion on steal_count: it is informational and host-timing
-  // dependent by design — see Scheduler::steal_count().)
+  // dependent by design — see StealingExecutor::steal_count().)
 }
 
 }  // namespace
