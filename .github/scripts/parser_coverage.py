@@ -9,14 +9,16 @@ Usage: parser_coverage.py BUILD_DIR OUT_DIR
 
 BUILD_DIR is a `-DCMAKE_CXX_FLAGS=--coverage` build whose tests have run.
 For each object below this runs gcov in a directory of its own under
-OUT_DIR (the .gcov files CI uploads), then prints the line coverage of
-each file in FILES. A header counts a line as run when any object that
-compiles it ran it: src/report/json_bind.hpp over the scenario,
-manifest and report objects, src/memsim/linetable.hpp over the linetable
-and system objects, the runtime and executor headers over the runtime,
-dependences, graph, stealing and pool objects. The numbers are
-informational, not a gate.
+OUT_DIR (the .gcov files CI uploads). It then prints the line coverage of
+each file in FILES, merged over every .gcda in the build tree: a line
+counts as run when any object that compiles it ran it. That matters for
+headers. The linker keeps one COMDAT copy of an inline function, often a
+test object's, so the copy in the object that owns the header may never
+run although the function did. The numbers are informational, not a
+gate.
 """
+import collections
+import json
 import pathlib
 import subprocess
 import sys
@@ -47,41 +49,45 @@ FILES = ["src/scenario/scenario.cpp", "src/scenario/trace.cpp",
          "src/exec/stealing.hpp", "src/exec/wsq.hpp", "src/exec/pool.cpp"]
 
 
-def line_hits(gcov_file):
-    """{line: executed} over the executable lines of one .gcov file.
+def line_hits(build):
+    """{file: {line: executed}} for FILES, over every .gcda under `build`.
 
-    Template instantiations repeat their lines in sections of their own;
-    OR-ing every occurrence gives the same answer as the summary line.
+    Template instantiations and inline copies repeat a line once per
+    function; OR-ing every occurrence counts the line run when any copy
+    ran.
     """
-    hits = {}
-    for text in gcov_file.read_text(errors="replace").splitlines():
-        count, _, rest = text.partition(":")
-        number = rest.partition(":")[0].strip()
-        count = count.strip().rstrip("*")
-        if count == "-" or not number.isdigit() or number == "0":
-            continue
-        if not (count in ("#####", "=====") or count.isdigit()):
-            continue
-        line = int(number)
-        hits[line] = hits.get(line, False) or count.isdigit()
+    hits = {f: {} for f in FILES}
+    by_dir = collections.defaultdict(list)
+    for gcda in build.rglob("*.gcda"):
+        by_dir[gcda.parent].append(str(gcda))
+    for where, gcdas in sorted(by_dir.items()):
+        out = subprocess.run(
+            ["gcov", "--json-format", "--stdout", "-o", str(where), *gcdas],
+            cwd=where, check=True, capture_output=True, text=True).stdout
+        for doc in out.splitlines():
+            if not doc.strip():
+                continue
+            for entry in json.loads(doc)["files"]:
+                name = entry["file"]
+                for f in FILES:
+                    if name == f or name.endswith("/" + f):
+                        for line in entry["lines"]:
+                            n = line["line_number"]
+                            hits[f][n] = hits[f].get(n, False) or \
+                                line["count"] > 0
     return hits
 
 
 def main():
     build = pathlib.Path(sys.argv[1]).resolve()
     out = pathlib.Path(sys.argv[2]).resolve()
-    merged = {f: {} for f in FILES}
     for name, gcda in OBJECTS.items():
         obj = build / gcda
         where = out / name
         where.mkdir(parents=True, exist_ok=True)
         subprocess.run(["gcov", "-p", "-o", str(obj.parent), str(obj)],
                        cwd=where, check=True, stdout=subprocess.DEVNULL)
-        for gcov_file in where.glob("*.gcov"):
-            for f in FILES:
-                if gcov_file.name.endswith(f.replace("/", "#") + ".gcov"):
-                    for line, hit in line_hits(gcov_file).items():
-                        merged[f][line] = merged[f].get(line, False) or hit
+    merged = line_hits(build)
     for f in FILES:
         lines = merged[f]
         if not lines:

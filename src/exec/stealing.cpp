@@ -38,9 +38,7 @@ StealingExecutor::StealingExecutor(Options options, RunFn run)
     deques_.push_back(std::make_unique<WorkStealingDeque<void*>>());
     rng_.emplace_back(splitmix64(sm));  // deterministic per-worker stream
   }
-  steals_ = std::make_unique<std::atomic<std::uint64_t>[]>(n + 1);
-  for (unsigned w = 0; w <= n; ++w)
-    steals_[w].store(0, std::memory_order_relaxed);
+  steals_ = std::make_unique<Counter[]>(n + 1);
   // Surface the per-slot cells in the counter registry without copying
   // them: an external gauge summed under "exec.steals" across all live
   // executors. Detached in shutdown(), before any member is torn down.

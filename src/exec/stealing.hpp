@@ -60,7 +60,7 @@ class Notifier {
   /// Phase 2: sleep until the epoch moves past `epoch`.
   void commit_wait(std::uint64_t epoch) {
     {
-      std::unique_lock lock{mutex_};
+      std::unique_lock<std::mutex> lock{mutex_};
       cv_.wait(lock, [&] {
         return epoch_.load(std::memory_order_relaxed) != epoch;
       });
@@ -95,10 +95,17 @@ class Notifier {
       cv_.notify_one();
   }
 
-  std::mutex mutex_;
+  // Each group below starts a cache line of its own (kCacheLine).
+
+  /// Sleep side: written by a notify() that finds a waiter (the epoch
+  /// bump under the mutex) and by the threads that park and wake.
+  detail::CachePadded<std::mutex> mutex_;
   std::condition_variable cv_;
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> waiters_{0};
+
+  /// Written by every thread that prepares to park or stops waiting; read
+  /// by every notify(), that is by every submit of the executor.
+  detail::CachePadded<std::atomic<std::uint64_t>> waiters_{0};
 };
 
 /// Work-stealing executor over `num_workers` threads — the one place in
@@ -165,34 +172,48 @@ class StealingExecutor {
   void* steal_sweep(unsigned w);
   void* pop_injected(bool lifo);
 
+  using Counter = detail::CachePadded<std::atomic<std::uint64_t>>;
+
+  // Members are grouped by the thread that writes them, and each group
+  // that threads write while the executor runs starts a cache line of its
+  // own (kCacheLine), so no thread's write moves a line that another
+  // thread's group sits on.
+
+  /// Read-mostly: written by the constructor and shutdown() only. The
+  /// per-worker slots behind rng_ and steals_ are padded to a line each.
   Options options_;
   RunFn run_;
 
   /// One deque per worker; slot w is owned by worker thread w.
   std::vector<std::unique_ptr<WorkStealingDeque<void*>>> deques_;
 
-  /// Items submitted by non-worker threads (spawns from main, from
-  /// another runtime's workers, ...). Plain mutexed deque: external
-  /// submitters pop the back (LIFO, matching the owner side of a deque),
-  /// workers steal the front.
-  std::mutex inject_mutex_;
-  std::deque<void*> injected_;
-
   /// Per-worker deterministic victim RNGs (slot w touched only by worker
   /// w); external threads rotate via ext_start_ instead.
-  std::vector<Rng> rng_;
-  std::atomic<std::uint64_t> ext_start_{0};
+  std::vector<detail::CachePadded<Rng>> rng_;
 
   /// Per-slot steal counters, slot num_workers = external threads. These
   /// cells are the single source of truth for steal counts: the obs
   /// counter registry samples them through an "exec.steals" external
   /// gauge attached for the executor's lifetime (see stealing.cpp), so
   /// no second copy of the count exists anywhere.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> steals_;
+  std::unique_ptr<Counter[]> steals_;
   std::uint64_t obs_token_ = 0;  ///< registry external-gauge handle
 
+  /// Items submitted by non-worker threads (spawns from main, from
+  /// another runtime's workers, ...). Plain mutexed deque: external
+  /// submitters pop the back (LIFO, matching the owner side of a deque),
+  /// workers steal the front. Written by every external submit and by
+  /// every pop or steal of an injected item.
+  detail::CachePadded<std::mutex> inject_mutex_;
+  std::deque<void*> injected_;
+
+  /// Written by every steal sweep of an external thread.
+  Counter ext_start_{0};
+
+  /// Its sleep side and its waiter count each start a line of their own.
   Notifier notifier_;
-  /// Last member: the threads die before the state above.
+
+  /// Read-mostly. Last member: the threads die before the state above.
   std::vector<std::jthread> threads_;
 };
 

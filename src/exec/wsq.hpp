@@ -21,6 +21,7 @@
 /// plus the owner/thief stress suite in tests/test_stealing.cpp.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -64,6 +65,21 @@ inline void fence_release() noexcept {
   if constexpr (!kTsan)
     std::atomic_thread_fence(std::memory_order_release);
 }
+
+/// Bytes per host cache line. Words that different threads write live on
+/// different lines, so one thread's write does not steal the line another
+/// thread is using (false sharing).
+inline constexpr std::size_t kCacheLine = 64;
+
+/// A `T` on cache lines of its own, usable as the `T` it derives from: it
+/// starts a line and fills its last one, so neither the next slot of an
+/// array nor the next member of a class shares a line with it. The
+/// executor and the runtime start each group of words that one kind of
+/// thread writes with one of these, so the group owns its lines.
+template <class T>
+struct alignas(kCacheLine) CachePadded : T {
+  using T::T;
+};
 }  // namespace detail
 
 /// Single-owner / multi-thief deque of trivially copyable `T` where `T{}`

@@ -26,8 +26,8 @@ thread_local CurrentTask t_current;
 
 Runtime::Runtime(RuntimeOptions options)
     : options_(options),
-      executed_(std::make_unique<ExecutedSlot[]>(options.num_workers + 1)),
       epoch_(std::chrono::steady_clock::now()),
+      executed_(std::make_unique<Counter[]>(options.num_workers + 1)),
       executor_({.num_workers = options.num_workers, .seed = options.seed},
                 [this](void* t, unsigned w) {
                   execute(static_cast<detail::TaskBlock*>(t), w);
@@ -191,7 +191,7 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
     // The last child of a parked join wakes it.
     if (before == (detail::TaskBlock::kJoinParked | 1)) notifier.notify_all();
   }
-  executed_[worker_id].n.fetch_add(1, std::memory_order_seq_cst);
+  executed_[worker_id].fetch_add(1, std::memory_order_seq_cst);
   if (barrier_waiters_.load(std::memory_order_seq_cst) > 0 &&
       barrier_reached())
     notifier.notify_all();
@@ -272,7 +272,7 @@ void Runtime::taskwait() {
 std::uint64_t Runtime::executed() const noexcept {
   std::uint64_t sum = 0;
   for (unsigned w = 0; w <= options_.num_workers; ++w)
-    sum += executed_[w].n.load(std::memory_order_seq_cst);
+    sum += executed_[w].load(std::memory_order_seq_cst);
   return sum;
 }
 

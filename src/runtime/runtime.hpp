@@ -167,16 +167,30 @@ class Runtime {
 
   std::uint64_t now_ns() const;
 
-  RuntimeOptions options_;
+  using Counter = exec::detail::CachePadded<std::atomic<std::uint64_t>>;
 
-  /// Graph mutex: guards the dependence registry, the predecessor scratch
-  /// list, edge-log appends and the id order of dependent spawns (a
-  /// dependent spawn reserves its id under it, so its predecessors always
-  /// have smaller ids). Completions and dependence-free spawns never take
-  /// it.
-  mutable std::mutex graph_mutex_;
-  DependenceRegistry registry_;
-  std::vector<TaskId> preds_;  ///< spawn's reused predecessor scratch list
+  // Members are grouped by the thread that writes them, and each group
+  // that threads write while tasks run starts a cache line of its own
+  // (exec::detail::kCacheLine), so no thread's write moves a line that
+  // another thread's group sits on.
+
+  /// Read-mostly: written by the constructor and the destructor only
+  /// (the store tables also when a spawn adds a 256-slot segment). Every
+  /// completion reads options_, executed_ and epoch_.
+  RuntimeOptions options_;
+  std::chrono::steady_clock::time_point epoch_;
+  /// Tasks executed, one counter per executor slot (worker w, and slot
+  /// num_workers for every thread outside the worker set), each on its own
+  /// cache line.
+  std::unique_ptr<Counter[]> executed_;
+
+  /// Registry external-gauge handles ("rt.tasks_spawned" /
+  /// "rt.tasks_executed"): the counters of this runtime stay the single
+  /// source of truth — RuntimeStats and the obs registry both read them.
+  /// Detached in the destructor before any member is torn down.
+  std::uint64_t obs_spawned_token_ = 0;
+  std::uint64_t obs_executed_token_ = 0;
+
   /// Task blocks by id. Any thread constructs the block of the id it
   /// reserved; graph() and trace() skip blocks still being constructed.
   detail::SegmentedStore<detail::TaskBlock> tasks_;
@@ -185,29 +199,25 @@ class Runtime {
   /// storage of the release chains (TaskBlock::succ_head). Appended under
   /// the graph mutex; completions index the entries of their chains.
   detail::SegmentedStore<detail::Edge> edges_;
+
+  /// Spawn side, written by every spawning thread. The next task id:
+  /// ids are reserved with one fetch_add, so it is also the count of
+  /// tasks spawned.
+  exec::detail::CachePadded<std::atomic<TaskId>> next_id_{0};
+  /// Graph mutex: guards the dependence registry, the predecessor scratch
+  /// list, edge-log appends and the id order of dependent spawns (a
+  /// dependent spawn reserves its id under it, so its predecessors always
+  /// have smaller ids). Completions and dependence-free spawns never take
+  /// it.
+  mutable std::mutex graph_mutex_;
   detail::EdgeId edge_count_ = 0;  ///< graph mutex
-  /// The next task id. Ids are reserved with one fetch_add, so it is also
-  /// the count of tasks spawned.
-  std::atomic<TaskId> next_id_{0};
-  /// Tasks executed, one counter per executor slot (worker w, and slot
-  /// num_workers for every thread outside the worker set), each on its own
-  /// cache line.
-  struct alignas(64) ExecutedSlot {
-    std::atomic<std::uint64_t> n{0};
-  };
-  std::unique_ptr<ExecutedSlot[]> executed_;
-  /// Threads parked in taskwait(). A completion checks the barrier, and
-  /// wakes them, only while some thread is.
-  std::atomic<unsigned> barrier_waiters_{0};
+  DependenceRegistry registry_;
+  std::vector<TaskId> preds_;  ///< spawn's reused predecessor scratch list
 
-  /// Registry external-gauge handles ("rt.tasks_spawned" /
-  /// "rt.tasks_executed"): the counters above stay the single source of
-  /// truth — RuntimeStats and the obs registry both read them. Detached
-  /// in the destructor before any member is torn down.
-  std::uint64_t obs_spawned_token_ = 0;
-  std::uint64_t obs_executed_token_ = 0;
-
-  std::chrono::steady_clock::time_point epoch_;
+  /// Threads parked in taskwait(), written by each of them; every
+  /// completion reads it. A completion checks the barrier, and wakes
+  /// them, only while some thread is.
+  exec::detail::CachePadded<std::atomic<unsigned>> barrier_waiters_{0};
 
   /// Owns the worker threads and the ready queues. Declared last so
   /// everything it may touch outlives it; the destructor additionally

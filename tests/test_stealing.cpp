@@ -7,6 +7,8 @@
 //    may win, nothing is ever lost or duplicated).
 //  * Notifier / StealingExecutor: parked workers wake on submission,
 //    nested submits from inside workers (owner-deque pushes) all run.
+//  * CacheLayout: the padded slot type and the line-aligned classes that
+//    keep each writer's words on cache lines of their own.
 //  * Runtime nested spawn: silent_async() children join implicitly at
 //    body end, corun() joins cooperatively mid-body, recursive
 //    divide-and-conquer (fib) is correct at every worker count.
@@ -34,8 +36,11 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -197,6 +202,46 @@ TEST(Notifier, TwoPhaseParkWakesOnNotify) {
   flag.store(true, std::memory_order_release);
   n.notify_one();  // a lost wakeup here would hang the join below
   consumer.join();
+}
+
+// --- Cache-line layout ----------------------------------------------------
+
+// Each group of words that one kind of thread writes starts with a
+// CachePadded member, so it owns its lines: the wrapper starts a line and
+// fills its last one, and the classes holding such groups are line-aligned.
+using raa::exec::detail::CachePadded;
+using raa::exec::detail::kCacheLine;
+
+template <class T>
+constexpr bool owns_its_lines =
+    alignof(T) == kCacheLine && sizeof(T) % kCacheLine == 0;
+
+static_assert(owns_its_lines<CachePadded<std::atomic<std::uint64_t>>>);
+static_assert(owns_its_lines<CachePadded<std::atomic<unsigned>>>);
+static_assert(owns_its_lines<CachePadded<std::mutex>>);
+static_assert(owns_its_lines<CachePadded<raa::Rng>>);
+static_assert(owns_its_lines<raa::exec::Notifier>);
+static_assert(owns_its_lines<StealingExecutor>);
+static_assert(owns_its_lines<Runtime>);
+
+TEST(CacheLayout, PaddedSlotsEachOwnALine) {
+  constexpr unsigned kSlots = 5;
+  auto slots = std::make_unique<CachePadded<std::atomic<std::uint64_t>>[]>(
+      kSlots);
+  std::vector<CachePadded<raa::Rng>> rngs;
+  for (unsigned i = 0; i < kSlots; ++i) rngs.emplace_back(i);
+  for (unsigned i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&slots[i]) % kCacheLine, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&rngs[i]) % kCacheLine, 0u);
+    EXPECT_EQ(slots[i].load(), 0u) << "slots start at zero";
+    slots[i].fetch_add(i + 1);  // used as the atomic it derives from
+    EXPECT_EQ(rngs[i](), raa::Rng{i}());
+  }
+  for (unsigned i = 0; i < kSlots; ++i) EXPECT_EQ(slots[i].load(), i + 1);
+
+  // Heap objects keep the alignment their groups need.
+  const auto rt = std::make_unique<Runtime>(RuntimeOptions{.num_workers = 1});
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(rt.get()) % kCacheLine, 0u);
 }
 
 // --- StealingExecutor -----------------------------------------------------
