@@ -31,13 +31,14 @@ StealingExecutor::StealingExecutor(Options options, RunFn run)
     : options_(options), run_(std::move(run)) {
   RAA_CHECK(run_ != nullptr);
   const unsigned n = options_.num_workers;
-  deques_.reserve(n);
+  deques_.reserve(n + 1);
   rng_.reserve(n);
   std::uint64_t sm = options_.seed;
   for (unsigned w = 0; w < n; ++w) {
-    deques_.push_back(std::make_unique<WorkStealingDeque<void*>>());
+    deques_.push_back(std::make_unique<Deque>());
     rng_.emplace_back(splitmix64(sm));  // deterministic per-worker stream
   }
+  deques_.push_back(std::make_unique<Deque>());  // the injection queue
   steals_ = std::make_unique<Counter[]>(n + 1);
   // Surface the per-slot cells in the counter registry without copying
   // them: an external gauge summed under "exec.steals" across all live
@@ -82,25 +83,15 @@ void StealingExecutor::submit(void* item, unsigned hint) {
     deques_[hint]->push(item);  // owner push: lock-free fast path
   } else {
     const std::scoped_lock lock{inject_mutex_};
-    injected_.push_back(item);
+    deques_[options_.num_workers]->push(item);
   }
   notifier_.notify_one();
 }
 
-void* StealingExecutor::pop_injected(bool lifo) {
-  const std::scoped_lock lock{inject_mutex_};
-  if (injected_.empty()) return nullptr;
-  void* item = lifo ? injected_.back() : injected_.front();
-  if (lifo)
-    injected_.pop_back();
-  else
-    injected_.pop_front();
-  return item;
-}
-
 void* StealingExecutor::pop_own(unsigned worker) {
   if (worker < options_.num_workers) return deques_[worker]->pop();
-  return pop_injected(/*lifo=*/true);
+  const std::scoped_lock lock{inject_mutex_};
+  return deques_[options_.num_workers]->pop();
 }
 
 void* StealingExecutor::try_pop(unsigned worker) {
@@ -114,7 +105,8 @@ void* StealingExecutor::steal_sweep(unsigned self) {
   RAA_OBS_HOST_EVENT(exec, steal_attempt, instant, self, 0);
   const unsigned n = options_.num_workers;
   // Victim space: the n worker deques plus the injection queue as victim
-  // index n (stolen FIFO — oldest external submission first).
+  // index n (stolen FIFO, without its lock — oldest external submission
+  // first).
   const unsigned victims = n + 1;
   for (unsigned round = 0; round < kStealRounds; ++round) {
     // Randomized start breaks convoys. Workers draw from their own
@@ -129,8 +121,7 @@ void* StealingExecutor::steal_sweep(unsigned self) {
     for (unsigned k = 0; k < victims; ++k) {
       const unsigned v = (start + k) % victims;
       if (v == self) continue;
-      void* item = v < n ? deques_[v]->steal()
-                         : pop_injected(/*lifo=*/false);
+      void* item = deques_[v]->steal();
       if (item != nullptr) {
         steals_[self].fetch_add(1, std::memory_order_relaxed);
         RAA_OBS_HOST_EVENT(exec, steal_success, instant, self, v);

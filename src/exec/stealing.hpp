@@ -1,10 +1,11 @@
 #pragma once
 /// \file stealing.hpp
-/// Work-stealing executor: per-worker Chase–Lev deques (exec/wsq.hpp), a
-/// mutexed injection queue for items submitted from outside the worker
-/// set, randomized victim selection with deterministic per-worker RNG
-/// seeds, and a two-phase condvar Notifier so idle workers park instead
-/// of spinning.
+/// Work-stealing executor: per-worker Chase–Lev deques (exec/wsq.hpp), one
+/// more deque as the injection queue for items submitted from outside the
+/// worker set (its owner side runs under a mutex, its steals do not),
+/// randomized victim selection with deterministic per-worker RNG seeds,
+/// and a two-phase condvar Notifier so idle workers park instead of
+/// spinning.
 ///
 /// The executor is payload-agnostic: it moves `void*` items and calls a
 /// user RunFn on each. The tasking runtime (rt::Runtime) submits its
@@ -19,7 +20,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -170,7 +170,6 @@ class StealingExecutor {
  private:
   void worker_loop(std::stop_token stop, unsigned w);
   void* steal_sweep(unsigned w);
-  void* pop_injected(bool lifo);
 
   using Counter = detail::CachePadded<std::atomic<std::uint64_t>>;
 
@@ -179,13 +178,21 @@ class StealingExecutor {
   // own (kCacheLine), so no thread's write moves a line that another
   // thread's group sits on.
 
+  using Deque = detail::CachePadded<WorkStealingDeque<void*>>;
+
   /// Read-mostly: written by the constructor and shutdown() only. The
-  /// per-worker slots behind rng_ and steals_ are padded to a line each.
+  /// per-worker slots behind deques_, rng_ and steals_ are padded to a
+  /// line each.
   Options options_;
   RunFn run_;
 
-  /// One deque per worker; slot w is owned by worker thread w.
-  std::vector<std::unique_ptr<WorkStealingDeque<void*>>> deques_;
+  /// num_workers + 1 deques. Deque w < num_workers is owned by worker
+  /// thread w. Deque num_workers is the injection queue: items submitted
+  /// by non-worker threads (spawns from main, from another runtime's
+  /// workers, ...). Its owner side (push, and the LIFO pop of external
+  /// threads) runs under inject_mutex_; workers steal its oldest item
+  /// without the lock, as from any other deque.
+  std::vector<std::unique_ptr<Deque>> deques_;
 
   /// Per-worker deterministic victim RNGs (slot w touched only by worker
   /// w); external threads rotate via ext_start_ instead.
@@ -199,13 +206,9 @@ class StealingExecutor {
   std::unique_ptr<Counter[]> steals_;
   std::uint64_t obs_token_ = 0;  ///< registry external-gauge handle
 
-  /// Items submitted by non-worker threads (spawns from main, from
-  /// another runtime's workers, ...). Plain mutexed deque: external
-  /// submitters pop the back (LIFO, matching the owner side of a deque),
-  /// workers steal the front. Written by every external submit and by
-  /// every pop or steal of an injected item.
+  /// Serialises the owner side of the injection queue: written by every
+  /// external submit and external pop_own(), never by a steal.
   detail::CachePadded<std::mutex> inject_mutex_;
-  std::deque<void*> injected_;
 
   /// Written by every steal sweep of an external thread.
   Counter ext_start_{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "common/check.hpp"
@@ -22,12 +23,22 @@ struct CurrentTask {
   detail::TaskBlock* task = nullptr;
 };
 thread_local CurrentTask t_current;
+
+/// Calls `f` on every published block of `stores`, store by store.
+template <class F>
+void for_each_block(std::span<const detail::TaskStore> stores, F&& f) {
+  for (const detail::TaskStore& store : stores) {
+    const std::uint32_t n = store.count.load(std::memory_order_acquire);
+    for (std::uint32_t i = 0; i < n; ++i) f(std::as_const(store.blocks[i]));
+  }
+}
 }  // namespace
 
 Runtime::Runtime(RuntimeOptions options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
       executed_(std::make_unique<Counter[]>(options.num_workers + 1)),
+      stores_(std::make_unique<detail::TaskStore[]>(options.num_workers + 1)),
       executor_({.num_workers = options.num_workers, .seed = options.seed},
                 [this](void* t, unsigned w) {
                   execute(static_cast<detail::TaskBlock*>(t), w);
@@ -60,18 +71,26 @@ std::uint64_t Runtime::now_ns() const {
           .count());
 }
 
-detail::TaskBlock& Runtime::new_block(detail::TaskBody&& body,
+detail::TaskBlock& Runtime::new_block(unsigned slot, detail::TaskBody&& body,
                                       TaskAttrs&& attrs) {
   const TaskId id = next_id_.fetch_add(1, std::memory_order_seq_cst);
   RAA_CHECK(id != kNoTask);  // ids fit
-  return tasks_.emplace(id, id, std::move(body), std::move(attrs));
+  detail::TaskStore& store = stores_[slot];
+  std::unique_lock<std::mutex> lock;
+  if (slot == options_.num_workers) lock = std::unique_lock{store.mutex};
+  const std::uint32_t i = store.count.load(std::memory_order_relaxed);
+  detail::TaskBlock& t =
+      store.blocks.emplace(i, id, std::move(body), std::move(attrs));
+  store.count.store(i + 1, std::memory_order_release);
+  return t;
 }
 
 TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
                            TaskAttrs&& attrs, bool nested) {
   RAA_CHECK(body);
-  // Spawns from a worker thread go to that worker's own deque (lock-free
-  // owner push); external threads use the injection queue.
+  // Spawns from a worker thread go to that worker's own task store and
+  // deque (lock-free owner push); external threads use the external store
+  // and the injection queue.
   const unsigned hint = executor_.current_worker();
   // Ranges are checked before an id is reserved: a spawn that throws must
   // leave no task behind for taskwait() to wait on forever.
@@ -84,7 +103,7 @@ TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
   }
   if (!dependent) {
     // Nothing to register and no edges: ready at once, no lock.
-    detail::TaskBlock& t = new_block(std::move(body), std::move(attrs));
+    detail::TaskBlock& t = new_block(hint, std::move(body), std::move(attrs));
     if (nested && t_current.rt == this && t_current.task != nullptr) {
       t.parent = t_current.task;
       const std::uint32_t before =
@@ -100,8 +119,9 @@ TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
   }
 
   std::unique_lock lock{graph_mutex_};
-  detail::TaskBlock& t = new_block(std::move(body), std::move(attrs));
+  detail::TaskBlock& t = new_block(hint, std::move(body), std::move(attrs));
   const TaskId id = t.id;
+  dependents_.emplace(id, &t);
   preds_.clear();
   registry_.register_task(id, deps, preds_);
   const std::size_t npreds = preds_.size();
@@ -118,7 +138,7 @@ TaskId Runtime::spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
     detail::Edge& edge = edges_.emplace(e, detail::Edge{p, id});
     // Acquire on reading kClosed: this task is ordered after the
     // predecessor's body even when this spawn is what pushes it.
-    std::atomic<detail::EdgeId>& head = tasks_[p].succ_head;
+    std::atomic<detail::EdgeId>& head = dependents_[p]->succ_head;
     detail::EdgeId next = head.load(std::memory_order_acquire);
     if (next != detail::kClosed) {
       edge.next = next;
@@ -175,7 +195,7 @@ void Runtime::execute(detail::TaskBlock* task, unsigned worker_id) {
     e = older;
   }
   for (e = spawn_order; e != detail::kNoEdge; e = edges_[e].next) {
-    detail::TaskBlock& succ = tasks_[edges_[e].to];
+    detail::TaskBlock& succ = *dependents_[edges_[e].to];
     const std::uint32_t before =
         succ.pending_preds.fetch_sub(1, std::memory_order_acq_rel);
     RAA_CHECK(before > 0);
@@ -288,8 +308,15 @@ tdg::Graph Runtime::graph() const {
   const std::scoped_lock lock{graph_mutex_};
   tdg::Graph g;
   const TaskId n = next_id_.load(std::memory_order_acquire);
-  for (TaskId id = 0; id < n; ++id) {
-    const detail::TaskBlock* t = tasks_.find(id);
+  // Index the blocks by id. Dependent spawns publish theirs under the
+  // graph mutex, so only a dependence-free spawn may still be constructing
+  // the block of an id below n; a block of a later id is skipped.
+  std::vector<const detail::TaskBlock*> by_id(n, nullptr);
+  for_each_block({stores_.get(), options_.num_workers + 1u},
+                 [&](const detail::TaskBlock& t) {
+                   if (t.id < n) by_id[t.id] = &t;
+                 });
+  for (const detail::TaskBlock* t : by_id) {
     if (t == nullptr) {
       // Reserved by a dependence-free spawn still constructing its block.
       g.add_node(1.0);
@@ -315,15 +342,14 @@ tdg::Graph Runtime::graph() const {
 std::vector<TraceRecord> Runtime::trace() const {
   std::vector<TraceRecord> out;
   out.reserve(static_cast<std::size_t>(executed()));
-  const TaskId n = next_id_.load(std::memory_order_acquire);
-  for (TaskId id = 0; id < n; ++id) {
-    const detail::TaskBlock* t = tasks_.find(id);
-    if (t != nullptr && t->finished()) out.push_back(t->trace);
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.end_ns < b.end_ns;
-                   });
+  for_each_block({stores_.get(), options_.num_workers + 1u},
+                 [&](const detail::TaskBlock& t) {
+                   if (t.finished()) out.push_back(t.trace);
+                 });
+  std::sort(out.begin(), out.end(),
+            [](const TraceRecord& a, const TraceRecord& b) {
+              return std::tie(a.end_ns, a.task) < std::tie(b.end_ns, b.task);
+            });
   return out;
 }
 

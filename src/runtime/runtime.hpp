@@ -53,6 +53,23 @@
 
 namespace raa::rt {
 
+namespace detail {
+
+/// The task blocks one executor slot spawned, in that slot's spawn order
+/// (each block keeps its task id). Worker w fills store w alone; every
+/// thread outside the worker set fills the last store under its `mutex`.
+/// A store's header starts a cache line of its own and only its spawning
+/// threads write it: a spawn constructs block `count`, then publishes it
+/// with a release store of `count + 1`; graph() and trace() read `count`
+/// with acquire and walk the blocks below it.
+struct alignas(exec::detail::kCacheLine) TaskStore {
+  std::mutex mutex;  ///< the external store's spawns only
+  std::atomic<std::uint32_t> count{0};
+  SegmentedStore<TaskBlock> blocks;
+};
+
+}  // namespace detail
+
 /// Construction-time options.
 struct RuntimeOptions {
   /// Worker threads in addition to the calling thread. The caller also
@@ -132,7 +149,8 @@ class Runtime {
   /// finished, and 1 before. Call after taskwait() for a stable view.
   tdg::Graph graph() const;
 
-  /// Execution trace (one record per finished task), ordered by end time.
+  /// Execution trace (one record per finished task), ordered by end time,
+  /// ties by task id.
   std::vector<TraceRecord> trace() const;
 
   RuntimeStats stats() const;
@@ -143,8 +161,10 @@ class Runtime {
   TaskId spawn_impl(std::span<const Dep> deps, detail::TaskBody&& body,
                     TaskAttrs&& attrs, bool nested);
 
-  /// Reserves the next task id and constructs its block there.
-  detail::TaskBlock& new_block(detail::TaskBody&& body, TaskAttrs&& attrs);
+  /// Reserves the next task id and constructs its block in the store of
+  /// executor slot `slot` (the calling thread's).
+  detail::TaskBlock& new_block(unsigned slot, detail::TaskBody&& body,
+                               TaskAttrs&& attrs);
 
   /// The next ready task for `worker_id` (own deque, then a steal sweep),
   /// or nullptr when none is ready.
@@ -175,8 +195,10 @@ class Runtime {
   // another thread's group sits on.
 
   /// Read-mostly: written by the constructor and the destructor only
-  /// (the store tables also when a spawn adds a 256-slot segment). Every
-  /// completion reads options_, executed_ and epoch_.
+  /// (the tables of dependents_ and edges_ also when a spawn adds a
+  /// 256-slot segment). Every completion reads options_, executed_ and
+  /// epoch_. The task stores behind stores_ each start a line of their
+  /// own.
   RuntimeOptions options_;
   std::chrono::steady_clock::time_point epoch_;
   /// Tasks executed, one counter per executor slot (worker w, and slot
@@ -191,9 +213,14 @@ class Runtime {
   std::uint64_t obs_spawned_token_ = 0;
   std::uint64_t obs_executed_token_ = 0;
 
-  /// Task blocks by id. Any thread constructs the block of the id it
-  /// reserved; graph() and trace() skip blocks still being constructed.
-  detail::SegmentedStore<detail::TaskBlock> tasks_;
+  /// Task blocks, one store per executor slot (num_workers + 1), so a
+  /// spawn writes its block into memory of the spawning thread's own.
+  std::unique_ptr<detail::TaskStore[]> stores_;
+  /// The blocks of dependent tasks by id: written under the graph mutex by
+  /// their spawns, read there by the spawns that link onto their release
+  /// chains, and by completions releasing them. Dependence-free tasks are
+  /// never anyone's predecessor or successor and have no entry.
+  detail::SegmentedStore<detail::TaskBlock*> dependents_;
   /// Every dependence edge in spawn order (one spawn's edges by ascending
   /// predecessor id). It is both the TDG's edge list (graph()) and the
   /// storage of the release chains (TaskBlock::succ_head). Appended under
@@ -205,10 +232,11 @@ class Runtime {
   /// tasks spawned.
   exec::detail::CachePadded<std::atomic<TaskId>> next_id_{0};
   /// Graph mutex: guards the dependence registry, the predecessor scratch
-  /// list, edge-log appends and the id order of dependent spawns (a
-  /// dependent spawn reserves its id under it, so its predecessors always
-  /// have smaller ids). Completions and dependence-free spawns never take
-  /// it.
+  /// list, dependents_ and edge-log appends, and the id order of dependent
+  /// spawns (a dependent spawn reserves its id under it, so its
+  /// predecessors always have smaller ids). Completions and dependence-free
+  /// spawns never take it. An external dependent spawn takes the external
+  /// store's mutex inside it; never the other way round.
   mutable std::mutex graph_mutex_;
   detail::EdgeId edge_count_ = 0;  ///< graph mutex
   DependenceRegistry registry_;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file segmented.hpp
 /// Storage of the runtime's task blocks and edge log: slots indexed by a
-/// dense 32-bit id whose addresses never change, so any thread may use a
-/// slot while other threads construct new ones.
+/// dense 32-bit index whose addresses never change, so any thread may use
+/// a slot while other threads construct new ones.
 
 #include <atomic>
 #include <bit>
@@ -16,15 +16,16 @@ namespace raa::rt::detail {
 /// Slots live in fixed-size segments of 2^kSlotBits slots, each allocated
 /// on first use and never moved. The segment pointers live in tables of
 /// doubling size (16, 32, 64, ... pointers), so nothing is ever copied as
-/// the store grows. Every table and segment is installed with one CAS (a
-/// thread that loses the race frees its copy). A slot's storage is left
-/// untouched until emplace() constructs it there, and the allocator hands
-/// the equal-sized segments of one runtime to the next.
+/// the store grows. Every table and segment is published with a release
+/// store. A slot's storage is left untouched until emplace() constructs it
+/// there, and the allocator hands the equal-sized segments of one runtime
+/// to the next.
 ///
-/// Each slot is emplaced at most once, by one thread; any thread may
-/// emplace a different slot concurrently. A slot is readable through
-/// operator[] by a thread that the constructing thread synchronised with,
-/// and through find() by any thread.
+/// Each slot is emplaced at most once, and emplace() calls never overlap:
+/// one thread fills a store, or its filling threads take turns under a
+/// mutex (the runtime's stores each have one writer at a time). A slot is
+/// readable through operator[], by any thread, once the constructing
+/// thread synchronised with it.
 template <class T, unsigned kSlotBits = 8>
 class SegmentedStore {
  public:
@@ -42,21 +43,25 @@ class SegmentedStore {
     }
   }
 
-  /// Constructs slot `i` from `args` and publishes it to find().
+  /// Constructs slot `i` from `args` (see the class comment for who may
+  /// call this).
   template <class... Args>
   T& emplace(std::uint32_t i, Args&&... args) {
     const auto [k, s] = locate(i >> kSlotBits);
-    std::atomic<Segment*>* table = tables_[k].load(std::memory_order_acquire);
-    if (table == nullptr)
-      table = install(tables_[k], new std::atomic<Segment*>[table_size(k)](),
-                      [](std::atomic<Segment*>* t) { delete[] t; });
-    Segment* seg = table[s].load(std::memory_order_acquire);
-    if (seg == nullptr)
-      seg = install(table[s], new Segment, [](Segment* g) { delete g; });
+    std::atomic<Segment*>* table = tables_[k].load(std::memory_order_relaxed);
+    if (table == nullptr) {
+      table = new std::atomic<Segment*>[table_size(k)]();
+      tables_[k].store(table, std::memory_order_release);
+    }
+    Segment* seg = table[s].load(std::memory_order_relaxed);
+    if (seg == nullptr) {
+      seg = new Segment;
+      table[s].store(seg, std::memory_order_release);
+    }
     const std::uint32_t at = i & kMask;
     T* t = ::new (static_cast<void*>(seg->slot(at)))
         T(std::forward<Args>(args)...);
-    seg->live[at].store(true, std::memory_order_release);
+    seg->live[at] = true;
     return *t;
   }
 
@@ -66,19 +71,6 @@ class SegmentedStore {
     Segment* seg = tables_[k].load(std::memory_order_acquire)[s].load(
         std::memory_order_acquire);
     return *std::launder(seg->slot(i & kMask));
-  }
-
-  /// Slot `i`, or null while it is not yet constructed.
-  const T* find(std::uint32_t i) const noexcept {
-    const auto [k, s] = locate(i >> kSlotBits);
-    const std::atomic<Segment*>* table =
-        tables_[k].load(std::memory_order_acquire);
-    if (table == nullptr) return nullptr;
-    const Segment* seg = table[s].load(std::memory_order_acquire);
-    if (seg == nullptr ||
-        !seg->live[i & kMask].load(std::memory_order_acquire))
-      return nullptr;
-    return std::launder(seg->slot(i & kMask));
   }
 
  private:
@@ -107,7 +99,7 @@ class SegmentedStore {
     Segment() noexcept {}  // user-provided: `storage` is left untouched
     ~Segment() {
       for (std::uint32_t i = 0; i < kSlots; ++i)
-        if (live[i].load(std::memory_order_relaxed)) std::destroy_at(slot(i));
+        if (live[i]) std::destroy_at(slot(i));
     }
     Segment(const Segment&) = delete;
     Segment& operator=(const Segment&) = delete;
@@ -119,22 +111,9 @@ class SegmentedStore {
       return reinterpret_cast<const T*>(storage) + i;
     }
 
-    std::atomic<bool> live[kSlots] = {};
+    bool live[kSlots] = {};  ///< constructed slots, for ~Segment
     alignas(T) unsigned char storage[kSlots * sizeof(T)];
   };
-
-  /// Installs `fresh` in the empty `cell`, or frees it with `drop` and
-  /// returns what another thread installed first.
-  template <class P, class Drop>
-  static P* install(std::atomic<P*>& cell, P* fresh, Drop drop) {
-    P* expected = nullptr;
-    if (cell.compare_exchange_strong(expected, fresh,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire))
-      return fresh;
-    drop(fresh);
-    return expected;
-  }
 
   std::atomic<std::atomic<Segment*>*> tables_[kLevels] = {};
 };

@@ -6,9 +6,13 @@
 //    drains, and the single-element pop-vs-steal race (exactly one side
 //    may win, nothing is ever lost or duplicated).
 //  * Notifier / StealingExecutor: parked workers wake on submission,
-//    nested submits from inside workers (owner-deque pushes) all run.
-//  * CacheLayout: the padded slot type and the line-aligned classes that
-//    keep each writer's words on cache lines of their own.
+//    nested submits from inside workers (owner-deque pushes) all run;
+//    the injection queue pops newest-first for external threads, is
+//    stolen oldest-first by workers, and loses no item under contention;
+//    a worker that cannot start makes the constructor roll back.
+//  * CacheLayout: the padded slot type and the line-aligned classes and
+//    task stores that keep each writer's words on cache lines of their
+//    own.
 //  * Runtime nested spawn: silent_async() children join implicitly at
 //    body end, corun() joins cooperatively mid-body, recursive
 //    divide-and-conquer (fib) is correct at every worker count.
@@ -18,6 +22,9 @@
 //  * RuntimeReleaseRace / RuntimeParking: lock-free releases against
 //    concurrent links, every edge checked against the trace; wakeups of
 //    parked joins and barriers; readers during lock-free spawns.
+//  * RuntimeStores: graph() and trace() hold every task once although
+//    each executor slot spawns into a task store of its own, and show a
+//    block still under construction as a placeholder node.
 //  * StealEquivalence: the captured TDG — and every simulated metric
 //    raa::sim::replay derives from it (the fig5/ablation_scheduler
 //    pipeline) — is field-identical no matter how many host workers
@@ -38,12 +45,20 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <string>
+#include <system_error>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "apps/miniapps.hpp"
 #include "common/rng.hpp"
@@ -220,6 +235,8 @@ static_assert(owns_its_lines<CachePadded<std::atomic<std::uint64_t>>>);
 static_assert(owns_its_lines<CachePadded<std::atomic<unsigned>>>);
 static_assert(owns_its_lines<CachePadded<std::mutex>>);
 static_assert(owns_its_lines<CachePadded<raa::Rng>>);
+static_assert(owns_its_lines<CachePadded<WorkStealingDeque<void*>>>);
+static_assert(owns_its_lines<raa::rt::detail::TaskStore>);
 static_assert(owns_its_lines<raa::exec::Notifier>);
 static_assert(owns_its_lines<StealingExecutor>);
 static_assert(owns_its_lines<Runtime>);
@@ -238,6 +255,16 @@ TEST(CacheLayout, PaddedSlotsEachOwnALine) {
     EXPECT_EQ(rngs[i](), raa::Rng{i}());
   }
   for (unsigned i = 0; i < kSlots; ++i) EXPECT_EQ(slots[i].load(), i + 1);
+
+  // The runtime's task stores: each store's header, and with it the
+  // mutex of the external store, starts a line of its own.
+  const auto stores = std::make_unique<raa::rt::detail::TaskStore[]>(kSlots);
+  for (unsigned i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&stores[i]) % kCacheLine, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&stores[i].mutex) % kCacheLine,
+              0u);
+    EXPECT_EQ(stores[i].count.load(), 0u) << "stores start empty";
+  }
 
   // Heap objects keep the alignment their groups need.
   const auto rt = std::make_unique<Runtime>(RuntimeOptions{.num_workers = 1});
@@ -306,6 +333,105 @@ TEST(StealingExecutor, ExternalThreadTryPopHelps) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b), 1u);
   EXPECT_EQ(ex.try_pop(ex.num_workers()), nullptr);
   EXPECT_EQ(ran.load(), 0);  // try_pop hands the item over, never runs it
+}
+
+/// Caps this process's address space just above its current size, then
+/// constructs an executor with two workers: exits 0 when the constructor
+/// throws std::system_error, as it should when no worker stack fits.
+[[noreturn]] void start_workers_under_address_cap() {
+  std::ifstream status{"/proc/self/status"};
+  std::uint64_t vm_kb = 0;
+  for (std::string key; status >> key;)
+    if (key == "VmSize:" && status >> vm_kb) break;
+  const rlim_t cap = (vm_kb + 1024) * 1024;
+  const rlimit limit{cap, cap};
+  if (vm_kb == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::exit(2);
+  try {
+    StealingExecutor ex{{.num_workers = 2}, [](void*, unsigned) {}};
+  } catch (const std::system_error&) {
+    std::exit(0);
+  }
+  std::exit(1);
+}
+
+// A worker that cannot start: the constructor stops and joins the workers
+// that did, detaches its gauge and rethrows. This runs in a child process,
+// so the address-space cap ends with it. The sanitizers reserve shadow
+// memory that such a cap breaks, so their builds skip it.
+TEST(StealingExecutorDeathTest, WorkerStartFailureRollsBack) {
+#if defined(__SANITIZE_ADDRESS__) || defined(RAA_TSAN)
+  GTEST_SKIP() << "an address-space cap breaks sanitizer shadow memory";
+#endif
+  EXPECT_EXIT(start_workers_under_address_cap(), ::testing::ExitedWithCode(0),
+              "");
+}
+
+// The injection queue under contention: external submitters push while
+// an external thread pops the newest items under the queue's mutex and
+// the workers steal the oldest ones without it. Every item must run
+// exactly once.
+TEST(StealingExecutor, InjectionQueueRunsEveryItemOnceUnderContention) {
+  constexpr unsigned kSubmitters = 3;
+  const unsigned per_submitter = stress_iters(20000) / 4;
+  const unsigned n = kSubmitters * per_submitter;
+  std::vector<std::atomic<int>> ran(n);
+  std::atomic<unsigned> done{0};
+  const auto take = [&](void* item) {
+    const auto idx = reinterpret_cast<std::uintptr_t>(item) - 1;
+    ran[idx].fetch_add(1, std::memory_order_relaxed);
+    done.fetch_add(1, std::memory_order_relaxed);
+  };
+  StealingExecutor ex{{.num_workers = 2, .seed = 13},
+                      [&](void* item, unsigned) { take(item); }};
+  {
+    std::vector<std::jthread> submitters;
+    for (unsigned s = 0; s < kSubmitters; ++s)
+      submitters.emplace_back([&, s] {
+        for (std::uintptr_t i = 0; i < per_submitter; ++i)
+          ex.submit(reinterpret_cast<void*>(s * per_submitter + i + 1),
+                    ex.num_workers());
+      });
+    std::jthread popper([&] {
+      while (done.load(std::memory_order_relaxed) < n)
+        if (void* item = ex.pop_own(ex.num_workers())) take(item);
+    });
+  }
+  spin_until([&] { return done.load(std::memory_order_relaxed) >= n; });
+  ex.shutdown();
+  for (unsigned i = 0; i < n; ++i) ASSERT_EQ(ran[i].load(), 1) << i;
+}
+
+// Order of the injection queue: an external thread pops the newest item,
+// a worker steals the oldest. The worker is held inside a first item
+// while the queue fills, so it is the only thief and its order is fixed.
+TEST(StealingExecutor, InjectionQueuePopsNewestAndStealsOldest) {
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::vector<std::uintptr_t> stolen;  // written by the worker only
+  std::atomic<unsigned> ran{0};
+  StealingExecutor ex{{.num_workers = 1, .seed = 1},
+                      [&](void* item, unsigned worker) {
+                        ASSERT_EQ(worker, 0u);
+                        const auto v = reinterpret_cast<std::uintptr_t>(item);
+                        if (v == 100) {
+                          held.store(true);
+                          spin_until([&] { return release.load(); });
+                        } else {
+                          stolen.push_back(v);
+                        }
+                        ran.fetch_add(1, std::memory_order_release);
+                      }};
+  ex.submit(reinterpret_cast<void*>(std::uintptr_t{100}), ex.num_workers());
+  spin_until([&] { return held.load(); });
+  for (std::uintptr_t v = 1; v <= 4; ++v)
+    ex.submit(reinterpret_cast<void*>(v), ex.num_workers());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ex.pop_own(ex.num_workers())),
+            4u);  // external side: newest first
+  release.store(true);
+  spin_until([&] { return ran.load(std::memory_order_acquire) == 4; });
+  ex.shutdown();
+  EXPECT_EQ(stolen, (std::vector<std::uintptr_t>{1, 2, 3}));  // oldest first
+  EXPECT_EQ(ex.steal_count(), 4u);
 }
 
 // --- Runtime nested spawn (silent_async / corun) --------------------------
@@ -609,7 +735,7 @@ TEST(RuntimeParking, LastTaskPushedWhileEveryoneElseIsParked) {
   }
 }
 
-// graph(), trace() and stats() read the task store while dependence-free
+// graph(), trace() and stats() read the task stores while dependence-free
 // spawns reserve ids and construct their blocks without the graph mutex
 // (and dependent spawns append edges under it). Every snapshot must be
 // consistent; under TSan this also checks the blocks' publication.
@@ -652,6 +778,152 @@ TEST(RuntimeParking, ReadersStaySafeWhileSpawnsReserveIds) {
   EXPECT_EQ(g.node_count(), kSpawns);
   EXPECT_EQ(g.edge_count(), kSpawns / 8 - 1);
   EXPECT_EQ(g.node(1).label, "free1");
+}
+
+// --- Task stores -----------------------------------------------------------
+//
+// Each executor slot spawns into a task store of its own (the workers'
+// stores, and one shared by every thread outside the worker set); graph()
+// and trace() walk the stores and index the blocks by id.
+
+/// Spawns a mix from many threads over a few cells, after a part that
+/// this thread alone spawns, and checks that the graph and the trace hold
+/// every task once. Returns the graph and the cells after the first part.
+std::pair<raa::tdg::Graph, std::vector<double>> run_store_mix(
+    unsigned workers) {
+  using raa::rt::in;
+  using raa::rt::inout;
+  const std::string what = std::to_string(workers) + " workers";
+  Runtime rt{{.num_workers = workers, .seed = workers + 1}};
+  constexpr unsigned kCells = 5;
+  std::vector<double> cell(kCells, 0.0);
+
+  // Part 1, one producer: dependent and dependence-free external spawns.
+  for (unsigned i = 0; i < 64; ++i) {
+    const unsigned a = i % kCells;
+    const unsigned b = (i + 1) % kCells;
+    const std::string label = "p" + std::to_string(i);
+    if (i % 3 == 0)
+      rt.spawn({inout(cell[a])}, [&cell, a] { cell[a] += 1.0; },
+               {.label = label});
+    else if (i % 3 == 1)
+      rt.spawn({in(cell[a]), inout(cell[b])},
+               [&cell, a, b] { cell[b] += cell[a]; }, {.label = label});
+    else
+      rt.spawn([] {}, {.label = label});
+  }
+  rt.taskwait();
+  std::pair out{rt.graph(), cell};
+
+  // Part 2, many producers: tasks spawned from here spawn dependent
+  // tasks from inside their bodies, and nested children that spawn more,
+  // while this thread spawns dependent tasks on the same cells. So the
+  // blocks of a chain sit in different stores.
+  constexpr unsigned kProducers = 6;
+  constexpr unsigned kPerProducer = 16;
+  for (unsigned d = 0; d < kProducers; ++d) {
+    rt.spawn([&rt, &cell, d] {
+      for (unsigned i = 0; i < kPerProducer; ++i) {
+        const unsigned a = (d + i) % kCells;
+        rt.spawn({inout(cell[a])}, [&cell, a] { cell[a] += 1.0; });
+        rt.silent_async([&rt, &cell, a] {
+          rt.spawn({inout(cell[a])}, [&cell, a] { cell[a] += 1.0; });
+        });
+      }
+    });
+    const unsigned a = d % kCells;
+    rt.spawn({inout(cell[a])}, [&cell, a] { cell[a] += 1.0; });
+  }
+  rt.taskwait();
+
+  double added = 0.0;
+  for (unsigned c = 0; c < kCells; ++c) added += cell[c] - out.second[c];
+  EXPECT_EQ(added, kProducers * (2.0 * kPerProducer + 1)) << what;
+
+  const auto st = rt.stats();
+  const auto g = rt.graph();
+  const auto trace = rt.trace();
+  const std::uint64_t n = 64 + kProducers * (2 + 3 * kPerProducer);
+  EXPECT_EQ(st.tasks_spawned, n) << what;
+  EXPECT_EQ(st.tasks_executed, n) << what;
+  EXPECT_EQ(g.node_count(), st.tasks_spawned) << what;
+  EXPECT_EQ(g.edge_count(), st.edges) << what;
+  std::vector<int> seen(n, 0);
+  for (const auto& rec : trace) {
+    EXPECT_LT(rec.task, n) << what;
+    if (rec.task < n) ++seen[rec.task];
+  }
+  for (std::uint64_t id = 0; id < n; ++id)
+    EXPECT_EQ(seen[id], 1) << what << " task " << id;
+  for (std::size_t i = 1; i < trace.size(); ++i)
+    EXPECT_LT(std::tie(trace[i - 1].end_ns, trace[i - 1].task),
+              std::tie(trace[i].end_ns, trace[i].task))
+        << what << " at " << i;
+  expect_trace_respects_edges(rt, what);
+  return out;
+}
+
+TEST(RuntimeStores, GraphAndTraceStayWholeAcrossSlotStores) {
+  const auto serial = run_store_mix(0);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    const auto [g, cells] = run_store_mix(workers);
+    const std::string what = std::to_string(workers) + " workers";
+    EXPECT_EQ(cells, serial.second) << what;
+    ASSERT_EQ(g.node_count(), serial.first.node_count()) << what;
+    EXPECT_EQ(g.edge_count(), serial.first.edge_count()) << what;
+    for (raa::tdg::NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(g.node(v).label, serial.first.node(v).label) << what;
+      EXPECT_EQ(g.successors(v), serial.first.successors(v))
+          << what << " node " << v;
+    }
+  }
+}
+
+/// A task body whose move into its task block waits until `open`, so a
+/// test can read the runtime while that block is under construction.
+/// Spawning it as an lvalue copies it first, so that move is its only one.
+struct GatedBody {
+  std::atomic<bool>* entered;
+  std::atomic<bool>* open;
+  GatedBody(std::atomic<bool>* e, std::atomic<bool>* o) : entered(e), open(o) {}
+  GatedBody(const GatedBody&) = default;
+  GatedBody(GatedBody&& other) noexcept
+      : entered(other.entered), open(other.open) {
+    entered->store(true);
+    while (!open->load()) std::this_thread::yield();
+  }
+  void operator()() const {}
+};
+
+// An external thread holds its id and the external store's mutex while it
+// constructs a block: graph() shows a placeholder node for that id, and
+// neither graph() nor trace() waits for the spawn.
+TEST(RuntimeStores, GraphShowsABlockUnderConstructionAsAPlaceholder) {
+  for (const unsigned workers : {0u, 2u}) {
+    Runtime rt{{.num_workers = workers}};
+    rt.spawn([] {}, {.label = "before", .cost_hint = 7.0});
+    rt.taskwait();
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+    const GatedBody gated{&entered, &open};
+    std::jthread spawner(
+        [&] { rt.spawn(gated, {.label = "gated", .cost_hint = 5.0}); });
+    spin_until([&] { return entered.load(); });
+    const auto g = rt.graph();
+    ASSERT_EQ(g.node_count(), 2u);
+    EXPECT_EQ(g.node(0).label, "before");
+    EXPECT_EQ(g.node(0).cost, 7.0);
+    EXPECT_EQ(g.node(1).label, "");  // the placeholder
+    EXPECT_EQ(g.node(1).cost, 1.0);
+    EXPECT_EQ(rt.trace().size(), 1u);
+    open.store(true);
+    spawner.join();
+    rt.taskwait();
+    const auto done = rt.graph();
+    EXPECT_EQ(done.node(1).label, "gated");
+    EXPECT_EQ(done.node(1).cost, 5.0);
+    EXPECT_EQ(rt.trace().size(), 2u);
+  }
 }
 
 // --- StealEquivalence -----------------------------------------------------
